@@ -10,8 +10,8 @@ denoiser is given perfect information.
 
 import numpy as np
 
-from crossdiff.diffusion import (NoisyState, build_schedule, forward_diffuse,
-                                 reverse_step, strided_steps)
+from crossdiff.diffusion import (build_schedule, forward_diffuse, reverse_step,
+                                 strided_steps)
 
 rng = np.random.default_rng(0)
 
@@ -34,8 +34,8 @@ x0 = np.array([1.0, -2.0, 0.5, 0.0])
 print("\nclean vector      ", np.round(x0, 3))
 for t in (1, 25, 50):
     eps = rng.standard_normal(x0.shape)
-    state = forward_diffuse(x0, t, eps, sched)
-    print("corrupted at t=%2d " % t, np.round(state.x_t, 3))
+    x_t = forward_diffuse(x0, t, eps, sched)
+    print("corrupted at t=%2d " % t, np.round(x_t, 3))
 
 # ----------------------------------------------------------------------
 # Reverse chain with an oracle denoiser: hand it the true x0 at every
@@ -44,13 +44,12 @@ for t in (1, 25, 50):
 # ----------------------------------------------------------------------
 
 t = 50
-x = forward_diffuse(x0, t, rng.standard_normal(x0.shape), sched).x_t
+x = forward_diffuse(x0, t, rng.standard_normal(x0.shape), sched)
 steps = list(range(50, 0, -1))
 for i, t in enumerate(steps):
     t_prev = steps[i + 1] if i + 1 < len(steps) else 0
     noise = rng.standard_normal(x0.shape) if t_prev > 0 else np.zeros_like(x0)
-    x = reverse_step(NoisyState(x_t=x, t=t, eps=noise), x0, sched, noise,
-                     t_prev=t_prev)
+    x = reverse_step(x, t, x0, sched, noise, t_prev=t_prev)
 print("\nafter the full reverse chain with an oracle denoiser:")
 print("  reconstruction  ", np.round(x, 12))
 print("  max |error|      %.2e" % np.max(np.abs(x - x0)))

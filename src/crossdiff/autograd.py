@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+from scipy.special import erf
 
 _grad_enabled = True
 
@@ -47,12 +48,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def detach(self):
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -189,10 +184,14 @@ def matmul(a, b):
 
 
 def exp(a):
-    out = Tensor(np.exp(a.data), parents=(a,))
+    # backward closures capture output arrays, never the output Tensor: a
+    # closure stored on its own output makes every graph a reference cycle
+    # that only the cycle collector frees
+    e = np.exp(a.data)
+    out = Tensor(e, parents=(a,))
 
     def backward(g):
-        a._accumulate(g * out.data)
+        a._accumulate(g * e)
 
     return _attach(out, backward)
 
@@ -207,25 +206,24 @@ def log(a):
 
 
 def sqrt(a):
-    out = Tensor(np.sqrt(a.data), parents=(a,))
+    r = np.sqrt(a.data)
+    out = Tensor(r, parents=(a,))
 
     def backward(g):
-        a._accumulate(g * 0.5 / out.data)
+        a._accumulate(g * 0.5 / r)
 
     return _attach(out, backward)
 
 
 def gelu(a):
     """Gaussian-error linear unit, exact erf form."""
-    from scipy.special import erf
-
-    z = a.data / np.sqrt(2.0)
-    cdf = 0.5 * (1.0 + erf(z))
-    out = Tensor(a.data * cdf, parents=(a,))
-    pdf = np.exp(-0.5 * a.data * a.data) / np.sqrt(2.0 * np.pi)
+    x = a.data
+    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    out = Tensor(x * cdf, parents=(a,))
 
     def backward(g):
-        a._accumulate(g * (cdf + a.data * pdf))
+        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        a._accumulate(g * (cdf + x * pdf))
 
     return _attach(out, backward)
 
@@ -413,21 +411,3 @@ def l2_normalize(x, axis=-1, eps=1e-12):
     """x / ||x|| along `axis`, built from primitives so gradients flow."""
     nrm = sqrt(sum_(mul(x, x), axis=axis, keepdims=True) + Tensor(eps))
     return div(x, nrm)
-
-
-def parameters_of(tensors):
-    """Flatten any nesting of dicts/lists of Tensors into a list."""
-    out = []
-
-    def walk(obj):
-        if isinstance(obj, Tensor):
-            out.append(obj)
-        elif isinstance(obj, dict):
-            for v in obj.values():
-                walk(v)
-        elif isinstance(obj, (list, tuple)):
-            for v in obj:
-                walk(v)
-
-    walk(tensors)
-    return out

@@ -152,7 +152,7 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, inputs: list,
         "inputs": {p: _sha256(p) for p in inputs if os.path.isfile(p)},
         "outputs": sorted(outputs),
         "started_at": started,
-        "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "finished_at": _now(),
     }
     with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -166,45 +166,43 @@ def _fmt(x: float) -> str:
     return "%.10g" % x
 
 
-def _report_rows(part_name: str, report) -> list:
+def _write_csv(path: str, header: list, rows: list) -> None:
+    with open(path, "w") as fh:
+        for cells in [header] + rows:
+            fh.write(",".join(cells) + "\n")
+
+
+def _report_rows(report) -> list:
+    """[domain, users, mrr, hit5, hit10, ndcg5, ndcg10] per domain, then overall."""
     rows = []
-    tot = {"n": 0, "mrr": 0.0, "h5": 0.0, "h10": 0.0, "n5": 0.0, "n10": 0.0}
+    tot = [0.0] * 5
     for dom in sorted(report.per_domain):
         mv = report.per_domain[dom]
-        rows.append([part_name, dom, mv.n_users, mv.mrr, mv.hit[5], mv.hit[10],
-                     mv.ndcg[5], mv.ndcg[10]])
-        tot["n"] += mv.n_users
-        for key, val in (("mrr", mv.mrr), ("h5", mv.hit[5]), ("h10", mv.hit[10]),
-                         ("n5", mv.ndcg[5]), ("n10", mv.ndcg[10])):
-            tot[key] += val * mv.n_users
-    n = tot["n"]
-    rows.append([part_name, "overall", n, tot["mrr"] / n, tot["h5"] / n,
-                 tot["h10"] / n, tot["n5"] / n, tot["n10"] / n])
+        vals = [mv.mrr, mv.hit[5], mv.hit[10], mv.ndcg[5], mv.ndcg[10]]
+        rows.append([dom, mv.n_users] + vals)
+        tot = [acc + v * mv.n_users for acc, v in zip(tot, vals)]
+    n = sum(row[1] for row in rows)
+    rows.append(["overall", n] + [acc / n for acc in tot])
     return rows
 
 
-def write_metrics_csv(path: str, named_reports) -> None:
-    """One row per (part, domain) plus overall; raw and x100 columns."""
-    header = ["part", "domain", "n_users", "mrr", "hit5", "hit10", "ndcg5", "ndcg10",
-              "mrr_x100", "hit5_x100", "hit10_x100", "ndcg5_x100", "ndcg10_x100"]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for part_name, report in named_reports:
-            for row in _report_rows(part_name, report):
-                vals = row[3:]
-                cells = [row[0], row[1], str(row[2])]
-                cells += [_fmt(v) for v in vals]
-                cells += [_fmt(100.0 * v) for v in vals]
-                fh.write(",".join(cells) + "\n")
+METRICS_HEADER = ["part", "domain", "n_users", "mrr", "hit5", "hit10", "ndcg5",
+                  "ndcg10", "mrr_x100", "hit5_x100", "hit10_x100", "ndcg5_x100",
+                  "ndcg10_x100"]
 
 
-def _print_report(title: str, report) -> None:
-    print(title)
-    print("  %-8s %8s %10s %10s %10s %10s %10s"
-          % ("domain", "users", "MRR", "H@5", "H@10", "N@5", "N@10"))
-    for row in _report_rows("-", report):
-        print("  %-8s %8d %10.4f %10.4f %10.4f %10.4f %10.4f"
-              % (row[1], row[2], row[3], row[4], row[5], row[6], row[7]))
+def _metrics_csv_rows(part_name: str, report) -> list:
+    """One row per domain plus overall; raw and x100 columns."""
+    return [[part_name, dom, str(n)] + [_fmt(v) for v in vals]
+            + [_fmt(100.0 * v) for v in vals]
+            for dom, n, *vals in _report_rows(report)]
+
+
+def _report_lines(title: str, report) -> list:
+    return [title, "  %-8s %8s %10s %10s %10s %10s %10s"
+            % ("domain", "users", "MRR", "H@5", "H@10", "N@5", "N@10")] + \
+        ["  %-8s %8d %10.4f %10.4f %10.4f %10.4f %10.4f" % tuple(row)
+         for row in _report_rows(report)]
 
 
 # ---------------------------------------------------------------------------
@@ -280,103 +278,85 @@ def cmd_train(args) -> int:
         checkpoint_every=cfg["checkpoint_every"], eval_negatives=cfg["n_negatives"],
         eval_seed=cfg["eval_seed"], eval_steps=cfg["n_steps"], verbose=True)
     hist_path = os.path.join(args.out, "history.csv")
-    with open(hist_path, "w") as fh:
-        fh.write("epoch,stage,l_diff,l_rec,l_tri_cl,l_total,val_ndcg10\n")
-        for rec in state.history:
-            fh.write("%d,%s,%s,%s,%s,%s,%s\n"
-                     % (rec["epoch"], rec["stage"], _fmt(rec["l_diff"]),
-                        _fmt(rec["l_rec"]), _fmt(rec["l_tri_cl"]),
-                        _fmt(rec["l_total"]),
-                        _fmt(rec["val_ndcg10"]) if "val_ndcg10" in rec else ""))
+    _write_csv(hist_path, ["epoch", "stage", "l_diff", "l_rec", "l_tri_cl", "l_total",
+                           "val_ndcg10"],
+               [[str(rec["epoch"]), rec["stage"]]
+                + [_fmt(rec[k]) for k in ("l_diff", "l_rec", "l_tri_cl", "l_total")]
+                + [_fmt(rec["val_ndcg10"]) if "val_ndcg10" in rec else ""]
+                for rec in state.history])
     _write_manifest(args.out, "train", cfg, [os.path.join(args.data, "vocab.json")],
                     [hist_path, os.path.join(args.out, "latest", "params.bin")],
                     started)
     return 0
 
 
-def _load_model(args, use_best: bool):
+# Eval-like commands score a trained checkpoint. Each entry below takes
+# (args, split, model, n_steps, kw), where model is the positional model
+# arguments of evaluation.evaluate and kw its shared keyword arguments, and
+# returns the CSV header, the CSV rows and the lines to print.
+
+def _eval_part(args, split, model, n_steps, kw):
+    part = split.test if args.part == "test" else split.validation
+    report = evaluate(part, *model, n_steps=n_steps, **kw)
+    title = ("%s metrics (%d negatives, %d steps):"
+             % (args.part, kw["n_negatives"], report.fingerprint["n_steps"]))
+    return (METRICS_HEADER, _metrics_csv_rows(args.part, report),
+            _report_lines(title, report))
+
+
+def _robust(args, split, model, n_steps, kw):
+    rates = [float(r) for r in args.rates.split(",")]
+    rows = noise_robustness(split.test, *model, rates, n_steps=n_steps, **kw)
+    return (["noise_rate", "ndcg10", "ndcg10_x100", "retained"],
+            [[_fmt(r["noise_rate"]), _fmt(r["ndcg10"]), _fmt(100 * r["ndcg10"]),
+              _fmt(r["retained"])] for r in rows],
+            ["noise_rate  ndcg@10  retained"]
+            + ["  %8.2f  %7.4f  %8.4f" % (r["noise_rate"], r["ndcg10"], r["retained"])
+               for r in rows])
+
+
+def _sweep(args, split, model, n_steps, kw):
+    counts = [int(s) for s in args.steps.split(",")]
+    rows = step_sweep(split.test, *model, counts, **kw)
+    return (["n_steps", "ndcg10", "ndcg10_x100"],
+            [[str(r["n_steps"]), _fmt(r["ndcg10"]), _fmt(100 * r["ndcg10"])]
+             for r in rows],
+            ["n_steps  ndcg@10"]
+            + ["  %5d  %7.4f" % (r["n_steps"], r["ndcg10"]) for r in rows])
+
+
+# command -> (report file, run)
+EVAL_COMMANDS = {
+    "eval": ("metrics.csv", _eval_part),
+    "robust": ("robustness.csv", _robust),
+    "sweep": ("sweep.csv", _sweep),
+}
+
+
+def cmd_eval_like(args) -> int:
+    cfg = resolve_config(args)
+    started = _now()
+    split = load_split(args.data)
     state = load_checkpoint(args.checkpoint)
-    if use_best:
+    if args.use_best:
         if state.best_params is None:
             raise ValueError("checkpoint has no best-parameter snapshot")
         state.params.from_vector(state.best_params)
-    return state
-
-
-def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    started = _now()
-    split = load_split(args.data)
-    state = _load_model(args, args.use_best)
-    part = split.test if args.part == "test" else split.validation
-    n_neg = cfg["n_negatives"] or auto_negatives(split)
-    report = evaluate(part, state.params, state.model_cfg, state.sched,
-                      state.variant_name, split.vocab_x, split.vocab_y,
-                      seed=cfg["eval_seed"], n_steps=cfg["n_steps"],
-                      n_negatives=n_neg, batch_size=cfg["eval_batch_size"],
-                      trained_steps=state.global_step)
+    n_neg = cfg["n_negatives"]
+    if n_neg is None:
+        n_neg = auto_negatives(split)
+    report_name, run = EVAL_COMMANDS[args.command]
+    model = (state.params, state.model_cfg, state.sched, state.variant_name,
+             split.vocab_x, split.vocab_y)
+    kw = dict(seed=cfg["eval_seed"], n_negatives=n_neg,
+              batch_size=cfg["eval_batch_size"], trained_steps=state.global_step)
+    header, rows, lines = run(args, split, model, cfg["n_steps"], kw)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "metrics.csv")
-    write_metrics_csv(path, [(args.part, report)])
-    _write_manifest(args.out, "eval", cfg,
+    path = os.path.join(args.out, report_name)
+    _write_csv(path, header, rows)
+    _write_manifest(args.out, args.command, cfg,
                     [os.path.join(args.checkpoint, "params.bin")], [path], started)
-    _print_report("%s metrics (%d negatives, %d steps):"
-                  % (args.part, n_neg, report.fingerprint["n_steps"]), report)
-    return 0
-
-
-def cmd_robust(args) -> int:
-    cfg = resolve_config(args)
-    started = _now()
-    split = load_split(args.data)
-    state = _load_model(args, args.use_best)
-    rates = [float(r) for r in args.rates.split(",")]
-    n_neg = cfg["n_negatives"] or auto_negatives(split)
-    rows = noise_robustness(split.test, state.params, state.model_cfg, state.sched,
-                            state.variant_name, split.vocab_x, split.vocab_y,
-                            rates, seed=cfg["eval_seed"], n_steps=cfg["n_steps"],
-                            n_negatives=n_neg, batch_size=cfg["eval_batch_size"],
-                            trained_steps=state.global_step)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "robustness.csv")
-    with open(path, "w") as fh:
-        fh.write("noise_rate,ndcg10,ndcg10_x100,retained\n")
-        for row in rows:
-            fh.write("%s,%s,%s,%s\n" % (_fmt(row["noise_rate"]), _fmt(row["ndcg10"]),
-                                        _fmt(100 * row["ndcg10"]), _fmt(row["retained"])))
-    _write_manifest(args.out, "robust", cfg,
-                    [os.path.join(args.checkpoint, "params.bin")], [path], started)
-    print("noise_rate  ndcg@10  retained")
-    for row in rows:
-        print("  %8.2f  %7.4f  %8.4f" % (row["noise_rate"], row["ndcg10"],
-                                         row["retained"]))
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
-    started = _now()
-    split = load_split(args.data)
-    state = _load_model(args, args.use_best)
-    counts = [int(s) for s in args.steps.split(",")]
-    n_neg = cfg["n_negatives"] or auto_negatives(split)
-    rows = step_sweep(split.test, state.params, state.model_cfg, state.sched,
-                      state.variant_name, split.vocab_x, split.vocab_y, counts,
-                      seed=cfg["eval_seed"], n_negatives=n_neg,
-                      batch_size=cfg["eval_batch_size"],
-                      trained_steps=state.global_step)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "sweep.csv")
-    with open(path, "w") as fh:
-        fh.write("n_steps,ndcg10,ndcg10_x100\n")
-        for row in rows:
-            fh.write("%d,%s,%s\n" % (row["n_steps"], _fmt(row["ndcg10"]),
-                                     _fmt(100 * row["ndcg10"])))
-    _write_manifest(args.out, "sweep", cfg,
-                    [os.path.join(args.checkpoint, "params.bin")], [path], started)
-    print("n_steps  ndcg@10")
-    for row in rows:
-        print("  %5d  %7.4f" % (row["n_steps"], row["ndcg10"]))
+    print("\n".join(lines))
     return 0
 
 
@@ -396,13 +376,10 @@ def cmd_ablate(args) -> int:
                           n_negatives=cfg["n_negatives"], eval_steps=cfg["n_steps"])
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "ablation.csv")
-    with open(path, "w") as fh:
-        fh.write("variant,n_seeds,ndcg10_mean,ndcg10_mean_x100,per_seed\n")
-        for row in rows:
-            fh.write("%s,%d,%s,%s,%s\n"
-                     % (row["variant"], len(seeds), _fmt(row["ndcg10_mean"]),
-                        _fmt(100 * row["ndcg10_mean"]),
-                        ";".join(_fmt(v) for v in row["per_seed"])))
+    _write_csv(path, ["variant", "n_seeds", "ndcg10_mean", "ndcg10_mean_x100", "per_seed"],
+               [[row["variant"], str(len(seeds)), _fmt(row["ndcg10_mean"]),
+                 _fmt(100 * row["ndcg10_mean"]),
+                 ";".join(_fmt(v) for v in row["per_seed"])] for row in rows])
     _write_manifest(args.out, "ablate", cfg,
                     [os.path.join(args.data, "vocab.json")], [path], started)
     print("variant          ndcg@10 (mean over %d seeds)" % len(seeds))
@@ -463,15 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = eval_like("eval", "ranking metrics on a held-out part")
     pe.add_argument("--part", choices=("test", "valid"), default="test")
-    pe.set_defaults(func=cmd_eval)
+    pe.set_defaults(func=cmd_eval_like)
 
     pr = eval_like("robust", "metric decay under history corruption")
     pr.add_argument("--rates", default="0,0.1,0.2,0.3")
-    pr.set_defaults(func=cmd_robust)
+    pr.set_defaults(func=cmd_eval_like)
 
     pw = eval_like("sweep", "metrics versus reverse-chain length")
     pw.add_argument("--steps", default="1,2,5,10,25,50")
-    pw.set_defaults(func=cmd_sweep)
+    pw.set_defaults(func=cmd_eval_like)
 
     pa = sub.add_parser("ablate", parents=[common],
                         help="train and evaluate model variants")

@@ -111,13 +111,6 @@ class DatasetSplit:
     def vocab_of(self, domain: str) -> Vocab:
         return self.vocab_x if domain == DOMAIN_X else self.vocab_y
 
-    def vocab_by_index(self, index: int) -> Vocab:
-        if self.vocab_x.contains(index):
-            return self.vocab_x
-        if self.vocab_y.contains(index):
-            return self.vocab_y
-        raise IndexError("index %d outside both vocabularies" % index)
-
 
 def ingest_log(path: str, fmt: str = "tsv", domain_map: dict | None = None):
     """Parse a user/item/domain/timestamp log.
@@ -234,20 +227,6 @@ def filter_and_split(events: list[InteractionEvent],
         test.append((UserSequence(ui, seq[:-1]), seq[-1]))
     return DatasetSplit(train=train, validation=validation, test=test,
                         vocab_x=vocab_x, vocab_y=vocab_y, user_ids=user_ids)
-
-
-def split_domains(seq: UserSequence) -> tuple[UserSequence, UserSequence]:
-    """Per-domain subsequences, order preserved."""
-    sx = [(g, d) for g, d in seq.items if d == DOMAIN_X]
-    sy = [(g, d) for g, d in seq.items if d == DOMAIN_Y]
-    return UserSequence(seq.user_index, sx), UserSequence(seq.user_index, sy)
-
-
-def domain_positions(seq: UserSequence) -> tuple[list[int], list[int]]:
-    """Original merged positions of each domain's items, for re-interleaving."""
-    px = [i for i, (_, d) in enumerate(seq.items) if d == DOMAIN_X]
-    py = [i for i, (_, d) in enumerate(seq.items) if d == DOMAIN_Y]
-    return px, py
 
 
 # ---------------------------------------------------------------------------

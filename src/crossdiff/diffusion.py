@@ -1,6 +1,8 @@
-"""Noise schedule, forward corruption, reverse transitions, guided sampling.
+"""Noise schedule, forward corruption, reverse transitions.
 
-Pure numpy. Timestep convention: t runs 1..T; array slot t-1 stores the
+Plain numpy arrays throughout, except that forward_diffuse also corrupts an
+autograd Tensor so the training pass can differentiate through it.
+Timestep convention: t runs 1..T; array slot t-1 stores the
 step-t coefficients; cumulative signal fraction at t=0 is defined as 1 so
 the final reverse transition is deterministic.
 """
@@ -11,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import Tensor
+
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
@@ -20,7 +24,6 @@ class DiffusionSchedule:
     alpha_bars: np.ndarray   # (T,), cumulative products of alphas
     beta_start: float
     beta_end: float
-    shape: str = "linear"
 
     def alpha_bar(self, t: int) -> float:
         """Cumulative signal fraction at step t, with alpha_bar(0) == 1."""
@@ -30,65 +33,63 @@ class DiffusionSchedule:
 
     def spec(self) -> dict:
         """Serializable recipe; build_schedule(**spec) reconstructs bit-exactly."""
-        return {"T": self.T, "beta_start": self.beta_start,
-                "beta_end": self.beta_end, "shape": self.shape}
+        return {"T": self.T, "beta_start": self.beta_start, "beta_end": self.beta_end}
 
 
-@dataclass
-class NoisyState:
-    x_t: np.ndarray
-    t: int
-    eps: np.ndarray
-
-
-def build_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02,
-                   shape: str = "linear") -> DiffusionSchedule:
+def build_schedule(T: int, beta_start: float = 1e-4,
+                   beta_end: float = 0.02) -> DiffusionSchedule:
     """Linear noise-variance ramp inclusive of both endpoints."""
     if T < 1:
         raise ValueError("T must be >= 1, got %d" % T)
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1, got (%r, %r)"
                          % (beta_start, beta_end))
-    if shape != "linear":
-        raise ValueError("unknown schedule shape %r" % shape)
     betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     return DiffusionSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars,
-                             beta_start=float(beta_start), beta_end=float(beta_end),
-                             shape=shape)
+                             beta_start=float(beta_start), beta_end=float(beta_end))
 
 
-def forward_diffuse(x0: np.ndarray, t: int, eps: np.ndarray,
-                    sched: DiffusionSchedule) -> NoisyState:
-    """Jump straight from the clean vector to its step-t corruption."""
-    if not (1 <= t <= sched.T):
-        raise ValueError("t=%d outside [1, %d]" % (t, sched.T))
-    x0 = np.asarray(x0, dtype=np.float64)
+def forward_diffuse(x0, t, eps: np.ndarray, sched: DiffusionSchedule):
+    """Jump straight from the clean vector to its step-t corruption x_t.
+
+    t is one step for every row or an int array with one step per row of x0.
+    x0 may be an autograd Tensor, in which case x_t is one too and gradient
+    flows back into x0.
+    """
+    t = np.asarray(t)
+    if t.ndim > 1 or np.any(t < 1) or np.any(t > sched.T):
+        raise ValueError("t=%s outside [1, %d]" % (t, sched.T))
+    if not isinstance(x0, Tensor):
+        x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ValueError("shape mismatch: x0 %r vs eps %r" % (x0.shape, eps.shape))
-    ab = sched.alpha_bar(t)
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    return NoisyState(x_t=x_t, t=t, eps=eps)
+    ab = sched.alpha_bars[t - 1]
+    if t.ndim == 1:
+        if eps.shape[:1] != t.shape:
+            raise ValueError("%d timesteps for x0 of shape %r" % (t.size, eps.shape))
+        ab = ab.reshape(ab.shape + (1,) * (eps.ndim - 1))
+    return x0 * np.sqrt(ab) + np.sqrt(1.0 - ab) * eps
 
 
-def reverse_step(state: NoisyState, x0_hat: np.ndarray, sched: DiffusionSchedule,
-                 noise: np.ndarray, t_prev: int | None = None) -> np.ndarray:
-    """One posterior transition toward the clean vector.
+def reverse_step(x_t: np.ndarray, t: int, x0_hat: np.ndarray,
+                 sched: DiffusionSchedule, noise: np.ndarray,
+                 t_prev: int | None = None) -> np.ndarray:
+    """One posterior transition from step t toward the clean vector.
 
     With t_prev = t-1 this is the exact single-step posterior given the clean
     vector; any smaller t_prev gives the strided-schedule analogue. The final
     transition (t_prev == 0) is deterministic and returns x0_hat.
     """
-    t = state.t
     if t < 1:
         raise ValueError("t must be >= 1, got %d" % t)
     if t_prev is None:
         t_prev = t - 1
     if not (0 <= t_prev < t):
         raise ValueError("t_prev=%d must lie in [0, %d)" % (t_prev, t))
-    x_t = np.asarray(state.x_t, dtype=np.float64)
+    x_t = np.asarray(x_t, dtype=np.float64)
     x0_hat = np.asarray(x0_hat, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if not (np.all(np.isfinite(x_t)) and np.all(np.isfinite(x0_hat))):
@@ -120,28 +121,3 @@ def strided_steps(T: int, n_steps: int) -> list[int]:
             steps.append(int(s))
             prev = s
     return steps
-
-
-def guided_sample(g_d, denoiser, sched: DiffusionSchedule, rng_seed: int,
-                  n_steps: int | None = None, dim: int | None = None) -> np.ndarray:
-    """Run the reverse chain from pure noise under fixed guidance.
-
-    `denoiser(x_t, g_d, t)` must return the clean-vector estimate. Returns the
-    final estimate (not the final chain state), which coincide when the chain
-    runs down to t=1.
-    """
-    if n_steps is None:
-        n_steps = sched.T
-    steps = strided_steps(sched.T, n_steps)
-    rng = np.random.default_rng(rng_seed)
-    if dim is None:
-        dim = int(np.asarray(g_d).shape[-1])
-    x = rng.standard_normal(dim)
-    x0_hat = None
-    for i, t in enumerate(steps):
-        x0_hat = np.asarray(denoiser(x, g_d, t), dtype=np.float64)
-        t_prev = steps[i + 1] if i + 1 < len(steps) else 0
-        noise = rng.standard_normal(dim) if t_prev > 0 else np.zeros(dim)
-        x = reverse_step(NoisyState(x_t=x, t=t, eps=noise), x0_hat, sched,
-                         noise, t_prev=t_prev)
-    return x0_hat

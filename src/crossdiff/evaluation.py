@@ -16,7 +16,7 @@ import numpy as np
 from .autograd import Tensor, no_grad
 from .data import (DOMAIN_X, DOMAINS, AugmentationSpec, DatasetSplit,
                    N_RESERVED, Vocab, augment)
-from .diffusion import DiffusionSchedule, NoisyState, reverse_step, strided_steps
+from .diffusion import DiffusionSchedule, reverse_step, strided_steps
 from .network import (VARIANTS, ModelConfig, ParameterSet, denoise,
                       guidance_forward, make_eval_batch)
 
@@ -83,6 +83,12 @@ def sample_negatives(rng: np.random.Generator, vocab: Vocab, exclude,
     return rng.choice(cand, size=k, replace=False)
 
 
+def check_negatives(n_negatives: int) -> None:
+    """Reject negative counts below one, which would rank every user first."""
+    if n_negatives < 1:
+        raise ValueError("n_negatives must be >= 1, got %d" % n_negatives)
+
+
 def auto_negatives(split: DatasetSplit, cap: int = 999) -> int:
     """Largest negative count every held-out user can support, capped."""
     worst = None
@@ -132,8 +138,7 @@ def sample_batch(params: ParameterSet, cfg: ModelConfig, sched: DiffusionSchedul
                 noise = np.stack([r.standard_normal(d) for r in rngs])
             else:
                 noise = np.zeros((B, d))
-            x = reverse_step(NoisyState(x_t=x, t=t, eps=noise), x0_hat, sched,
-                             noise, t_prev=t_prev)
+            x = reverse_step(x, t, x0_hat, sched, noise, t_prev=t_prev)
     return x0_hat
 
 
@@ -154,6 +159,7 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
         raise ValueError("nothing to evaluate")
     if exclude_seqs is not None and len(exclude_seqs) != len(part):
         raise ValueError("exclude_seqs must align with part")
+    check_negatives(n_negatives)
     variant = VARIANTS[variant_name]
     steps = sched.T if n_steps is None else n_steps
     vocabs = {d: (vocab_x if d == DOMAIN_X else vocab_y) for d in DOMAINS}
@@ -267,6 +273,7 @@ def run_ablation(split: DatasetSplit, variant_name: str, model_cfg: ModelConfig,
         raise ValueError("unknown variant %r" % variant_name)
     if n_negatives is None:
         n_negatives = auto_negatives(split)
+    check_negatives(n_negatives)
     state = init_state(model_cfg, train_cfg, sched, variant=variant_name)
     fit(state, split, out_dir=out_dir, eval_every=0, verbose=verbose)
     rep = evaluate(split.test, state.params, model_cfg, sched, variant_name,

@@ -19,6 +19,7 @@ from .autograd import (Tensor, concat, gather_concat, gather_rows, gelu,
                        layer_norm, masked_softmax, matmul, reshape, slice_rows,
                        swapaxes, take_rows)
 from .data import DOMAIN_X, DOMAIN_Y, N_RESERVED, PAD_OFFSET, UserSequence, Vocab
+from .diffusion import forward_diffuse
 
 
 @dataclass(frozen=True)
@@ -510,8 +511,7 @@ def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     if t is None or eps is None:
         raise ValueError("main-stage forward requires sampled timesteps and noise")
     x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
-    ab = np.array([sched.alpha_bar(int(ti)) for ti in t])
-    x_t = x0 * np.sqrt(ab)[:, None] + np.sqrt(1.0 - ab)[:, None] * eps
+    x_t = forward_diffuse(x0, t, eps, sched)
     bundle.x0 = x0
     bundle.x0_hat = denoise(params, cfg, x_t, t, gb.guide, gb.guide_valid)
     if variant.use_tricl and batch.aug_idx is not None:

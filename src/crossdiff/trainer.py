@@ -31,7 +31,6 @@ class TrainConfig:
     batch_size: int = 512
     epochs: int = 100
     warmup_epochs: int = 2
-    optimizer: str = "adam"
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -40,8 +39,6 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.optimizer != "adam":
-            raise ValueError("unsupported optimizer %r" % self.optimizer)
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.batch_size < 1 or self.epochs < 0 or self.warmup_epochs < 0:
@@ -219,6 +216,7 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
     warmup_steps = warm_epochs * steps_per_epoch
     if eval_negatives is None:
         eval_negatives = evaluation.auto_negatives(split)
+    evaluation.check_negatives(eval_negatives)
     end_epoch = tcfg.epochs
     if max_epochs is not None:
         end_epoch = min(end_epoch, state.epoch + max_epochs)
@@ -286,7 +284,7 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def save_checkpoint(ckpt_dir: str, state: TrainState) -> None:
@@ -319,30 +317,37 @@ def save_checkpoint(ckpt_dir: str, state: TrainState) -> None:
         state.best_params.astype("<f8").tofile(os.path.join(ckpt_dir, "best.bin"))
 
 
+def _read_blob(ckpt_dir: str, name: str, n_values: int) -> np.ndarray:
+    path = os.path.join(ckpt_dir, name)
+    vec = np.fromfile(path, dtype="<f8")
+    if vec.size != n_values:
+        raise ValueError("%s holds %d values, expected %d" % (path, vec.size, n_values))
+    return vec
+
+
 def load_checkpoint(ckpt_dir: str) -> TrainState:
     with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError("unsupported checkpoint format %r" % manifest.get("format_version"))
     model_cfg = ModelConfig(**manifest["model_cfg"])
-    tc = dict(manifest["train_cfg"])
-    train_cfg = TrainConfig(**tc)
+    train_cfg = TrainConfig(**manifest["train_cfg"])
     sched = build_schedule(**manifest["schedule"])
     params = init_parameters(model_cfg, rng_seed=train_cfg.seed)
     expect = [[name, list(p.data.shape)] for name, p in params.items()]
     if expect != [[n, list(s)] for n, s in manifest["params"]]:
         raise ValueError("checkpoint parameter manifest does not match the config")
-    vec = np.fromfile(os.path.join(ckpt_dir, "params.bin"), dtype="<f8")
-    params.from_vector(vec)
+    n_params = params.n_params
+    params.from_vector(_read_blob(ckpt_dir, "params.bin", n_params))
     opt = Adam(params, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
     opt.t = manifest["adam_t"]
-    mv = np.fromfile(os.path.join(ckpt_dir, "optimizer.bin"), dtype="<f8")
-    half = mv.size // 2
+    m, v = np.split(_read_blob(ckpt_dir, "optimizer.bin", 2 * n_params), 2)
     off = 0
     for name in params.names():
+        shape = params[name].data.shape
         n = params[name].data.size
-        opt.m[name] = mv[off:off + n].reshape(params[name].data.shape).copy()
-        opt.v[name] = mv[half + off:half + off + n].reshape(params[name].data.shape).copy()
+        opt.m[name] = m[off:off + n].reshape(shape).copy()
+        opt.v[name] = v[off:off + n].reshape(shape).copy()
         off += n
     rng = np.random.default_rng()
     rng.bit_generator.state = manifest["rng_state"]
@@ -355,5 +360,5 @@ def load_checkpoint(ckpt_dir: str) -> TrainState:
                        best_epoch=manifest["best_epoch"],
                        history=list(manifest["history"]))
     if manifest["has_best"]:
-        state.best_params = np.fromfile(os.path.join(ckpt_dir, "best.bin"), dtype="<f8")
+        state.best_params = _read_blob(ckpt_dir, "best.bin", n_params)
     return state

@@ -17,8 +17,7 @@ from crossdiff.cli import main as cli_main
 from crossdiff.data import (DOMAIN_X, DOMAIN_Y, SyntheticConfig, UserSequence,
                             Vocab, filter_and_split, generate_synthetic,
                             ingest_log, load_split, survival_stats)
-from crossdiff.diffusion import (NoisyState, build_schedule, forward_diffuse,
-                                 reverse_step)
+from crossdiff.diffusion import build_schedule, forward_diffuse, reverse_step
 from crossdiff.evaluation import (ablation_study, auto_negatives,
                                   compute_metrics, evaluate, noise_robustness,
                                   overall_ndcg, rank_of_positive, sample_batch,
@@ -90,7 +89,7 @@ def test_01_diffusion_math():
     for t in (1, 10, 50):
         ab = sched.alpha_bar(t)
         eps = rng.standard_normal((n, 4))
-        x_t = forward_diffuse(np.tile(x0_row, (n, 1)), t, eps, sched).x_t
+        x_t = forward_diffuse(np.tile(x0_row, (n, 1)), t, eps, sched)
         want_mean = np.sqrt(ab) * x0_row
         got_mean = x_t.mean(axis=0)
         assert np.all(np.abs(got_mean - want_mean)
@@ -106,19 +105,19 @@ def test_01_diffusion_math():
         mean = (np.sqrt(ab_s) * (1 - a) * x0h + np.sqrt(a) * (1 - ab_s) * x_t) \
             / (1 - ab_t)
         var = (1 - a) * (1 - ab_s) / (1 - ab_t)
-        state = NoisyState(x_t=np.array([x_t]), t=t, eps=np.zeros(1))
-        mu = reverse_step(state, np.array([x0h]), sched, np.zeros(1), t_prev=s)
+        mu = reverse_step(np.array([x_t]), t, np.array([x0h]), sched, np.zeros(1),
+                          t_prev=s)
         assert abs(mu[0] - (x0h if s == 0 else mean)) < 1e-10
         if s > 0:
-            stepped = reverse_step(state, np.array([x0h]), sched, np.ones(1),
-                                   t_prev=s)
+            stepped = reverse_step(np.array([x_t]), t, np.array([x0h]), sched,
+                                   np.ones(1), t_prev=s)
             assert abs((stepped[0] - mu[0]) - np.sqrt(var)) < 1e-10
 
     # the t=1 transition ignores its noise argument entirely
-    state = NoisyState(x_t=np.array([0.3, -1.2]), t=1, eps=np.zeros(2))
+    x_t = np.array([0.3, -1.2])
     x0h = np.array([0.9, 0.1])
-    out_a = reverse_step(state, x0h, sched, np.full(2, 5.0), t_prev=0)
-    out_b = reverse_step(state, x0h, sched, np.full(2, -5.0), t_prev=0)
+    out_a = reverse_step(x_t, 1, x0h, sched, np.full(2, 5.0), t_prev=0)
+    out_b = reverse_step(x_t, 1, x0h, sched, np.full(2, -5.0), t_prev=0)
     assert np.array_equal(out_a, out_b)
     assert np.array_equal(out_a, x0h)
 

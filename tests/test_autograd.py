@@ -5,6 +5,8 @@ differences with step 1e-6 give roughly 1e-10 accuracy on these scales, so a
 5e-7 relative tolerance catches any wrong gradient formula.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -199,7 +201,15 @@ def test_grad_accumulates_over_reuse():
     assert np.allclose(t.grad, 3.0 + 2.0 * t.data)
 
 
-def test_parameters_of_flattens_nested():
-    t1, t2 = Tensor(np.ones(1), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
-    got = ag.parameters_of({"a": t1, "b": [t2, {"c": t1}]})
-    assert t1 in got and t2 in got
+@pytest.mark.parametrize("op", ["exp", "sqrt", "log", "gelu"])
+def test_dropped_graph_leaves_no_cycle(op):
+    """Reference counting alone frees a graph once its tensors are dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        x = Tensor(np.array([0.5, 1.5]), requires_grad=True)
+        ag.sum_(getattr(ag, op)(x)).backward()
+        del x
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -293,6 +293,17 @@ class TestRobustSweepAblate:
             assert len(per_seed) == 1
             assert abs(float(r["ndcg10_mean"]) - np.mean(per_seed)) < 1e-12
 
+    @pytest.mark.parametrize("command", ["eval", "robust", "sweep"])
+    def test_zero_negatives_rejected(self, pipeline, tmp_path, capsys, command):
+        # 0 is not "auto": only none/auto pick the negative count from the split
+        out = str(tmp_path / command)
+        rc = main([command, "--checkpoint", os.path.join(pipeline["run"], "latest"),
+                   "--data", pipeline["split"], "--out", out,
+                   "--set", "n_negatives=0"])
+        assert rc == 1
+        assert "n_negatives" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_ablate_unknown_variant(self, pipeline, tmp_path, capsys):
         rc = main(["ablate", "--data", pipeline["split"],
                    "--out", str(tmp_path / "x"), "--variants", "mega"])

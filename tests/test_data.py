@@ -20,7 +20,6 @@ from crossdiff.data import (
     UserSequence,
     Vocab,
     augment,
-    domain_positions,
     filter_and_split,
     generate_synthetic,
     ingest_log,
@@ -29,7 +28,6 @@ from crossdiff.data import (
     save_events,
     save_ground_truth,
     save_split,
-    split_domains,
     survival_stats,
 )
 
@@ -290,34 +288,6 @@ class TestFilterAndSplit:
         assert stats["dropped_by_total_threshold"] == 1
         assert stats["dropped_by_domain_threshold"] == 1
         assert stats["n_events"] == len(events)
-
-
-class TestDomainViews:
-    def test_split_domains_preserves_order(self):
-        seq = UserSequence(0, [(2, DOMAIN_X), (10, DOMAIN_Y), (3, DOMAIN_X),
-                               (11, DOMAIN_Y), (4, DOMAIN_X)])
-        sx, sy = split_domains(seq)
-        assert sx.indices == [2, 3, 4] and sy.indices == [10, 11]
-        assert sx.user_index == sy.user_index == 0
-
-    def test_positions_reinterleave(self):
-        seq = UserSequence(3, [(2, DOMAIN_X), (10, DOMAIN_Y), (3, DOMAIN_X),
-                               (11, DOMAIN_Y)])
-        sx, sy = split_domains(seq)
-        px, py = domain_positions(seq)
-        rebuilt = [None] * len(seq)
-        for p, item in zip(px, sx.items):
-            rebuilt[p] = item
-        for p, item in zip(py, sy.items):
-            rebuilt[p] = item
-        assert rebuilt == seq.items
-
-    def test_single_domain_sequence(self):
-        seq = UserSequence(0, [(2, DOMAIN_X), (3, DOMAIN_X)])
-        sx, sy = split_domains(seq)
-        assert sx.items == seq.items and sy.items == []
-        px, py = domain_positions(seq)
-        assert px == [0, 1] and py == []
 
 
 @pytest.fixture(scope="module")

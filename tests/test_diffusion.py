@@ -8,8 +8,8 @@ that never touches the closed-form coefficients under test.
 import numpy as np
 import pytest
 
-from crossdiff.diffusion import (DiffusionSchedule, NoisyState, build_schedule,
-                                 forward_diffuse, guided_sample, reverse_step,
+from crossdiff.autograd import Tensor, sum_
+from crossdiff.diffusion import (build_schedule, forward_diffuse, reverse_step,
                                  strided_steps)
 
 
@@ -37,9 +37,9 @@ def quad_posterior(x0, xt, t, s, sched):
 
 def reverse_mean_std(x0_hat, xt, t, s, sched):
     """Mean and noise scale of the implemented transition, probed externally."""
-    state = NoisyState(x_t=np.array([xt]), t=t, eps=np.zeros(1))
-    m = reverse_step(state, np.array([x0_hat]), sched, np.zeros(1), t_prev=s)[0]
-    m1 = reverse_step(state, np.array([x0_hat]), sched, np.ones(1), t_prev=s)[0]
+    x_t = np.array([xt])
+    m = reverse_step(x_t, t, np.array([x0_hat]), sched, np.zeros(1), t_prev=s)[0]
+    m1 = reverse_step(x_t, t, np.array([x0_hat]), sched, np.ones(1), t_prev=s)[0]
     return float(m), float(m1 - m)
 
 
@@ -69,7 +69,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize("kwargs", [
         dict(T=0), dict(T=5, beta_start=0.0), dict(T=5, beta_start=0.3, beta_end=0.2),
-        dict(T=5, beta_end=1.0), dict(T=5, shape="cosine"),
+        dict(T=5, beta_end=1.0),
     ])
     def test_invalid_args(self, kwargs):
         with pytest.raises(ValueError):
@@ -83,11 +83,10 @@ class TestForward:
         x0 = rng.standard_normal(8)
         eps = rng.standard_normal(8)
         for t in (1, 7, 30):
-            state = forward_diffuse(x0, t, eps, s)
+            x_t = forward_diffuse(x0, t, eps, s)
             ab = s.alpha_bar(t)
-            rec = (state.x_t - np.sqrt(1 - ab) * eps) / np.sqrt(ab)
+            rec = (x_t - np.sqrt(1 - ab) * eps) / np.sqrt(ab)
             assert np.max(np.abs(rec - x0)) < 1e-12
-            assert state.t == t
 
     def test_moments_match_analytic(self):
         s = build_schedule(20)
@@ -96,7 +95,7 @@ class TestForward:
         n = 20000
         for t in (1, 10, 20):
             eps = rng.standard_normal(n)
-            xt = forward_diffuse(np.full(n, x0), t, eps, s).x_t
+            xt = forward_diffuse(np.full(n, x0), t, eps, s)
             ab = s.alpha_bar(t)
             se = np.sqrt((1 - ab) / n)
             assert abs(xt.mean() - np.sqrt(ab) * x0) < 5 * se
@@ -107,11 +106,40 @@ class TestForward:
         for t in (0, 6):
             with pytest.raises(ValueError):
                 forward_diffuse(np.zeros(2), t, np.zeros(2), s)
+            with pytest.raises(ValueError):
+                forward_diffuse(np.zeros((2, 3)), np.array([1, t]), np.zeros((2, 3)), s)
 
     def test_shape_mismatch(self):
         s = build_schedule(5)
         with pytest.raises(ValueError):
             forward_diffuse(np.zeros(2), 1, np.zeros(3), s)
+        with pytest.raises(ValueError, match="timesteps"):
+            forward_diffuse(np.zeros((2, 3)), np.array([1, 2, 3]), np.zeros((2, 3)), s)
+
+    def test_per_row_t_matches_scalar_rows(self):
+        s = build_schedule(30)
+        rng = np.random.default_rng(4)
+        x0 = rng.standard_normal((6, 5))
+        eps = rng.standard_normal((6, 5))
+        t = np.array([1, 30, 7, 7, 18, 2])
+        batch = forward_diffuse(x0, t, eps, s)
+        for i, ti in enumerate(t):
+            one = forward_diffuse(x0[i], int(ti), eps[i], s)
+            assert np.array_equal(batch[i], one)
+
+    def test_tensor_input_keeps_values_and_gradient(self):
+        s = build_schedule(10)
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal((3, 4))
+        eps = rng.standard_normal((3, 4))
+        t = np.array([2, 9, 5])
+        leaf = Tensor(x0, requires_grad=True)
+        out = forward_diffuse(leaf, t, eps, s)
+        assert isinstance(out, Tensor)
+        assert np.array_equal(out.data, forward_diffuse(x0, t, eps, s))
+        sum_(out).backward()
+        want = np.sqrt(s.alpha_bars[t - 1])[:, None] * np.ones((3, 4))
+        assert np.array_equal(leaf.grad, want)
 
 
 class TestReverse:
@@ -131,8 +159,8 @@ class TestReverse:
     def test_final_step_deterministic(self):
         sched = build_schedule(10)
         x0_hat = np.array([0.3, -1.2])
-        state = NoisyState(x_t=np.array([2.0, -2.0]), t=1, eps=np.zeros(2))
-        out = reverse_step(state, x0_hat, sched, np.full(2, 99.0), t_prev=0)
+        out = reverse_step(np.array([2.0, -2.0]), 1, x0_hat, sched, np.full(2, 99.0),
+                           t_prev=0)
         assert np.array_equal(out, x0_hat)
 
     def test_vectorized_matches_scalar(self):
@@ -141,24 +169,21 @@ class TestReverse:
         xt = rng.standard_normal(5)
         x0h = rng.standard_normal(5)
         noise = rng.standard_normal(5)
-        batch = reverse_step(NoisyState(xt, 8, noise), x0h, sched, noise)
+        batch = reverse_step(xt, 8, x0h, sched, noise)
         for i in range(5):
-            one = reverse_step(NoisyState(xt[i:i + 1], 8, noise[i:i + 1]),
-                               x0h[i:i + 1], sched, noise[i:i + 1])
+            one = reverse_step(xt[i:i + 1], 8, x0h[i:i + 1], sched, noise[i:i + 1])
             assert batch[i] == one[0]
 
     def test_invalid_t_prev(self):
         sched = build_schedule(10)
-        state = NoisyState(np.zeros(2), 5, np.zeros(2))
         for bad in (5, 7, -1):
             with pytest.raises(ValueError):
-                reverse_step(state, np.zeros(2), sched, np.zeros(2), t_prev=bad)
+                reverse_step(np.zeros(2), 5, np.zeros(2), sched, np.zeros(2), t_prev=bad)
 
     def test_non_finite_input_rejected(self):
         sched = build_schedule(10)
-        state = NoisyState(np.array([np.nan]), 5, np.zeros(1))
         with pytest.raises(ValueError):
-            reverse_step(state, np.zeros(1), sched, np.zeros(1))
+            reverse_step(np.array([np.nan]), 5, np.zeros(1), sched, np.zeros(1))
 
 
 class TestStridedSteps:
@@ -180,39 +205,3 @@ class TestStridedSteps:
             strided_steps(10, 0)
         with pytest.raises(ValueError):
             strided_steps(10, 11)
-
-
-class TestGuidedSample:
-    def test_constant_denoiser_returns_its_estimate(self):
-        sched = build_schedule(20)
-        g = np.array([0.5, -0.25, 1.0])
-
-        def denoiser(x_t, g_d, t):
-            return g_d
-
-        out = guided_sample(g, denoiser, sched, rng_seed=0)
-        assert np.array_equal(out, g)
-
-    def test_deterministic_under_seed(self):
-        sched = build_schedule(15)
-        g = np.zeros(4)
-
-        def denoiser(x_t, g_d, t):
-            return 0.5 * x_t
-
-        a = guided_sample(g, denoiser, sched, rng_seed=11)
-        b = guided_sample(g, denoiser, sched, rng_seed=11)
-        c = guided_sample(g, denoiser, sched, rng_seed=12)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_strided_subset_runs(self):
-        sched = build_schedule(40)
-        calls = []
-
-        def denoiser(x_t, g_d, t):
-            calls.append(t)
-            return np.zeros(2)
-
-        guided_sample(np.zeros(2), denoiser, sched, rng_seed=1, n_steps=5)
-        assert calls == strided_steps(40, 5)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from crossdiff.data import DOMAIN_X, DOMAIN_Y, UserSequence, Vocab
-from crossdiff.diffusion import build_schedule
+from crossdiff import evaluation
+from crossdiff.diffusion import build_schedule, strided_steps
 from crossdiff.evaluation import (
     MetricReport,
     auto_negatives,
@@ -260,6 +261,55 @@ class TestSampleBatch:
         assert not np.array_equal(a, d)
         assert np.all(np.isfinite(a))
 
+    @staticmethod
+    def _sample(eval_setup, seed=5, n_steps=None):
+        split, cfg, params, sched = eval_setup
+        batch = make_eval_batch([s for s, _ in split.test[:3]], split.vocab_x,
+                                split.vocab_y)
+        with no_grad():
+            gb = guidance_forward(params, cfg, batch, VARIANTS["full"])
+        return sample_batch(params, cfg, sched, gb.guide, gb.guide_valid,
+                            batch.user_index, seed=seed,
+                            n_steps=sched.T if n_steps is None else n_steps)
+
+    def test_denoiser_called_at_strided_steps(self, eval_setup, monkeypatch):
+        sched = eval_setup[3]
+        calls = []
+        real = evaluation.denoise
+
+        def spy(params, cfg, x_t, t, guide, guide_valid):
+            calls.append(np.array(t))
+            return real(params, cfg, x_t, t, guide, guide_valid)
+
+        monkeypatch.setattr(evaluation, "denoise", spy)
+        self._sample(eval_setup, n_steps=3)
+        assert [int(t[0]) for t in calls] == strided_steps(sched.T, 3)
+        assert all(np.all(t == t[0]) for t in calls)
+
+    def test_returns_last_denoise_output(self, eval_setup, monkeypatch):
+        outputs = []
+        real = evaluation.denoise
+
+        def spy(*args):
+            out = real(*args)
+            outputs.append(out.data.copy())
+            return out
+
+        monkeypatch.setattr(evaluation, "denoise", spy)
+        got = self._sample(eval_setup)
+        assert len(outputs) == eval_setup[3].T
+        assert np.array_equal(got, outputs[-1])
+
+    def test_deterministic_under_seed_with_stub_denoiser(self, eval_setup,
+                                                          monkeypatch):
+        monkeypatch.setattr(evaluation, "denoise",
+                            lambda params, cfg, x_t, t, guide, guide_valid: 0.5 * x_t)
+        a = self._sample(eval_setup, seed=11)
+        b = self._sample(eval_setup, seed=11)
+        c = self._sample(eval_setup, seed=12)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
 
 class TestEvaluate:
     def test_deterministic_and_seed_sensitive(self, eval_setup):
@@ -314,6 +364,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="align"):
             evaluate(split.test, params, cfg, sched, "full", split.vocab_x,
                      split.vocab_y, exclude_seqs=[split.test[0][0]])
+
+    def test_rejects_fewer_than_one_negative(self, eval_setup):
+        # with no negatives every user would rank first and score NDCG@10 = 1
+        split, cfg, params, sched = eval_setup
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="n_negatives"):
+                evaluate(split.test, params, cfg, sched, "full", split.vocab_x,
+                         split.vocab_y, n_negatives=k)
 
 
 class TestRobustness:

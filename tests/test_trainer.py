@@ -39,8 +39,6 @@ def bare_params(shapes, seed=0):
 class TestTrainConfig:
     def test_validation(self):
         TrainConfig().validate()
-        with pytest.raises(ValueError, match="optimizer"):
-            TrainConfig(optimizer="sgd").validate()
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=0.0).validate()
         with pytest.raises(ValueError, match="batch_size"):
@@ -300,6 +298,13 @@ class TestTrainingLoop:
             fit(state, small_split, out_dir=out, eval_every=0)
         assert os.path.isfile(os.path.join(out, "crash", "manifest.json"))
 
+    def test_rejects_zero_negatives_before_training(self, small_split, small_sched):
+        state = init_state(tiny_model_cfg(small_split), TrainConfig(epochs=1, seed=5),
+                           small_sched, "full")
+        with pytest.raises(ValueError, match="n_negatives"):
+            fit(state, small_split, eval_negatives=0)
+        assert state.global_step == 0
+
 
 class TestCheckpoints:
     def trained_state(self, small_split, small_sched, epochs=2, seed=9):
@@ -377,4 +382,19 @@ class TestCheckpoints:
         with open(mp, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match="format"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("blob,keep", [("params.bin", 7), ("optimizer.bin", -1),
+                                           ("best.bin", 0)])
+    def test_truncated_blob_rejected(self, small_split, small_sched, tmp_path,
+                                     blob, keep):
+        state = self.trained_state(small_split, small_sched, epochs=1)
+        ckpt = str(tmp_path / "ckpt")
+        save_checkpoint(ckpt, state)
+        path = os.path.join(ckpt, blob)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:8 * keep] if keep >= 0 else data[:-8])
+        with pytest.raises(ValueError, match=blob):
             load_checkpoint(ckpt)
