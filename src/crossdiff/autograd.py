@@ -172,6 +172,18 @@ def matmul(a, b):
     """Batched matrix product, numpy broadcasting rules on leading axes."""
     out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
 
+    def stack_backward(g):
+        # a stack times one matrix: each gradient is one GEMM over the
+        # flattened rows, not per-example products summed by _unbroadcast.
+        # The forward stays per-example, so that a row's output does not
+        # depend on which other rows share its batch.
+        k, m = b.data.shape
+        g2 = g.reshape(-1, m)
+        if a.requires_grad:
+            a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+        if b.requires_grad:
+            b._accumulate(a.data.reshape(-1, k).T @ g2)
+
     def backward(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -180,6 +192,8 @@ def matmul(a, b):
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.data.shape))
 
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        return _attach(out, stack_backward)
     return _attach(out, backward)
 
 

@@ -74,9 +74,11 @@ def overall_ndcg(report: MetricReport, k: int = 10) -> float:
 def sample_negatives(rng: np.random.Generator, vocab: Vocab, exclude,
                      k: int) -> np.ndarray:
     """k distinct real items of the domain outside the excluded set."""
-    exclude = set(exclude)
-    cand = np.array([i for i in vocab.real_indices() if i not in exclude],
-                    dtype=np.int64)
+    real = vocab.real_indices()   # one contiguous range
+    local = np.fromiter(exclude, dtype=np.int64) - (vocab.base + N_RESERVED)
+    keep = np.ones(real.size, dtype=bool)
+    keep[local[(local >= 0) & (local < real.size)]] = False
+    cand = real[keep]
     if cand.size < k:
         raise ValueError("domain %s has %d eligible negatives, need %d"
                          % (vocab.domain, cand.size, k))

@@ -11,16 +11,18 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .autograd import Tensor
 from .data import (AUGMENTATION_OPS, AugmentationSpec, DatasetSplit,
                    UserSequence, augment)
 from .diffusion import DiffusionSchedule, build_schedule
 from .network import (VARIANTS, ModelConfig, ParameterSet, SequenceBatch,
                       build_training_examples, init_parameters,
-                      make_train_batch, training_forward)
+                      make_train_batch, param_specs, training_forward)
 from .objectives import (LossBreakdown, diffusion_loss, rec_loss, total_loss,
                          tri_view_cl_loss)
 
@@ -75,11 +77,27 @@ class Adam:
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
+    @classmethod
+    def restored(cls, t: int, m: dict, v: dict, beta1: float, beta2: float,
+                 eps: float) -> "Adam":
+        """An optimizer resuming from saved step count and moments."""
+        opt = cls.__new__(cls)
+        opt.beta1, opt.beta2, opt.eps = beta1, beta2, eps
+        opt.t, opt.m, opt.v = t, m, v
+        return opt
+
     def step(self, params: ParameterSet, lr: float, grad_clip: float | None = None) -> None:
+        """One update. A non-finite gradient norm raises FloatingPointError
+        before the step count, the moments or any parameter change."""
         grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
                  for name, p in params.items()}
+        sq_norm = 0.0
+        for name, g in grads.items():
+            sq_norm += float(np.sum(g * g))
+            if not math.isfinite(sq_norm):
+                raise FloatingPointError("gradient norm turns non-finite at %s" % name)
         if grad_clip is not None:
-            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            norm = math.sqrt(sq_norm)
             if norm > grad_clip:
                 scale = grad_clip / norm
                 grads = {name: g * scale for name, g in grads.items()}
@@ -309,12 +327,19 @@ def save_checkpoint(ckpt_dir: str, state: TrainState) -> None:
     }
     with open(os.path.join(ckpt_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    state.params.to_vector().astype("<f8").tofile(os.path.join(ckpt_dir, "params.bin"))
-    moments = np.concatenate([state.opt.m[n].ravel() for n in state.params.names()]
-                             + [state.opt.v[n].ravel() for n in state.params.names()])
-    moments.astype("<f8").tofile(os.path.join(ckpt_dir, "optimizer.bin"))
+    names = state.params.names()
+    _write_blob(os.path.join(ckpt_dir, "params.bin"), [p.data for p in state.params.tensors()])
+    _write_blob(os.path.join(ckpt_dir, "optimizer.bin"),
+                [state.opt.m[n] for n in names] + [state.opt.v[n] for n in names])
     if state.best_params is not None:
-        state.best_params.astype("<f8").tofile(os.path.join(ckpt_dir, "best.bin"))
+        _write_blob(os.path.join(ckpt_dir, "best.bin"), [state.best_params])
+
+
+def _write_blob(path: str, arrays) -> None:
+    """Concatenate the arrays, each flattened in C order, as little-endian float64."""
+    with open(path, "wb") as fh:
+        for a in arrays:
+            np.asarray(a, dtype="<f8").tofile(fh)
 
 
 def _read_blob(ckpt_dir: str, name: str, n_values: int) -> np.ndarray:
@@ -325,6 +350,15 @@ def _read_blob(ckpt_dir: str, name: str, n_values: int) -> np.ndarray:
     return vec
 
 
+def _split_blob(vec: np.ndarray, specs):
+    """(name, view) pairs cutting `vec` into consecutive arrays of the given shapes."""
+    off = 0
+    for name, shape in specs:
+        n = math.prod(shape)
+        yield name, vec[off:off + n].reshape(shape)
+        off += n
+
+
 def load_checkpoint(ckpt_dir: str) -> TrainState:
     with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -333,22 +367,18 @@ def load_checkpoint(ckpt_dir: str) -> TrainState:
     model_cfg = ModelConfig(**manifest["model_cfg"])
     train_cfg = TrainConfig(**manifest["train_cfg"])
     sched = build_schedule(**manifest["schedule"])
-    params = init_parameters(model_cfg, rng_seed=train_cfg.seed)
-    expect = [[name, list(p.data.shape)] for name, p in params.items()]
-    if expect != [[n, list(s)] for n, s in manifest["params"]]:
+    model_cfg.validate()
+    specs = [(name, shape) for name, shape, _ in param_specs(model_cfg)]
+    if [[n, list(s)] for n, s in specs] != [[n, list(s)] for n, s in manifest["params"]]:
         raise ValueError("checkpoint parameter manifest does not match the config")
-    n_params = params.n_params
-    params.from_vector(_read_blob(ckpt_dir, "params.bin", n_params))
-    opt = Adam(params, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
-    opt.t = manifest["adam_t"]
+    n_params = sum(math.prod(s) for _, s in specs)
+    params = ParameterSet(model_cfg, OrderedDict(
+        (name, Tensor(arr, requires_grad=True))
+        for name, arr in _split_blob(_read_blob(ckpt_dir, "params.bin", n_params), specs)))
     m, v = np.split(_read_blob(ckpt_dir, "optimizer.bin", 2 * n_params), 2)
-    off = 0
-    for name in params.names():
-        shape = params[name].data.shape
-        n = params[name].data.size
-        opt.m[name] = m[off:off + n].reshape(shape).copy()
-        opt.v[name] = v[off:off + n].reshape(shape).copy()
-        off += n
+    opt = Adam.restored(manifest["adam_t"], dict(_split_blob(m, specs)),
+                        dict(_split_blob(v, specs)), train_cfg.beta1,
+                        train_cfg.beta2, train_cfg.adam_eps)
     rng = np.random.default_rng()
     rng.bit_generator.state = manifest["rng_state"]
     best_metric = manifest["best_metric"]

@@ -6,6 +6,7 @@ differences with step 1e-6 give roughly 1e-10 accuracy on these scales, so a
 """
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,16 @@ def scalarize(out, w):
     return ag.sum_(out * w)
 
 
-def check_grads(build, arrays, seed=0):
-    """build(tensors) -> output Tensor; arrays are the leaf values."""
+def check_grads(build, arrays, seed=0, requires_grad=None):
+    """build(tensors) -> output Tensor; arrays are the leaf values.
+
+    requires_grad (one flag per leaf, default all True) marks the leaves to
+    check; the others are constants and must receive no gradient.
+    """
     rng = np.random.default_rng(seed)
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    if requires_grad is None:
+        requires_grad = [True] * len(arrays)
+    leaves = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, requires_grad)]
     out = build(*leaves)
     w = rng.standard_normal(out.data.shape)
     loss = scalarize(out, w)
@@ -36,6 +43,9 @@ def check_grads(build, arrays, seed=0):
 
     for li, base in enumerate(arrays):
         an = leaves[li].grad
+        if not requires_grad[li]:
+            assert an is None, "constant leaf %d received a gradient" % li
+            continue
         assert an is not None, "no gradient reached leaf %d" % li
         assert an.shape == base.shape
         flat = base.ravel()
@@ -77,6 +87,53 @@ def test_matmul_batched_broadcast():
     # (B,H,L,dh) @ (B,H,dh,L) with a broadcast left operand
     check_grads(lambda a, b: ag.matmul(a, b),
                 [rand(1, 2, 3, 2, seed=9), rand(2, 2, 2, 3, seed=10)])
+
+
+@pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 2, 3, 4)])
+def test_matmul_stack_times_matrix(a_shape):
+    # the q/k/v/o projections, MLP layers and fuse.w: a stack times one matrix
+    check_grads(lambda a, b: ag.matmul(a, b), [rand(*a_shape, seed=11), rand(4, 3, seed=12)])
+
+
+@pytest.mark.parametrize("a_shape,axes", [((2, 4, 3), (1, 2)), ((2, 3, 2, 4), (1, 2))])
+def test_matmul_stack_times_matrix_noncontiguous(a_shape, axes):
+    check_grads(lambda a, b: ag.matmul(ag.swapaxes(a, *axes), b),
+                [rand(*a_shape, seed=13), rand(4, 3, seed=14)])
+
+
+@pytest.mark.parametrize("requires_grad", [(True, False), (False, True)])
+def test_matmul_stack_times_matrix_one_operand(requires_grad):
+    check_grads(lambda a, b: ag.matmul(a, b), [rand(2, 3, 4, seed=15), rand(4, 3, seed=16)],
+                requires_grad=requires_grad)
+
+
+@pytest.mark.parametrize("B", [1, 8])
+def test_matmul_stack_forward_is_per_example(B):
+    """Each row of a stack's product equals that row's own product, bit for bit.
+
+    Batch-composition invariance of evaluation rests on this, which is why
+    only the backward of a stack times a matrix is flattened into one GEMM.
+    """
+    a = rand(B, 10, 64, seed=17)
+    w = rand(64, 256, seed=18)
+    out = ag.matmul(Tensor(a), Tensor(w)).data
+    for i in range(B):
+        assert np.array_equal(out[i], a[i] @ w)
+
+
+def test_matmul_stack_backward_memory():
+    """The weight gradient never materializes a (B, k, m) stack (134 MB here)."""
+    a = Tensor(rand(64, 10, 256, seed=19), requires_grad=True)
+    w = Tensor(rand(256, 1024, seed=20), requires_grad=True)
+    loss = ag.sum_(ag.matmul(a, w))
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert np.allclose(w.grad, a.data.sum(axis=(0, 1))[:, None] * np.ones(1024))
 
 
 def test_exp_log_sqrt():

@@ -151,6 +151,24 @@ class TestNegatives:
         b = sample_negatives(np.random.default_rng(7), vocab, set(), 10)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 5, 91])
+    def test_matches_comprehension_reference(self, seed):
+        vx = Vocab(DOMAIN_X, 0, ["x%d" % i for i in range(40)])
+        vy = Vocab(DOMAIN_Y, vx.size, ["y%d" % i for i in range(25)])
+        rng = np.random.default_rng(seed)
+        for vocab in (vx, vy):
+            for exclude in (set(), set(rng.choice(vocab.real_indices(), 9).tolist()),
+                            set(vx.real_indices()[:7].tolist())
+                            | set(vy.real_indices()[3:11].tolist())
+                            | {vx.pad_index, vy.mask_index}):
+                s = set(exclude)
+                cand = np.array([i for i in vocab.real_indices() if i not in s],
+                                dtype=np.int64)
+                want = np.random.default_rng([seed, 1]).choice(cand, size=12, replace=False)
+                got = sample_negatives(np.random.default_rng([seed, 1]), vocab, exclude, 12)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
     def test_insufficient_pool(self):
         vocab = Vocab(DOMAIN_X, 0, ["a", "b", "c"])
         with pytest.raises(ValueError, match="eligible negatives"):

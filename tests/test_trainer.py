@@ -170,6 +170,26 @@ class TestAdam:
         assert np.array_equal(moved_small, params2["a"].data)
         assert not np.array_equal(moved_small, before)
 
+    @pytest.mark.parametrize("grad_clip", [None, 5.0])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_rejected_before_any_change(self, grad_clip, bad):
+        params = bare_params([("a", (3,)), ("b", (2,)), ("c", (2,))], seed=4)
+        opt = Adam(params)
+        for n in params.names():
+            params[n].grad = np.ones(params[n].data.shape)
+        opt.step(params, 0.01, grad_clip=grad_clip)
+        before = {n: (params[n].data.copy(), opt.m[n].copy(), opt.v[n].copy())
+                  for n in params.names()}
+        params["b"].grad = np.array([1.0, bad])
+        params["c"].grad = np.array([bad, 1.0])
+        with pytest.raises(FloatingPointError, match="non-finite at b"):
+            opt.step(params, 0.01, grad_clip=grad_clip)
+        assert opt.t == 1
+        for n, (p, m, v) in before.items():
+            assert np.array_equal(params[n].data, p)
+            assert np.array_equal(opt.m[n], m)
+            assert np.array_equal(opt.v[n], v)
+
 
 class TestStateSetup:
     def test_init_state_checks(self, small_split, small_sched):
@@ -298,6 +318,38 @@ class TestTrainingLoop:
             fit(state, small_split, out_dir=out, eval_every=0)
         assert os.path.isfile(os.path.join(out, "crash", "manifest.json"))
 
+    @pytest.mark.parametrize("grad_clip", [None, 5.0])
+    def test_infinite_gradient_under_finite_loss_stops_before_the_step(
+            self, small_split, small_sched, tmp_path, monkeypatch, grad_clip):
+        cfg = tiny_model_cfg(small_split)
+        state = init_state(cfg, TrainConfig(batch_size=32, epochs=1, warmup_epochs=0,
+                                            grad_clip=grad_clip, seed=5),
+                           small_sched, "full")
+        real_backward = Tensor.backward
+        calls, before = [], {}
+
+        def poisoned_backward(self):
+            # the second step's loss is finite; one of its gradients is not
+            real_backward(self)
+            calls.append(1)
+            if len(calls) == 2:
+                before["params"] = state.params.to_vector()
+                before["t"] = state.opt.t
+                before["step"] = state.global_step
+                state.params["fuse.w"].grad[0, 0] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+        out = str(tmp_path / "run")
+        with pytest.raises(RuntimeError, match="diverged.*non-finite at fuse.w"):
+            fit(state, small_split, out_dir=out, eval_every=0)
+        assert state.opt.t == before["t"] and state.global_step == before["step"]
+        crash = load_checkpoint(os.path.join(out, "crash"))
+        assert np.array_equal(crash.params.to_vector(), before["params"])
+        assert crash.opt.t == before["t"] and crash.global_step == before["step"]
+        for name in crash.params.names():
+            assert np.all(np.isfinite(crash.opt.m[name]))
+            assert np.all(np.isfinite(crash.opt.v[name]))
+
     def test_rejects_zero_negatives_before_training(self, small_split, small_sched):
         state = init_state(tiny_model_cfg(small_split), TrainConfig(epochs=1, seed=5),
                            small_sched, "full")
@@ -332,6 +384,36 @@ class TestCheckpoints:
         assert back.rng.bit_generator.state == state.rng.bit_generator.state
         # both generators continue identically
         assert back.rng.integers(1 << 30) == state.rng.integers(1 << 30)
+
+    def test_blob_layout(self, small_split, small_sched, tmp_path):
+        """Blobs are the parameters, then the m and v moments, in parameter
+        order, each flattened in C order as little-endian float64."""
+        state = self.trained_state(small_split, small_sched)
+        ckpt = str(tmp_path / "ckpt")
+        save_checkpoint(ckpt, state)
+        names = state.params.names()
+        want = {
+            "params.bin": state.params.to_vector(),
+            "optimizer.bin": np.concatenate([state.opt.m[n].ravel() for n in names]
+                                            + [state.opt.v[n].ravel() for n in names]),
+            "best.bin": state.best_params,
+        }
+        for blob, vec in want.items():
+            with open(os.path.join(ckpt, blob), "rb") as fh:
+                assert fh.read() == vec.astype("<f8").tobytes(), blob
+
+    def test_load_draws_no_initialization(self, small_split, small_sched, tmp_path,
+                                          monkeypatch):
+        state = self.trained_state(small_split, small_sched, epochs=1)
+        ckpt = str(tmp_path / "ckpt")
+        save_checkpoint(ckpt, state)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint must not initialize parameters")
+
+        monkeypatch.setattr(trainer_mod, "init_parameters", no_init)
+        back = load_checkpoint(ckpt)
+        assert np.array_equal(back.params.to_vector(), state.params.to_vector())
 
     def test_resume_equals_uninterrupted(self, small_split, small_sched, tmp_path):
         cfg = tiny_model_cfg(small_split)
