@@ -45,10 +45,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -374,35 +370,35 @@ def take_last_axis(src, idx):
     return _attach(out, backward)
 
 
-def masked_softmax(x, mask, axis=-1):
-    """Softmax over `axis` restricted to mask==1; fully-masked rows yield zeros.
+def masked_softmax(x, mask):
+    """Softmax over the last axis restricted to mask==1; fully-masked rows yield zeros.
 
     `mask` is a constant 0/1 ndarray broadcastable to x. The zero-row fallback
     keeps attention over all-padding sequences finite.
     """
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
     neg = np.where(mask, x.data, -np.inf)
-    m = np.max(neg, axis=axis, keepdims=True)
+    m = np.max(neg, axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     e = np.where(mask, np.exp(neg - m), 0.0)
-    s = e.sum(axis=axis, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
     p = e / np.where(s == 0.0, 1.0, s)
     out = Tensor(p, parents=(x,))
 
     def backward(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         x._accumulate(p * (g - inner))
 
     return _attach(out, backward)
 
 
-def layer_norm(x, gain, bias, eps=1e-8):
-    """Normalize over the last axis, then scale and shift. gain/bias: (d,)."""
+def layer_norm(x, gain, bias):
+    """Normalize over the last axis (eps 1e-8), then scale and shift. gain/bias: (d,)."""
     d = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-8)
     xhat = xc * inv
     out = Tensor(gain.data * xhat + bias.data, parents=(x, gain, bias))
 
@@ -421,7 +417,7 @@ def layer_norm(x, gain, bias, eps=1e-8):
     return _attach(out, backward)
 
 
-def l2_normalize(x, axis=-1, eps=1e-12):
-    """x / ||x|| along `axis`, built from primitives so gradients flow."""
-    nrm = sqrt(sum_(mul(x, x), axis=axis, keepdims=True) + Tensor(eps))
+def l2_normalize(x):
+    """x / sqrt(||x||^2 + 1e-12) along the last axis, from primitives so gradients flow."""
+    nrm = sqrt(sum_(mul(x, x), axis=-1, keepdims=True) + Tensor(1e-12))
     return div(x, nrm)

@@ -19,11 +19,14 @@ import numpy as np
 DOMAIN_X = "x"
 DOMAIN_Y = "y"
 DOMAINS = (DOMAIN_X, DOMAIN_Y)
+DOMAIN_LABELS = {"x": DOMAIN_X, "X": DOMAIN_X, "y": DOMAIN_Y, "Y": DOMAIN_Y}  # log label -> domain
 
 # reserved rows at the start of each domain's index range
 MASK_OFFSET = 0
 PAD_OFFSET = 1
 N_RESERVED = 2
+
+SPECIFIC_PROB = 0.4   # synthetic logs: chance a specific-domain event uses the specific interest
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,6 @@ class UserSequence:
     def indices(self) -> list[int]:
         return [g for g, _ in self.items]
 
-    @property
-    def domains(self) -> list[str]:
-        return [d for _, d in self.items]
-
 
 @dataclass
 class DatasetSplit:
@@ -112,18 +111,16 @@ class DatasetSplit:
         return self.vocab_x if domain == DOMAIN_X else self.vocab_y
 
 
-def ingest_log(path: str, fmt: str = "tsv", domain_map: dict | None = None):
+def ingest_log(path: str, fmt: str = "tsv"):
     """Parse a user/item/domain/timestamp log.
 
     Returns (events, row_errors) where row_errors collects (line_number,
-    message) for malformed rows. Unknown domain labels and an empty file are
-    hard errors rather than row errors.
+    message) for malformed rows. A domain label outside DOMAIN_LABELS and an
+    empty file are hard errors rather than row errors.
     """
     if fmt not in ("tsv", "csv"):
         raise ValueError("fmt must be 'tsv' or 'csv', got %r" % fmt)
     delim = "\t" if fmt == "tsv" else ","
-    if domain_map is None:
-        domain_map = {"x": DOMAIN_X, "X": DOMAIN_X, "y": DOMAIN_Y, "Y": DOMAIN_Y}
 
     events: list[InteractionEvent] = []
     errors: list[tuple[int, str]] = []
@@ -141,15 +138,15 @@ def ingest_log(path: str, fmt: str = "tsv", domain_map: dict | None = None):
             if not user_id or not item_id:
                 errors.append((line_no, "empty user_id or item_id"))
                 continue
-            if domain_raw not in domain_map:
+            if domain_raw not in DOMAIN_LABELS:
                 raise ValueError("line %d: unknown domain label %r (known: %s)"
-                                 % (line_no, domain_raw, sorted(domain_map)))
+                                 % (line_no, domain_raw, sorted(DOMAIN_LABELS)))
             try:
                 ts = int(ts_raw)
             except ValueError:
                 errors.append((line_no, "malformed timestamp %r" % ts_raw))
                 continue
-            events.append(InteractionEvent(user_id, item_id, domain_map[domain_raw], ts))
+            events.append(InteractionEvent(user_id, item_id, DOMAIN_LABELS[domain_raw], ts))
     if not events and not errors:
         raise ValueError("no interaction rows found in %s" % path)
     return events, errors
@@ -307,7 +304,6 @@ class SyntheticConfig:
     noise_rate: float = 0.1
     seq_len_range: tuple[int, int] = (10, 15)
     rng_seed: int = 0
-    specific_prob: float = 0.4   # chance a specific-domain event uses the specific interest
 
 
 @dataclass
@@ -388,7 +384,7 @@ def generate_synthetic(cfg: SyntheticConfig):
                 item = item_ids[dom][int(rng.integers(len(item_ids[dom])))]
             else:
                 if (dom == spec_d and spec_c is not None
-                        and rng.random() < cfg.specific_prob):
+                        and rng.random() < SPECIFIC_PROB):
                     block = cluster_items[(dom, spec_c)]
                 else:
                     block = cluster_items[(dom, shared)]

@@ -20,8 +20,7 @@ from .autograd import Tensor
 class DiffusionSchedule:
     T: int
     betas: np.ndarray        # (T,), noise variance added at each step
-    alphas: np.ndarray       # (T,), 1 - betas
-    alpha_bars: np.ndarray   # (T,), cumulative products of alphas
+    alpha_bars: np.ndarray   # (T,), cumulative products of 1 - betas
     beta_start: float
     beta_end: float
 
@@ -45,9 +44,8 @@ def build_schedule(T: int, beta_start: float = 1e-4,
         raise ValueError("need 0 < beta_start <= beta_end < 1, got (%r, %r)"
                          % (beta_start, beta_end))
     betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    return DiffusionSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars,
+    alpha_bars = np.cumprod(1.0 - betas)
+    return DiffusionSchedule(T=T, betas=betas, alpha_bars=alpha_bars,
                              beta_start=float(beta_start), beta_end=float(beta_end))
 
 

@@ -46,17 +46,17 @@ def rank_of_positive(scores: np.ndarray) -> int:
     return int(1 + np.sum(scores[1:] >= scores[0]))
 
 
-def compute_metrics(ranks, cutoffs=(5, 10), mrr_cutoff: int = 10) -> MetricValues:
-    """Aggregate 1-based ranks; reciprocal rank counts only hits within the cutoff."""
+def compute_metrics(ranks) -> MetricValues:
+    """Aggregate 1-based ranks into hit rate and NDCG at 5 and 10, and MRR@10."""
     ranks = np.asarray(list(ranks), dtype=np.int64)
     if ranks.size == 0:
         raise ValueError("no ranks to aggregate")
     if np.any(ranks < 1):
         raise ValueError("ranks must be 1-based")
-    hit = {int(k): float(np.mean(ranks <= k)) for k in cutoffs}
-    ndcg = {int(k): float(np.mean(np.where(ranks <= k, 1.0 / np.log2(ranks + 1.0), 0.0)))
-            for k in cutoffs}
-    mrr = float(np.mean(np.where(ranks <= mrr_cutoff, 1.0 / ranks, 0.0)))
+    hit = {k: float(np.mean(ranks <= k)) for k in (5, 10)}
+    ndcg = {k: float(np.mean(np.where(ranks <= k, 1.0 / np.log2(ranks + 1.0), 0.0)))
+            for k in (5, 10)}
+    mrr = float(np.mean(np.where(ranks <= 10, 1.0 / ranks, 0.0)))
     return MetricValues(mrr=mrr, hit=hit, ndcg=ndcg, n_users=int(ranks.size))
 
 
@@ -91,8 +91,11 @@ def check_negatives(n_negatives: int) -> None:
         raise ValueError("n_negatives must be >= 1, got %d" % n_negatives)
 
 
-def auto_negatives(split: DatasetSplit, cap: int = 999) -> int:
-    """Largest negative count every held-out user can support, capped."""
+AUTO_NEGATIVES_CAP = 999
+
+
+def auto_negatives(split: DatasetSplit) -> int:
+    """Largest negative count every held-out user can support, capped at AUTO_NEGATIVES_CAP."""
     worst = None
     for part in (split.validation, split.test):
         for seq, (tg, td) in part:
@@ -103,7 +106,7 @@ def auto_negatives(split: DatasetSplit, cap: int = 999) -> int:
             worst = avail if worst is None else min(worst, avail)
     if worst is None:
         raise ValueError("split has no held-out users")
-    return max(1, min(cap, worst))
+    return max(1, min(AUTO_NEGATIVES_CAP, worst))
 
 
 def score_items(x0_hat: np.ndarray, g_hat: np.ndarray | None,
@@ -122,13 +125,16 @@ def sample_batch(params: ParameterSet, cfg: ModelConfig, sched: DiffusionSchedul
                  n_steps: int) -> np.ndarray:
     """Guided reverse chains for a batch of users, one RNG stream per user.
 
-    Draw order per user is fixed (start vector, then one noise draw per
-    non-final transition), so results do not depend on batch composition.
+    Each user's stream yields one (n transitions, d) block: row 0 starts the
+    chain and row i+1 is the noise of transition i (the final transition
+    draws none). It equals the same draws made one row at a time, and
+    results do not depend on batch composition.
     """
     B, d = len(user_indices), cfg.d
-    rngs = [np.random.default_rng([seed, 0, int(u)]) for u in user_indices]
-    x = np.stack([r.standard_normal(d) for r in rngs])
     steps = strided_steps(sched.T, n_steps)
+    draws = np.stack([np.random.default_rng([seed, 0, int(u)]).standard_normal((len(steps), d))
+                      for u in user_indices], axis=1)
+    x = draws[0]
     x0_hat = None
     with no_grad():
         for i, t in enumerate(steps):
@@ -136,10 +142,7 @@ def sample_batch(params: ParameterSet, cfg: ModelConfig, sched: DiffusionSchedul
                           guide, guide_valid)
             x0_hat = out.data
             t_prev = steps[i + 1] if i + 1 < len(steps) else 0
-            if t_prev > 0:
-                noise = np.stack([r.standard_normal(d) for r in rngs])
-            else:
-                noise = np.zeros((B, d))
+            noise = draws[i + 1] if t_prev > 0 else np.zeros((B, d))
             x = reverse_step(x, t, x0_hat, sched, noise, t_prev=t_prev)
     return x0_hat
 
@@ -266,8 +269,7 @@ def step_sweep(part, params: ParameterSet, model_cfg: ModelConfig,
 
 def run_ablation(split: DatasetSplit, variant_name: str, model_cfg: ModelConfig,
                  train_cfg, sched: DiffusionSchedule, *, eval_seed: int = 0,
-                 n_negatives: int | None = None, eval_steps: int | None = None,
-                 out_dir: str | None = None, verbose: bool = False) -> dict:
+                 n_negatives: int | None = None, eval_steps: int | None = None) -> dict:
     """Train one variant from scratch and evaluate it on the test part."""
     from .trainer import fit, init_state
 
@@ -277,7 +279,7 @@ def run_ablation(split: DatasetSplit, variant_name: str, model_cfg: ModelConfig,
         n_negatives = auto_negatives(split)
     check_negatives(n_negatives)
     state = init_state(model_cfg, train_cfg, sched, variant=variant_name)
-    fit(state, split, out_dir=out_dir, eval_every=0, verbose=verbose)
+    fit(state, split, eval_every=0)
     rep = evaluate(split.test, state.params, model_cfg, sched, variant_name,
                    split.vocab_x, split.vocab_y, seed=eval_seed,
                    n_steps=eval_steps, n_negatives=n_negatives,

@@ -112,9 +112,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self):
         return list(self._tensors)
 
@@ -144,12 +141,6 @@ class ParameterSet:
             n = t.data.size
             t.data = vec[off:off + n].reshape(t.data.shape).copy()
             off += n
-
-    def copy(self) -> "ParameterSet":
-        out = OrderedDict()
-        for name, t in self._tensors.items():
-            out[name] = Tensor(t.data.copy(), requires_grad=True)
-        return ParameterSet(self.cfg, out)
 
 
 def init_parameters(cfg: ModelConfig, rng_seed: int = 0) -> ParameterSet:
@@ -357,20 +348,15 @@ def _mlp(params: ParameterSet, prefix: str, x: Tensor) -> Tensor:
     return h @ params[prefix + ".mlp.w2"] + params[prefix + ".mlp.b2"]
 
 
-def _encoder_block(params: ParameterSet, prefix: str, h: Tensor, mask: np.ndarray,
-                   cfg: ModelConfig) -> Tensor:
-    a = layer_norm(h, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
-    h = h + _attention(params, prefix, a, a, mask, cfg)
+def _block(params: ParameterSet, prefix: str, h: Tensor, mask: np.ndarray,
+           cfg: ModelConfig, guide: Tensor | None = None) -> Tensor:
+    """Pre-norm residual block: self-attention (norm ln1), or cross-attention
+    over `guide` (query norm lnq), then the MLP (norm ln2)."""
+    ln = "lnq" if guide is not None else "ln1"
+    a = layer_norm(h, params["%s.%s.g" % (prefix, ln)], params["%s.%s.b" % (prefix, ln)])
+    h = h + _attention(params, prefix, a, a if guide is None else guide, mask, cfg)
     m = layer_norm(h, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
     return h + _mlp(params, prefix, m)
-
-
-def _decoder_block(params: ParameterSet, prefix: str, u: Tensor, guide: Tensor,
-                   cross_mask: np.ndarray, cfg: ModelConfig) -> Tensor:
-    a = layer_norm(u, params[prefix + ".lnq.g"], params[prefix + ".lnq.b"])
-    u = u + _attention(params, prefix, a, guide, cross_mask, cfg)
-    m = layer_norm(u, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
-    return u + _mlp(params, prefix, m)
 
 
 def causal_mask(valid: np.ndarray) -> np.ndarray:
@@ -392,14 +378,11 @@ def embed_sequence(params: ParameterSet, cfg: ModelConfig, idx: np.ndarray) -> T
 
 
 def encode_domain(params: ParameterSet, cfg: ModelConfig, bank: str, h: Tensor,
-                  valid: np.ndarray, causal: bool = True) -> Tensor:
-    """Run one encoder bank (enc_x / enc_y / enc_c) over embedded tokens."""
-    if causal:
-        mask = causal_mask(valid)
-    else:
-        mask = valid[:, None, None, :] * np.ones((1, 1, valid.shape[1], 1))
+                  valid: np.ndarray) -> Tensor:
+    """Run one encoder bank (enc_x / enc_y / enc_c) causally over embedded tokens."""
+    mask = causal_mask(valid)
     for i in range(cfg.enc_layers):
-        h = _encoder_block(params, "%s.%d" % (bank, i), h, mask, cfg)
+        h = _block(params, "%s.%d" % (bank, i), h, mask, cfg)
     return h
 
 
@@ -431,10 +414,10 @@ def denoise(params: ParameterSet, cfg: ModelConfig, x_t: Tensor, t: np.ndarray,
     tok = reshape(tok, (B, 1, cfg.d))
     self_mask = np.ones((B, 1, 1, 1))
     for i in range(cfg.enc_layers):
-        tok = _encoder_block(params, "enc_c.%d" % i, tok, self_mask, cfg)
+        tok = _block(params, "enc_c.%d" % i, tok, self_mask, cfg)
     cross = guide_valid[:, None, None, :]
     for i in range(cfg.dec_layers):
-        tok = _decoder_block(params, "dec.%d" % i, tok, guide, cross, cfg)
+        tok = _block(params, "dec.%d" % i, tok, cross, cfg, guide)
     return reshape(tok, (B, cfg.d))
 
 
@@ -442,7 +425,7 @@ def encode_aug(params: ParameterSet, cfg: ModelConfig, idx: np.ndarray,
                valid: np.ndarray, last: np.ndarray) -> Tensor:
     """Augmented-view representation from the shared encoder bank."""
     h = embed_sequence(params, cfg, idx)
-    h = encode_domain(params, cfg, "enc_c", h, valid, causal=True)
+    h = encode_domain(params, cfg, "enc_c", h, valid)
     return pool_last(h, last)
 
 

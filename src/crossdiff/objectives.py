@@ -67,22 +67,18 @@ def rec_loss(x0_hat: Tensor | None, gx_hat: Tensor | None, gy_hat: Tensor | None
     return total * (1.0 / B)
 
 
-def tri_view_cl_loss(h_c: Tensor, h_d: Tensor, h_aug: Tensor,
-                     normalize: bool = True) -> Tensor:
+def tri_view_cl_loss(h_c: Tensor, h_d: Tensor, h_aug: Tensor) -> Tensor:
     """Three-view contrastive loss.
 
     Views are stacked into 3B rows; for every ordered pair of distinct views
     of the same user, the positive similarity competes against all 3(B-1)
-    views of other users. Views are length-normalized by default, which keeps
-    the similarities bounded; disable only for diagnostic use.
+    views of other users. Views are length-normalized, which keeps the
+    similarities bounded.
     """
     B = h_c.data.shape[0]
     if B < 2:
         raise ValueError("contrastive loss needs batch size >= 2, got %d" % B)
-    views = (h_c, h_d, h_aug)
-    if normalize:
-        views = tuple(l2_normalize(v) for v in views)
-    V = concat(list(views), axis=0)                    # (3B, d)
+    V = concat([l2_normalize(v) for v in (h_c, h_d, h_aug)], axis=0)   # (3B, d)
     S = matmul(V, swapaxes(V, 0, 1))                   # (3B, 3B) similarities
     E = exp(S)
     user = np.tile(np.arange(B), 3)

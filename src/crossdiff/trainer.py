@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 
@@ -306,8 +307,20 @@ CHECKPOINT_FORMAT_VERSION = 2
 
 
 def save_checkpoint(ckpt_dir: str, state: TrainState) -> None:
-    """Write manifest plus raw little-endian float64 parameter/moment blobs."""
-    os.makedirs(ckpt_dir, exist_ok=True)
+    """Write manifest plus raw little-endian float64 parameter/moment blobs.
+
+    Every file goes into the sibling directory `<ckpt_dir>.tmp`, which then
+    replaces `ckpt_dir` whole; the previous checkpoint is parked in
+    `<ckpt_dir>.old` until the swap is done. A crash at any point leaves the
+    previous checkpoint, the new one, or no `ckpt_dir` at all, never a mix.
+    """
+    ckpt_dir = os.path.normpath(ckpt_dir)
+    tmp, old = ckpt_dir + ".tmp", ckpt_dir + ".old"
+    if not os.path.exists(ckpt_dir) and os.path.isdir(old):
+        os.rename(old, ckpt_dir)   # a crash between the two renames below
+    for stale in (tmp, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    os.makedirs(tmp)
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_cfg": asdict(state.model_cfg),
@@ -325,14 +338,18 @@ def save_checkpoint(ckpt_dir: str, state: TrainState) -> None:
         "has_best": state.best_params is not None,
         "history": state.history,
     }
-    with open(os.path.join(ckpt_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(tmp, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     names = state.params.names()
-    _write_blob(os.path.join(ckpt_dir, "params.bin"), [p.data for p in state.params.tensors()])
-    _write_blob(os.path.join(ckpt_dir, "optimizer.bin"),
+    _write_blob(os.path.join(tmp, "params.bin"), [p.data for p in state.params.tensors()])
+    _write_blob(os.path.join(tmp, "optimizer.bin"),
                 [state.opt.m[n] for n in names] + [state.opt.v[n] for n in names])
     if state.best_params is not None:
-        _write_blob(os.path.join(ckpt_dir, "best.bin"), [state.best_params])
+        _write_blob(os.path.join(tmp, "best.bin"), [state.best_params])
+    if os.path.exists(ckpt_dir):
+        os.rename(ckpt_dir, old)
+    os.rename(tmp, ckpt_dir)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _write_blob(path: str, arrays) -> None:

@@ -89,12 +89,6 @@ class TestIngest:
         with pytest.raises(ValueError, match="unknown domain"):
             ingest_log(path)
 
-    def test_domain_map(self, tmp_path):
-        path = str(tmp_path / "log.tsv")
-        write_log(path, [("u1", "a", "book", 0), ("u1", "b", "movie", 1)])
-        events, _ = ingest_log(path, domain_map={"book": DOMAIN_X, "movie": DOMAIN_Y})
-        assert [e.domain for e in events] == [DOMAIN_X, DOMAIN_Y]
-
     def test_empty_file_rejected(self, tmp_path):
         path = str(tmp_path / "log.tsv")
         write_log(path, [])

@@ -7,7 +7,7 @@ import pytest
 
 from crossdiff.data import DOMAIN_X, DOMAIN_Y, UserSequence, Vocab
 from crossdiff import evaluation
-from crossdiff.diffusion import build_schedule, strided_steps
+from crossdiff.diffusion import build_schedule, reverse_step, strided_steps
 from crossdiff.evaluation import (
     MetricReport,
     auto_negatives,
@@ -27,7 +27,7 @@ from crossdiff.network import (
     init_parameters,
     make_eval_batch,
 )
-from crossdiff.autograd import no_grad
+from crossdiff.autograd import Tensor, no_grad
 
 from conftest import tiny_model_cfg
 
@@ -174,7 +174,7 @@ class TestNegatives:
         with pytest.raises(ValueError, match="eligible negatives"):
             sample_negatives(np.random.default_rng(0), vocab, {vocab.index_of("a")}, 3)
 
-    def test_auto_negatives_bound(self):
+    def test_auto_negatives_bound(self, monkeypatch):
         vx = Vocab(DOMAIN_X, 0, ["i%d" % i for i in range(20)])
         vy = Vocab(DOMAIN_Y, vx.size, ["j%d" % i for i in range(10)])
 
@@ -192,7 +192,8 @@ class TestNegatives:
         stub = Stub()
         # validation user: 20 - 2 = 18 eligible; test user: 10 - 3 = 7
         assert auto_negatives(stub) == 7
-        assert auto_negatives(stub, cap=5) == 5
+        monkeypatch.setattr(evaluation, "AUTO_NEGATIVES_CAP", 5)
+        assert auto_negatives(stub) == 5
 
 
 class TestScoreItems:
@@ -327,6 +328,28 @@ class TestSampleBatch:
         c = self._sample(eval_setup, seed=12)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, None])
+    def test_matches_per_step_draw_reference(self, eval_setup, monkeypatch, n_steps):
+        # reference chain: each user's generator draws its start vector, then
+        # one noise vector per non-final transition, one reverse step at a time
+        split, cfg, _, sched = eval_setup
+
+        def stub(params, cfg, x_t, t, guide, guide_valid):
+            return Tensor(0.5 * x_t.data + 0.01 * t[:, None])
+
+        monkeypatch.setattr(evaluation, "denoise", stub)
+        users = [s.user_index for s, _ in split.test[:3]]
+        steps = strided_steps(sched.T, sched.T if n_steps is None else n_steps)
+        rngs = [np.random.default_rng([5, 0, u]) for u in users]
+        x = np.stack([r.standard_normal(cfg.d) for r in rngs])
+        for i, t in enumerate(steps):
+            x0_hat = stub(None, cfg, Tensor(x), np.full(len(users), t), None, None).data
+            t_prev = steps[i + 1] if i + 1 < len(steps) else 0
+            noise = (np.stack([r.standard_normal(cfg.d) for r in rngs]) if t_prev > 0
+                     else np.zeros_like(x))
+            x = reverse_step(x, t, x0_hat, sched, noise, t_prev=t_prev)
+        assert np.array_equal(self._sample(eval_setup, n_steps=n_steps), x0_hat)
 
 
 class TestEvaluate:

@@ -220,8 +220,8 @@ class TestTriViewCL:
         B, d = 4, 6
         vs = [rng.normal(size=(B, d)) for _ in range(3)]
         unit = [v / np.linalg.norm(v, axis=-1, keepdims=True) for v in vs]
-        a = tri_view_cl_loss(*[Tensor(v) for v in vs], normalize=True).data
-        b = tri_view_cl_loss(*[Tensor(u) for u in unit], normalize=False).data
+        a = tri_view_cl_loss(*[Tensor(v) for v in vs]).data
+        b = tri_view_cl_loss(*[Tensor(u) for u in unit]).data
         assert rel_err(a, b) < 1e-8
 
     def test_small_batch_rejected(self):

@@ -480,3 +480,90 @@ class TestCheckpoints:
             fh.write(data[:8 * keep] if keep >= 0 else data[:-8])
         with pytest.raises(ValueError, match=blob):
             load_checkpoint(ckpt)
+
+
+def _state_bits(state):
+    """Everything a checkpoint restores, as comparable values."""
+    names = state.params.names()
+    return (state.params.to_vector().tobytes(),
+            [(state.opt.m[n].tobytes(), state.opt.v[n].tobytes()) for n in names],
+            state.opt.t, state.epoch, state.global_step, state.best_metric,
+            state.best_epoch, None if state.best_params is None else state.best_params.tobytes(),
+            state.history, state.rng.bit_generator.state)
+
+
+class TestCheckpointCrashes:
+    """A save that dies part-way never leaves a checkpoint that loads but is wrong."""
+
+    @pytest.fixture(scope="class")
+    def two_states(self, tmp_path_factory):
+        from conftest import make_split
+        from crossdiff.diffusion import build_schedule
+
+        split, _ = make_split()
+        state = init_state(tiny_model_cfg(split),
+                           TrainConfig(batch_size=64, epochs=2, warmup_epochs=0, seed=9),
+                           build_schedule(6), "full")
+        fit(state, split, eval_every=1, eval_negatives=10, max_epochs=1)
+        first = str(tmp_path_factory.mktemp("first") / "ckpt")
+        save_checkpoint(first, state)
+        fit(state, split, eval_every=1, eval_negatives=10, max_epochs=1)
+        return load_checkpoint(first), state
+
+    @staticmethod
+    def fail_nth(mp, n, what):
+        """Make the n-th file write ("write", the file never created; "truncate",
+        created empty) or the n-th os.rename ("rename") in the trainer raise."""
+        real_open, real_rename, count = open, os.rename, [0]
+
+        def hit():
+            count[0] += 1
+            return count[0] == n
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            if "w" in mode and what != "rename" and hit():
+                if what == "truncate":
+                    real_open(path, mode).close()
+                raise OSError("injected failure writing %s" % path)
+            return real_open(path, mode, *args, **kwargs)
+
+        def failing_rename(src, dst):
+            if what == "rename" and hit():
+                raise OSError("injected failure renaming %s" % src)
+            return real_rename(src, dst)
+
+        mp.setattr(trainer_mod, "open", failing_open, raising=False)
+        mp.setattr(trainer_mod.os, "rename", failing_rename)
+
+    def loads_as(self, ckpt, state):
+        try:
+            back = load_checkpoint(ckpt)
+        except (OSError, ValueError):
+            return True
+        return _state_bits(back) == _state_bits(state)
+
+    @pytest.mark.parametrize("what,n", [("write", n) for n in (1, 2, 3, 4)]
+                             + [("truncate", n) for n in (1, 2, 3, 4)]
+                             + [("rename", n) for n in (1, 2)])
+    def test_crash_leaves_previous_or_nothing(self, two_states, tmp_path, monkeypatch,
+                                              what, n):
+        prev, new = two_states
+        assert prev.best_params is not None   # four files: manifest and three blobs
+        ckpt = str(tmp_path / "ckpt")
+        save_checkpoint(ckpt, prev)
+        with monkeypatch.context() as mp:
+            self.fail_nth(mp, n, what)
+            with pytest.raises(OSError, match="injected"):
+                save_checkpoint(ckpt, new)
+        assert self.loads_as(ckpt, prev)
+
+        # a save that dies right after the crash still leaves the previous state
+        with monkeypatch.context() as mp:
+            self.fail_nth(mp, 1, "write")
+            with pytest.raises(OSError, match="injected"):
+                save_checkpoint(ckpt, new)
+        assert _state_bits(load_checkpoint(ckpt)) == _state_bits(prev)
+
+        save_checkpoint(ckpt, new)
+        assert sorted(os.listdir(tmp_path)) == ["ckpt"]
+        assert _state_bits(load_checkpoint(ckpt)) == _state_bits(new)
