@@ -315,12 +315,6 @@ class GroundTruth:
     cluster_items: dict[tuple[str, int], list[str]]   # (domain, cluster) -> item ids
     item_cluster: dict[tuple[str, str], int]          # (domain, item id) -> cluster
 
-    def user_clusters(self, user_id: str, domain: str) -> set[int]:
-        out = {self.shared_interest[user_id]}
-        if self.specific_domain[user_id] == domain:
-            out.add(self.specific_interest[user_id])
-        return out
-
 
 def generate_synthetic(cfg: SyntheticConfig):
     """Two-domain logs driven by shared and domain-specific interest clusters.

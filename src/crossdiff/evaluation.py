@@ -1,7 +1,7 @@
 """Ranking evaluation.
 
 Protocol: for each held-out user the guided sampler reconstructs a target
-vector, the scores of the true next item and k sampled negatives are
+vector, the logits of the true next item and k sampled negatives are
 compared, and the 1-based rank of the true item (pessimistic under ties)
 feeds hit rate, NDCG, and reciprocal-rank metrics per domain. Robustness,
 step-count sweeps, and the ablation grid reuse the same pipeline.
@@ -17,8 +17,8 @@ from .autograd import Tensor, no_grad
 from .data import (DOMAIN_X, DOMAINS, AugmentationSpec, DatasetSplit,
                    N_RESERVED, Vocab, augment)
 from .diffusion import DiffusionSchedule, reverse_step, strided_steps
-from .network import (VARIANTS, ModelConfig, ParameterSet, denoise,
-                      guidance_forward, make_eval_batch)
+from .network import (VARIANTS, ModelConfig, ParameterSet, check_seq_lens,
+                      denoise, guide_memory, guidance_forward, make_eval_batch)
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,15 @@ def auto_negatives(split: DatasetSplit) -> int:
 
 def score_items(x0_hat: np.ndarray, g_hat: np.ndarray | None,
                 emb: np.ndarray) -> np.ndarray:
-    """Probabilities over one domain's full table; reserved rows get zero mass."""
+    """Logits over one domain's full table; reserved rows get -inf.
+
+    Ranks come from the logits themselves: a softmax keeps their order but
+    can underflow distinct logits into false ties.
+    """
     vec = x0_hat if g_hat is None else x0_hat + g_hat
     logits = emb @ vec
     logits[:N_RESERVED] = -np.inf
-    shift = logits.max()
-    p = np.exp(logits - shift)
-    return p / p.sum()
+    return logits
 
 
 def sample_batch(params: ParameterSet, cfg: ModelConfig, sched: DiffusionSchedule,
@@ -128,7 +130,8 @@ def sample_batch(params: ParameterSet, cfg: ModelConfig, sched: DiffusionSchedul
     Each user's stream yields one (n transitions, d) block: row 0 starts the
     chain and row i+1 is the noise of transition i (the final transition
     draws none). It equals the same draws made one row at a time, and
-    results do not depend on batch composition.
+    results do not depend on batch composition. The guide's decoder keys
+    and values are projected once, before the chain.
     """
     B, d = len(user_indices), cfg.d
     steps = strided_steps(sched.T, n_steps)
@@ -137,9 +140,9 @@ def sample_batch(params: ParameterSet, cfg: ModelConfig, sched: DiffusionSchedul
     x = draws[0]
     x0_hat = None
     with no_grad():
+        memory = guide_memory(params, cfg, guide, guide_valid)
         for i, t in enumerate(steps):
-            out = denoise(params, cfg, Tensor(x), np.full(B, t, dtype=np.int64),
-                          guide, guide_valid)
+            out = denoise(params, cfg, Tensor(x), np.full(B, t, dtype=np.int64), memory)
             x0_hat = out.data
             t_prev = steps[i + 1] if i + 1 < len(steps) else 0
             noise = draws[i + 1] if t_prev > 0 else np.zeros((B, d))
@@ -165,6 +168,7 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
     if exclude_seqs is not None and len(exclude_seqs) != len(part):
         raise ValueError("exclude_seqs must align with part")
     check_negatives(n_negatives)
+    check_seq_lens(model_cfg, [s for s, _ in part])
     variant = VARIANTS[variant_name]
     steps = sched.T if n_steps is None else n_steps
     vocabs = {d: (vocab_x if d == DOMAIN_X else vocab_y) for d in DOMAINS}
@@ -184,13 +188,13 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
             if variant.use_de:
                 g_hat = gx[b] if td == DOMAIN_X else gy[b]
             emb = params["emb_x" if td == DOMAIN_X else "emb_y"].data
-            probs = score_items(x0_hat[b], g_hat, emb)
+            logits = score_items(x0_hat[b], g_hat, emb)
             history = (exclude_seqs[lo + b] if exclude_seqs is not None else seq).indices
             rng_neg = np.random.default_rng([seed, 1, int(seq.user_index)])
             negs = sample_negatives(rng_neg, vocab, set(history) | {tg},
                                     n_negatives)
             cand = np.concatenate([[tg], negs]) - vocab.base
-            ranks[td].append(rank_of_positive(probs[cand]))
+            ranks[td].append(rank_of_positive(logits[cand]))
     per_domain = {d: compute_metrics(rs) for d, rs in ranks.items() if rs}
     n_users = sum(mv.n_users for mv in per_domain.values())
     fingerprint = {"seed": seed, "n_steps": steps, "n_negatives": n_negatives,

@@ -4,7 +4,9 @@ Architecture: token embeddings shared between the guidance path and the
 scoring rule; one transformer encoder bank per domain plus a shared bank; a
 projection that re-interleaves the two domain encodings into guidance rows;
 and a denoiser that encodes the noisy target token and cross-attends over the
-guidance. All blocks are pre-norm residual.
+guidance. All blocks are pre-norm residual. The guidance is projected into
+the decoder's keys and values once per batch (`guide_memory`), and every
+denoising step of a reverse chain reuses it.
 """
 
 from __future__ import annotations
@@ -174,13 +176,6 @@ def init_parameters(cfg: ModelConfig, rng_seed: int = 0) -> ParameterSet:
     return ParameterSet(cfg, tensors)
 
 
-def expected_param_count(cfg: ModelConfig) -> int:
-    d = cfg.d
-    per_layer = 12 * d * d + 13 * d
-    emb = (cfg.vocab_x_size + cfg.vocab_y_size + cfg.max_seq_len + cfg.T) * d
-    return emb + (3 * cfg.enc_layers + cfg.dec_layers) * per_layer + d * d
-
-
 # ---------------------------------------------------------------------------
 # batches
 
@@ -329,14 +324,22 @@ def _split_heads(t: Tensor, B: int, L: int, H: int, dh: int) -> Tensor:
     return swapaxes(reshape(t, (B, L, H, dh)), 1, 2)
 
 
-def _attention(params: ParameterSet, prefix: str, q_in: Tensor, kv: Tensor,
-               mask: np.ndarray, cfg: ModelConfig) -> Tensor:
+def _kv(params: ParameterSet, prefix: str, x: Tensor, cfg: ModelConfig):
+    """Split-head keys and values of x for the attention of layer `prefix`."""
+    B, L = x.data.shape[0], x.data.shape[1]
+    H, dh = cfg.n_heads, cfg.d // cfg.n_heads
+    return (_split_heads(_proj(params, prefix, "k", x), B, L, H, dh),
+            _split_heads(_proj(params, prefix, "v", x), B, L, H, dh))
+
+
+def _attention(params: ParameterSet, prefix: str, q_in: Tensor, kv, mask: np.ndarray,
+               cfg: ModelConfig) -> Tensor:
+    """Attention of q_in over the split-head keys and values kv, or over
+    q_in itself when kv is None."""
     B, Lq = q_in.data.shape[0], q_in.data.shape[1]
-    Lk = kv.data.shape[1]
     H, dh = cfg.n_heads, cfg.d // cfg.n_heads
     q = _split_heads(_proj(params, prefix, "q", q_in), B, Lq, H, dh)
-    k = _split_heads(_proj(params, prefix, "k", kv), B, Lk, H, dh)
-    v = _split_heads(_proj(params, prefix, "v", kv), B, Lk, H, dh)
+    k, v = _kv(params, prefix, q_in, cfg) if kv is None else kv
     scores = matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
     probs = masked_softmax(scores, mask)
     ctx = reshape(swapaxes(matmul(probs, v), 1, 2), (B, Lq, cfg.d))
@@ -348,13 +351,21 @@ def _mlp(params: ParameterSet, prefix: str, x: Tensor) -> Tensor:
     return h @ params[prefix + ".mlp.w2"] + params[prefix + ".mlp.b2"]
 
 
-def _block(params: ParameterSet, prefix: str, h: Tensor, mask: np.ndarray,
-           cfg: ModelConfig, guide: Tensor | None = None) -> Tensor:
-    """Pre-norm residual block: self-attention (norm ln1), or cross-attention
-    over `guide` (query norm lnq), then the MLP (norm ln2)."""
-    ln = "lnq" if guide is not None else "ln1"
+def _block(params: ParameterSet, prefix: str, h: Tensor, mask: np.ndarray | None,
+           cfg: ModelConfig, kv=None) -> Tensor:
+    """Pre-norm residual block: attention, then the MLP (norm ln2).
+
+    The attention is cross-attention over the guide's split-head keys and
+    values `kv` (query norm lnq), or self-attention under `mask` (norm ln1).
+    mask None means each row is a single token that attends only to itself:
+    a softmax over one key is exactly 1, so the attention is o(v(x)).
+    """
+    ln = "lnq" if kv is not None else "ln1"
     a = layer_norm(h, params["%s.%s.g" % (prefix, ln)], params["%s.%s.b" % (prefix, ln)])
-    h = h + _attention(params, prefix, a, a if guide is None else guide, mask, cfg)
+    if mask is None:
+        h = h + _proj(params, prefix, "o", _proj(params, prefix, "v", a))
+    else:
+        h = h + _attention(params, prefix, a, kv, mask, cfg)
     m = layer_norm(h, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
     return h + _mlp(params, prefix, m)
 
@@ -364,6 +375,18 @@ def causal_mask(valid: np.ndarray) -> np.ndarray:
     L = valid.shape[1]
     tri = np.tril(np.ones((L, L)))
     return tri[None, None, :, :] * valid[:, None, None, :]
+
+
+def check_seq_lens(cfg: ModelConfig, seqs) -> None:
+    """Raise naming the first user whose sequence is longer than max_seq_len.
+
+    seqs holds anything with user_index and items (UserSequence,
+    TrainingExample); callers check whole inputs before running any batch.
+    """
+    for s in seqs:
+        if len(s.items) > cfg.max_seq_len:
+            raise ValueError("user %d: sequence length %d exceeds max_seq_len %d"
+                             % (s.user_index, len(s.items), cfg.max_seq_len))
 
 
 def embed_sequence(params: ParameterSet, cfg: ModelConfig, idx: np.ndarray) -> Tensor:
@@ -401,23 +424,41 @@ def pool_last(h: Tensor, last: np.ndarray) -> Tensor:
     return reshape(out, (B, d))
 
 
+@dataclass
+class GuideMemory:
+    """The guide as the decoder reads it: split-head keys and values for
+    every dec.<i> layer, and the (B,1,1,Lg) key mask."""
+    kv: list
+    mask: np.ndarray
+
+
+def guide_memory(params: ParameterSet, cfg: ModelConfig, guide: Tensor,
+                 guide_valid: np.ndarray) -> GuideMemory:
+    """Project the guide into the decoder's keys and values.
+
+    The guide is fixed across a reverse chain, so the sampler builds this
+    once per batch and every denoising step reuses it.
+    """
+    if np.any(guide_valid.sum(axis=-1) < 1):
+        raise ValueError("denoise requires at least one guidance row per example")
+    kv = [_kv(params, "dec.%d" % i, guide, cfg) for i in range(cfg.dec_layers)]
+    return GuideMemory(kv=kv, mask=guide_valid[:, None, None, :])
+
+
 def denoise(params: ParameterSet, cfg: ModelConfig, x_t: Tensor, t: np.ndarray,
-            guide: Tensor, guide_valid: np.ndarray) -> Tensor:
-    """Estimate the clean target vector from its noisy version under guidance."""
+            memory: GuideMemory) -> Tensor:
+    """Estimate the clean target vector from its noisy version under the
+    guidance that `memory` (from guide_memory) holds."""
     t = np.asarray(t)
     if np.any(t < 1) or np.any(t > cfg.T):
         raise ValueError("timesteps must lie in [1, %d]" % cfg.T)
-    if np.any(guide_valid.sum(axis=-1) < 1):
-        raise ValueError("denoise requires at least one guidance row per example")
     B = x_t.data.shape[0]
     tok = x_t + gather_rows(params["step_emb"], t - 1)
     tok = reshape(tok, (B, 1, cfg.d))
-    self_mask = np.ones((B, 1, 1, 1))
     for i in range(cfg.enc_layers):
-        tok = _block(params, "enc_c.%d" % i, tok, self_mask, cfg)
-    cross = guide_valid[:, None, None, :]
+        tok = _block(params, "enc_c.%d" % i, tok, None, cfg)
     for i in range(cfg.dec_layers):
-        tok = _block(params, "dec.%d" % i, tok, cross, cfg, guide)
+        tok = _block(params, "dec.%d" % i, tok, memory.mask, cfg, memory.kv[i])
     return reshape(tok, (B, cfg.d))
 
 
@@ -496,7 +537,8 @@ def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
     x_t = forward_diffuse(x0, t, eps, sched)
     bundle.x0 = x0
-    bundle.x0_hat = denoise(params, cfg, x_t, t, gb.guide, gb.guide_valid)
+    memory = guide_memory(params, cfg, gb.guide, gb.guide_valid)
+    bundle.x0_hat = denoise(params, cfg, x_t, t, memory)
     if variant.use_tricl and batch.aug_idx is not None:
         bundle.h_aug = encode_aug(params, cfg, batch.aug_idx, batch.aug_valid,
                                   batch.aug_last)

@@ -22,7 +22,7 @@ from .data import (AUGMENTATION_OPS, AugmentationSpec, DatasetSplit,
                    UserSequence, augment)
 from .diffusion import DiffusionSchedule, build_schedule
 from .network import (VARIANTS, ModelConfig, ParameterSet, SequenceBatch,
-                      build_training_examples, init_parameters,
+                      build_training_examples, check_seq_lens, init_parameters,
                       make_train_batch, param_specs, training_forward)
 from .objectives import (LossBreakdown, diffusion_loss, rec_loss, total_loss,
                          tri_view_cl_loss)
@@ -228,6 +228,9 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
     examples = build_training_examples(split)
     if not examples:
         raise ValueError("training split yields no prefix examples")
+    check_seq_lens(cfg, examples)
+    if eval_every > 0:
+        check_seq_lens(cfg, [s for s, _ in split.validation])
     vx, vy = split.vocab_x, split.vocab_y
     steps_per_epoch = count_steps_per_epoch(examples, tcfg.batch_size)
     total_steps = max(1, tcfg.epochs * steps_per_epoch)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from crossdiff.data import SyntheticConfig, filter_and_split, generate_synthetic
+from crossdiff.data import (DOMAIN_X, DOMAIN_Y, SyntheticConfig, Vocab,
+                            filter_and_split, generate_synthetic)
 from crossdiff.diffusion import build_schedule
-from crossdiff.network import ModelConfig
+from crossdiff.network import ModelConfig, TrainingExample, make_train_batch
 
 
 def make_split(n_users=12, n_items=40, noise=0.1, seed=7, n_shared=3, n_specific=1):
@@ -22,6 +23,29 @@ def tiny_model_cfg(split, d=8, n_heads=2, enc_layers=1, dec_layers=1, T=6):
                        dec_layers=dec_layers, max_seq_len=15, T=T,
                        vocab_x_size=split.vocab_x.size,
                        vocab_y_size=split.vocab_y.size)
+
+
+def grad_fixture():
+    """Four training examples over five items per domain, with augmented views;
+    small enough for a finite-difference check of every parameter."""
+    vx = Vocab(DOMAIN_X, 0, ["a", "b", "c", "d", "e"])
+    vy = Vocab(DOMAIN_Y, vx.size, ["p", "q", "r", "s", "u"])
+    cfg = ModelConfig(d=4, n_heads=2, enc_layers=1, dec_layers=1, max_seq_len=3,
+                      T=5, vocab_x_size=vx.size, vocab_y_size=vy.size)
+    X = [vx.index_of(s) for s in "abcde"]
+    Y = [vy.index_of(s) for s in "pqrsu"]
+    examples = [
+        TrainingExample(0, ((X[0], "x"), (Y[0], "y"), (X[1], "x")),
+                        (Y[1], "y"), (X[2], "x")),
+        TrainingExample(1, ((Y[2], "y"), (X[2], "x")), (X[3], "x"), (Y[3], "y")),
+        TrainingExample(2, ((X[4], "x"),), (Y[4], "y"), None),
+        TrainingExample(3, ((Y[4], "y"), (X[3], "x"), (Y[3], "y")),
+                        (X[0], "x"), None),
+    ]
+    aug = [((X[1], "x"), (X[0], "x")), ((Y[2], "y"),),
+           ((X[4], "x"), (Y[0], "y"), (X[2], "x")), ((Y[3], "y"), (Y[4], "y"))]
+    batch = make_train_batch(examples, vx, vy, augmented=aug)
+    return cfg, batch
 
 
 @pytest.fixture(scope="session")

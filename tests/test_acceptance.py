@@ -14,21 +14,22 @@ from scipy.special import logsumexp
 
 from crossdiff.autograd import Tensor, no_grad
 from crossdiff.cli import main as cli_main
-from crossdiff.data import (DOMAIN_X, DOMAIN_Y, SyntheticConfig, UserSequence,
-                            Vocab, filter_and_split, generate_synthetic,
+from crossdiff.data import (DOMAIN_X, SyntheticConfig, UserSequence,
+                            filter_and_split, generate_synthetic,
                             ingest_log, load_split, survival_stats)
 from crossdiff.diffusion import build_schedule, forward_diffuse, reverse_step
 from crossdiff.evaluation import (ablation_study, auto_negatives,
                                   compute_metrics, evaluate, noise_robustness,
                                   overall_ndcg, rank_of_positive, sample_batch,
                                   score_items, step_sweep)
-from crossdiff.network import (VARIANTS, ModelConfig, TrainingExample,
-                               build_training_examples, guidance_forward,
-                               init_parameters, make_eval_batch,
-                               make_train_batch, training_forward)
+from crossdiff.network import (VARIANTS, ModelConfig, build_training_examples,
+                               guidance_forward, init_parameters,
+                               make_eval_batch, training_forward)
 from crossdiff.objectives import (diffusion_loss, rec_loss, total_loss,
                                   tri_view_cl_loss)
 from crossdiff.trainer import TrainConfig, fit, init_state, load_checkpoint, save_checkpoint
+
+from conftest import grad_fixture
 
 
 # ---------------------------------------------------------------------------
@@ -127,31 +128,10 @@ def test_01_diffusion_math():
 # ---------------------------------------------------------------------------
 # 2. analytic gradients vs central finite differences, every parameter
 
-def _grad_fixture():
-    vx = Vocab(DOMAIN_X, 0, ["a", "b", "c", "d", "e"])
-    vy = Vocab(DOMAIN_Y, vx.size, ["p", "q", "r", "s", "u"])
-    cfg = ModelConfig(d=4, n_heads=2, enc_layers=1, dec_layers=1, max_seq_len=3,
-                      T=5, vocab_x_size=vx.size, vocab_y_size=vy.size)
-    X = [vx.index_of(s) for s in "abcde"]
-    Y = [vy.index_of(s) for s in "pqrsu"]
-    examples = [
-        TrainingExample(0, ((X[0], "x"), (Y[0], "y"), (X[1], "x")),
-                        (Y[1], "y"), (X[2], "x")),
-        TrainingExample(1, ((Y[2], "y"), (X[2], "x")), (X[3], "x"), (Y[3], "y")),
-        TrainingExample(2, ((X[4], "x"),), (Y[4], "y"), None),
-        TrainingExample(3, ((Y[4], "y"), (X[3], "x"), (Y[3], "y")),
-                        (X[0], "x"), None),
-    ]
-    aug = [((X[1], "x"), (X[0], "x")), ((Y[2], "y"),),
-           ((X[4], "x"), (Y[0], "y"), (X[2], "x")), ((Y[3], "y"), (Y[4], "y"))]
-    batch = make_train_batch(examples, vx, vy, augmented=aug)
-    return cfg, batch
-
-
 def test_02_gradient_correctness():
     """Backward pass of the combined loss agrees with finite differences."""
     t0 = time.monotonic()
-    cfg, batch = _grad_fixture()
+    cfg, batch = grad_fixture()
     variant = VARIANTS["full"]
     sched = build_schedule(cfg.T)
     t_arr = np.array([1, 2, 3, 5], dtype=np.int64)

@@ -409,6 +409,14 @@ class TestAugment:
             assert g != v.pad_index
 
 
+def user_clusters(truth, user_id, domain):
+    """The interest clusters a user's events in `domain` are drawn from."""
+    out = {truth.shared_interest[user_id]}
+    if truth.specific_domain[user_id] == domain:
+        out.add(truth.specific_interest[user_id])
+    return out
+
+
 class TestSynthetic:
     def test_deterministic(self):
         cfg = SyntheticConfig(n_users=20, n_items_x=30, n_items_y=30, rng_seed=4)
@@ -442,7 +450,7 @@ class TestSynthetic:
         events, truth = generate_synthetic(cfg)
         for e in events:
             c = truth.item_cluster[(e.domain, e.item_id)]
-            assert c in truth.user_clusters(e.user_id, e.domain)
+            assert c in user_clusters(truth, e.user_id, e.domain)
 
     def test_noise_rate_recount(self):
         # off-cluster events arise only from the noise branch landing outside
@@ -453,14 +461,14 @@ class TestSynthetic:
         expected = var = 0.0
         off = 0
         for e in events:
-            blocks = truth.user_clusters(e.user_id, e.domain)
+            blocks = user_clusters(truth, e.user_id, e.domain)
             n_in = sum(len(truth.cluster_items[(e.domain, c)]) for c in blocks)
             n_dom = cfg.n_items_x if e.domain == DOMAIN_X else cfg.n_items_y
             p = cfg.noise_rate * (1.0 - n_in / n_dom)
             expected += p
             var += p * (1.0 - p)
             c = truth.item_cluster[(e.domain, e.item_id)]
-            off += c not in truth.user_clusters(e.user_id, e.domain)
+            off += c not in user_clusters(truth, e.user_id, e.domain)
         assert abs(off - expected) < 5.0 * math.sqrt(var)
         assert off > 0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossdiff.data import DOMAIN_X, DOMAIN_Y, UserSequence, Vocab
-from crossdiff import evaluation
+from crossdiff import evaluation, network
 from crossdiff.diffusion import build_schedule, reverse_step, strided_steps
 from crossdiff.evaluation import (
     MetricReport,
@@ -197,15 +197,21 @@ class TestNegatives:
 
 
 class TestScoreItems:
-    def test_distribution(self):
+    def test_logits_contract(self):
         rng = np.random.default_rng(34)
         emb = rng.normal(size=(12, 6))
         vec = rng.normal(size=6)
-        p = score_items(vec, None, emb)
-        assert p.shape == (12,)
-        assert abs(p.sum() - 1.0) < 1e-12
-        assert p[0] == 0.0 and p[1] == 0.0
-        assert np.all(p[2:] > 0)
+        s = score_items(vec, None, emb)
+        assert s.shape == (12,)
+        assert s[0] == -np.inf and s[1] == -np.inf
+        assert np.array_equal(s[2:], (emb @ vec)[2:])
+
+    def test_no_false_tie_from_underflow(self):
+        # the positive (row 2) beats the negative (row 3) by 100 in logit, but
+        # both lie over 745 below the top row, where a softmax underflows to 0
+        emb = np.array([[0.0], [0.0], [-800.0], [-900.0], [0.0]])
+        s = score_items(np.array([1.0]), None, emb)
+        assert rank_of_positive(s[[2, 3]]) == 1
 
     def test_orders_by_alignment(self):
         emb = np.zeros((5, 3))
@@ -291,14 +297,31 @@ class TestSampleBatch:
                             batch.user_index, seed=seed,
                             n_steps=sched.T if n_steps is None else n_steps)
 
+    def test_guide_projected_once_per_batch(self, eval_setup, monkeypatch):
+        # the decoder's keys and values of the guide are built before the
+        # chain, not at each of its T steps
+        cfg = eval_setup[1]
+        calls = []
+        real = network._proj
+
+        def spy(params, prefix, which, x):
+            calls.append((prefix, which))
+            return real(params, prefix, which, x)
+
+        monkeypatch.setattr(network, "_proj", spy)
+        self._sample(eval_setup)
+        dec_kv = sorted(c for c in calls if c[0].startswith("dec.") and c[1] in "kv")
+        assert dec_kv == sorted(("dec.%d" % i, w) for i in range(cfg.dec_layers)
+                                for w in "kv")
+
     def test_denoiser_called_at_strided_steps(self, eval_setup, monkeypatch):
         sched = eval_setup[3]
         calls = []
         real = evaluation.denoise
 
-        def spy(params, cfg, x_t, t, guide, guide_valid):
+        def spy(params, cfg, x_t, t, memory):
             calls.append(np.array(t))
-            return real(params, cfg, x_t, t, guide, guide_valid)
+            return real(params, cfg, x_t, t, memory)
 
         monkeypatch.setattr(evaluation, "denoise", spy)
         self._sample(eval_setup, n_steps=3)
@@ -322,7 +345,7 @@ class TestSampleBatch:
     def test_deterministic_under_seed_with_stub_denoiser(self, eval_setup,
                                                           monkeypatch):
         monkeypatch.setattr(evaluation, "denoise",
-                            lambda params, cfg, x_t, t, guide, guide_valid: 0.5 * x_t)
+                            lambda params, cfg, x_t, t, memory: 0.5 * x_t)
         a = self._sample(eval_setup, seed=11)
         b = self._sample(eval_setup, seed=11)
         c = self._sample(eval_setup, seed=12)
@@ -335,7 +358,7 @@ class TestSampleBatch:
         # one noise vector per non-final transition, one reverse step at a time
         split, cfg, _, sched = eval_setup
 
-        def stub(params, cfg, x_t, t, guide, guide_valid):
+        def stub(params, cfg, x_t, t, memory):
             return Tensor(0.5 * x_t.data + 0.01 * t[:, None])
 
         monkeypatch.setattr(evaluation, "denoise", stub)
@@ -344,7 +367,7 @@ class TestSampleBatch:
         rngs = [np.random.default_rng([5, 0, u]) for u in users]
         x = np.stack([r.standard_normal(cfg.d) for r in rngs])
         for i, t in enumerate(steps):
-            x0_hat = stub(None, cfg, Tensor(x), np.full(len(users), t), None, None).data
+            x0_hat = stub(None, cfg, Tensor(x), np.full(len(users), t), None).data
             t_prev = steps[i + 1] if i + 1 < len(steps) else 0
             noise = (np.stack([r.standard_normal(cfg.d) for r in rngs]) if t_prev > 0
                      else np.zeros_like(x))
@@ -365,6 +388,26 @@ class TestEvaluate:
                      split.vocab_x, split.vocab_y, seed=4, n_negatives=15)
         assert c.fingerprint["seed"] == 4
         assert a.fingerprint["seed"] == 3
+
+    def test_long_sequence_rejected_before_any_batch(self, eval_setup, monkeypatch):
+        # the long sequence sits in the last of three batches
+        split, cfg, params, sched = eval_setup
+        part = list(split.test[:6])
+        seq, target = part[-1]
+        long_seq = UserSequence(seq.user_index, (list(seq.items) * 2)[:cfg.max_seq_len + 1])
+        part[-1] = (long_seq, target)
+        calls = []
+        real = evaluation.sample_batch
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "sample_batch", spy)
+        with pytest.raises(ValueError, match="user %d: sequence length" % seq.user_index):
+            evaluate(part, params, cfg, sched, "full", split.vocab_x, split.vocab_y,
+                     n_negatives=5, batch_size=2)
+        assert calls == []
 
     def test_batch_size_invariance(self, eval_setup):
         split, cfg, params, sched = eval_setup

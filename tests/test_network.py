@@ -1,9 +1,13 @@
 """Parameter plumbing, batch assembly, attention masking, variant wiring."""
 
+import math
+
 import numpy as np
 import pytest
 
-from crossdiff.autograd import Tensor
+from crossdiff import network
+from crossdiff.autograd import (Tensor, gather_concat, gather_rows, gelu, layer_norm,
+                                masked_softmax, matmul, reshape, swapaxes)
 from crossdiff.data import (
     DOMAIN_X,
     DOMAIN_Y,
@@ -11,7 +15,7 @@ from crossdiff.data import (
     UserSequence,
     Vocab,
 )
-from crossdiff.diffusion import build_schedule
+from crossdiff.diffusion import build_schedule, forward_diffuse
 from crossdiff.network import (
     VARIANTS,
     ModelConfig,
@@ -20,9 +24,10 @@ from crossdiff.network import (
     causal_mask,
     denoise,
     embed_sequence,
+    encode_aug,
     encode_domain,
-    expected_param_count,
     fuse_guidance,
+    guide_memory,
     guidance_forward,
     init_parameters,
     make_eval_batch,
@@ -31,6 +36,17 @@ from crossdiff.network import (
     pool_last,
     training_forward,
 )
+from crossdiff.objectives import diffusion_loss, rec_loss, total_loss, tri_view_cl_loss
+
+from conftest import grad_fixture
+
+
+def expected_param_count(cfg):
+    """Closed-form parameter count: four tables, 12d^2 + 13d per layer, fuse.w."""
+    d = cfg.d
+    per_layer = 12 * d * d + 13 * d
+    emb = (cfg.vocab_x_size + cfg.vocab_y_size + cfg.max_seq_len + cfg.T) * d
+    return emb + (3 * cfg.enc_layers + cfg.dec_layers) * per_layer + d * d
 
 
 def tiny_cfg(**kw):
@@ -383,10 +399,12 @@ class TestForward:
         ok_valid = np.ones((2, 3))
         for bad_t in (0, cfg.T + 1):
             with pytest.raises(ValueError, match="timesteps"):
-                denoise(params, cfg, x_t, np.array([bad_t, 1]), guide, ok_valid)
+                denoise(params, cfg, x_t, np.array([bad_t, 1]),
+                        guide_memory(params, cfg, guide, ok_valid))
         empty = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="guidance row"):
-            denoise(params, cfg, x_t, np.array([1, 1]), guide, empty)
+            denoise(params, cfg, x_t, np.array([1, 1]),
+                    guide_memory(params, cfg, guide, empty))
 
     def test_guidance_differs_across_variants(self, vocabs):
         vx, vy = vocabs
@@ -401,3 +419,104 @@ class TestForward:
                 if not v.use_tricl}
         assert not np.array_equal(outs["diff"], outs["diff_de_g"])
         assert not np.array_equal(outs["diff_de"], outs["diff_de_g"])
+
+
+def reference_denoise(params, cfg, x_t, t, guide, guide_valid):
+    """The denoiser without the guide memory or the single-key shortcut: the
+    token runs q, k, scores and a softmax over itself, and every call
+    projects the guide into keys and values again."""
+    H, dh = cfg.n_heads, cfg.d // cfg.n_heads
+
+    def proj(prefix, which, x):
+        return x @ params["%s.attn.w%s" % (prefix, which)] + params["%s.attn.b%s" % (prefix, which)]
+
+    def heads(x, B, L):
+        return swapaxes(reshape(x, (B, L, H, dh)), 1, 2)
+
+    def block(prefix, h, mask, guide=None):
+        ln = "lnq" if guide is not None else "ln1"
+        a = layer_norm(h, params["%s.%s.g" % (prefix, ln)], params["%s.%s.b" % (prefix, ln)])
+        kv_in = a if guide is None else guide
+        B, Lq, Lk = a.data.shape[0], a.data.shape[1], kv_in.data.shape[1]
+        q = heads(proj(prefix, "q", a), B, Lq)
+        k = heads(proj(prefix, "k", kv_in), B, Lk)
+        v = heads(proj(prefix, "v", kv_in), B, Lk)
+        probs = masked_softmax(matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh)), mask)
+        h = h + proj(prefix, "o", reshape(swapaxes(matmul(probs, v), 1, 2), (B, Lq, cfg.d)))
+        m = layer_norm(h, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
+        mlp = gelu(m @ params[prefix + ".mlp.w1"] + params[prefix + ".mlp.b1"])
+        return h + (mlp @ params[prefix + ".mlp.w2"] + params[prefix + ".mlp.b2"])
+
+    B = x_t.data.shape[0]
+    tok = reshape(x_t + gather_rows(params["step_emb"], t - 1), (B, 1, cfg.d))
+    for i in range(cfg.enc_layers):
+        tok = block("enc_c.%d" % i, tok, np.ones((B, 1, 1, 1)))
+    for i in range(cfg.dec_layers):
+        tok = block("dec.%d" % i, tok, guide_valid[:, None, None, :], guide)
+    return reshape(tok, (B, cfg.d))
+
+
+class TestReverseChainShortcuts:
+    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_single_key_attention_is_exact(self, vocabs, B, n_heads):
+        # a softmax over one key is exactly 1, so o(v(x)) is the attention
+        vx, vy = vocabs
+        cfg = tiny_cfg(d=32, n_heads=n_heads, vocab_x_size=vx.size, vocab_y_size=vy.size)
+        params = init_parameters(cfg, rng_seed=4)
+        tok = Tensor(np.random.default_rng(B).normal(size=(B, 1, cfg.d)))
+        one_key = network._block(params, "enc_c.0", tok, None, cfg)
+        softmax = network._block(params, "enc_c.0", tok, np.ones((B, 1, 1, 1)), cfg)
+        assert np.array_equal(one_key.data, softmax.data)
+
+    def test_denoise_matches_reference(self, vocabs):
+        vx, vy = vocabs
+        cfg = tiny_cfg(d=16, n_heads=2, enc_layers=2, dec_layers=2,
+                       vocab_x_size=vx.size, vocab_y_size=vy.size)
+        params = init_parameters(cfg, rng_seed=6)
+        rng = np.random.default_rng(6)
+        x_t = Tensor(rng.normal(size=(5, cfg.d)))
+        t = np.array([1, 2, 3, 4, 4])
+        guide = Tensor(rng.normal(size=(5, 3, cfg.d)))
+        valid = np.array([[1.0, 1, 1], [1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 0, 1]])
+        got = denoise(params, cfg, x_t, t, guide_memory(params, cfg, guide, valid))
+        want = reference_denoise(params, cfg, x_t, t, guide, valid)
+        assert np.array_equal(got.data, want.data)
+
+    def test_training_grads_match_reference(self):
+        # the dropped q/k path of the token only ever added exact zeros
+        cfg, batch = grad_fixture()
+        variant = VARIANTS["full"]
+        sched = build_schedule(cfg.T)
+        t = np.array([1, 2, 3, 5], dtype=np.int64)
+        eps = np.random.default_rng(123).standard_normal((4, cfg.d))
+
+        def loss_and_grads(forward):
+            params = init_parameters(cfg, rng_seed=9)
+            x0, x0_hat, gb, h_aug = forward(params)
+            l_rec = rec_loss(x0_hat, gb.gx_hat, gb.gy_hat, batch.tx, batch.wx,
+                             batch.ty, batch.wy, params["emb_x"], params["emb_y"])
+            loss = total_loss(diffusion_loss(x0, x0_hat), l_rec,
+                              tri_view_cl_loss(x0_hat, gb.gd_hat, h_aug))[0]
+            loss.backward()
+            return loss.data, {n: (p.grad if p.grad is not None else np.zeros_like(p.data))
+                               for n, p in params.items()}
+
+        def current(params):
+            b = training_forward(params, cfg, batch, variant, sched, t, eps)
+            return b.x0, b.x0_hat, b.guidance, b.h_aug
+
+        def reference(params):
+            gb = guidance_forward(params, cfg, batch, variant)
+            x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
+            x_t = forward_diffuse(x0, t, eps, sched)
+            x0_hat = reference_denoise(params, cfg, x_t, t, gb.guide, gb.guide_valid)
+            h_aug = encode_aug(params, cfg, batch.aug_idx, batch.aug_valid, batch.aug_last)
+            return x0, x0_hat, gb, h_aug
+
+        loss, grads = loss_and_grads(current)
+        ref_loss, ref_grads = loss_and_grads(reference)
+        assert loss == ref_loss
+        assert list(grads) == list(ref_grads)
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name

@@ -4,12 +4,14 @@ import json
 import math
 import os
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import crossdiff.trainer as trainer_mod
 from crossdiff.autograd import Tensor
+from crossdiff.data import UserSequence
 from crossdiff.network import ParameterSet, build_training_examples
 from crossdiff.trainer import (
     Adam,
@@ -237,6 +239,19 @@ class TestBucketing:
         assert a != b
 
 
+def spy_calls(monkeypatch, name):
+    """Count the calls fit makes to trainer.<name>, which still runs."""
+    calls = []
+    real = getattr(trainer_mod, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, name, spy)
+    return calls
+
+
 class TestTrainingLoop:
     def test_warmup_leaves_denoiser_untouched(self, small_split, small_sched):
         cfg = tiny_model_cfg(small_split)
@@ -260,6 +275,32 @@ class TestTrainingLoop:
             assert np.array_equal(state.params[n].data, before), n
         for n, before in touched.items():
             assert not np.array_equal(state.params[n].data, before), n
+
+    def test_long_prefix_rejected_before_any_step(self, small_split, small_sched,
+                                                  monkeypatch):
+        # the split keeps up to 15 items per user, so some training prefixes
+        # are longer than the model's 9 positions
+        cfg = replace(tiny_model_cfg(small_split), max_seq_len=9)
+        state = init_state(cfg, TrainConfig(batch_size=4, epochs=1, seed=3),
+                           small_sched, "full")
+        calls = spy_calls(monkeypatch, "train_step")
+        with pytest.raises(ValueError, match=r"user \d+: sequence length \d+ exceeds max_seq_len 9"):
+            fit(state, small_split, eval_every=0)
+        assert calls == []
+        assert state.global_step == 0
+
+    def test_long_validation_sequence_rejected_before_any_step(self, small_split,
+                                                               small_sched, monkeypatch):
+        cfg = tiny_model_cfg(small_split)
+        seq, target = small_split.validation[-1]
+        long_seq = UserSequence(seq.user_index, (list(seq.items) * 2)[:cfg.max_seq_len + 1])
+        split = replace(small_split, validation=small_split.validation[:-1] + [(long_seq, target)])
+        state = init_state(cfg, TrainConfig(batch_size=4, epochs=1, seed=3),
+                           small_sched, "full")
+        calls = spy_calls(monkeypatch, "train_step")
+        with pytest.raises(ValueError, match="user %d: sequence length" % seq.user_index):
+            fit(state, split, eval_every=1)
+        assert calls == []
 
     def test_main_stage_has_all_terms(self, small_split, small_sched):
         cfg = tiny_model_cfg(small_split)
