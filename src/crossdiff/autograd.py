@@ -303,17 +303,26 @@ def slice_rows(a, start, stop):
     return _attach(out, backward)
 
 
-def gather_rows(table, idx):
-    """table: (N, d); idx: int array of any shape -> (idx.shape, d)."""
-    idx = np.asarray(idx)
-    out = Tensor(table.data[idx], parents=(table,))
+def _scatter_add(shape, key, g):
+    """Zeros of `shape` with `g` added at `key`; repeated indices accumulate."""
+    full = np.zeros(shape)
+    np.add.at(full, key, g)
+    return full
+
+
+def _gather(src, key):
+    """src.data[key] for an integer-array key; backward scatter-adds into src."""
+    out = Tensor(src.data[key], parents=(src,))
 
     def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        table._accumulate(full)
+        src._accumulate(_scatter_add(src.data.shape, key, g))
 
     return _attach(out, backward)
+
+
+def gather_rows(table, idx):
+    """table: (N, d); idx: int array of any shape -> (idx.shape, d)."""
+    return _gather(table, np.asarray(idx))
 
 
 def gather_concat(table_a, table_b, idx):
@@ -331,43 +340,22 @@ def gather_concat(table_a, table_b, idx):
 
     def backward(g):
         if table_a.requires_grad:
-            full = np.zeros_like(table_a.data)
-            np.add.at(full, local[in_a], g[in_a])
-            table_a._accumulate(full)
+            table_a._accumulate(_scatter_add(table_a.data.shape, local[in_a], g[in_a]))
         if table_b.requires_grad:
-            full = np.zeros_like(table_b.data)
-            np.add.at(full, local[~in_a], g[~in_a])
-            table_b._accumulate(full)
+            table_b._accumulate(_scatter_add(table_b.data.shape, local[~in_a], g[~in_a]))
 
     return _attach(out, backward)
 
 
 def take_rows(src, idx):
     """src: (B, L, d); idx: (B, M) -> out[b, m] = src[b, idx[b, m]]."""
-    idx = np.asarray(idx)
-    batch = np.arange(src.data.shape[0])[:, None]
-    out = Tensor(src.data[batch, idx], parents=(src,))
-
-    def backward(g):
-        full = np.zeros_like(src.data)
-        np.add.at(full, (batch, idx), g)
-        src._accumulate(full)
-
-    return _attach(out, backward)
+    return _gather(src, (np.arange(src.data.shape[0])[:, None], np.asarray(idx)))
 
 
 def take_last_axis(src, idx):
     """src: (..., V); idx: int array matching src's leading shape -> (...,)."""
     idx = np.asarray(idx)
-    lead = np.indices(idx.shape)
-    out = Tensor(src.data[(*lead, idx)], parents=(src,))
-
-    def backward(g):
-        full = np.zeros_like(src.data)
-        np.add.at(full, (*lead, idx), g)
-        src._accumulate(full)
-
-    return _attach(out, backward)
+    return _gather(src, (*np.indices(idx.shape), idx))
 
 
 def masked_softmax(x, mask):

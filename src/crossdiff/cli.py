@@ -108,8 +108,10 @@ def resolve_config(args) -> dict:
             raise ValueError("--set expects key=value, got %r" % item)
         key, raw = (s.strip() for s in item.split("=", 1))
         cfg[key] = _coerce(key, raw)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+    for key in CONFIG_SCHEMA:   # a flag named after a key (--seed, ...) wins
+        flag = getattr(args, key, None)
+        if flag is not None:
+            cfg[key] = flag
     return cfg
 
 
@@ -206,11 +208,10 @@ def _report_lines(title: str, report) -> list:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (args, cfg) and returns the (inputs, outputs) paths
+# that main records in the run manifest
 
-def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
-    started = _now()
+def cmd_synth(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     scfg = SyntheticConfig(n_users=cfg["n_users"], n_items_x=cfg["n_items_x"],
                            n_items_y=cfg["n_items_y"],
@@ -224,18 +225,11 @@ def cmd_synth(args) -> int:
     truth_path = os.path.join(args.out, "ground_truth.json")
     save_events(events, events_path)
     save_ground_truth(truth, truth_path)
-    _write_manifest(args.out, "synth", cfg, [], [events_path, truth_path], started)
     print("wrote %d events for %d users to %s" % (len(events), cfg["n_users"], args.out))
-    return 0
+    return [], [events_path, truth_path]
 
 
-def cmd_prepare(args) -> int:
-    cfg = resolve_config(args)
-    for key in ("min_interactions", "min_per_domain", "max_seq_len"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    started = _now()
+def cmd_prepare(args, cfg):
     events, row_errors = ingest_log(args.input, fmt=args.format)
     if row_errors:
         print("skipped %d malformed rows (first: line %d: %s)"
@@ -255,17 +249,13 @@ def cmd_prepare(args) -> int:
         json.dump(stats, fh, indent=1, sort_keys=True)
     outputs = [os.path.join(args.out, p) for p in
                ("vocab.json", "train.jsonl", "valid.jsonl", "test.jsonl")]
-    _write_manifest(args.out, "prepare", cfg, [args.input],
-                    outputs + [stats_path], started)
     print("survival:")
     for key in sorted(stats):
         print("  %-28s %d" % (key, stats[key]))
-    return 0
+    return [args.input], outputs + [stats_path]
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    started = _now()
+def cmd_train(args, cfg):
     split = load_split(args.data)
     os.makedirs(args.out, exist_ok=True)
     if args.resume:
@@ -284,10 +274,8 @@ def cmd_train(args) -> int:
                 + [_fmt(rec[k]) for k in ("l_diff", "l_rec", "l_tri_cl", "l_total")]
                 + [_fmt(rec["val_ndcg10"]) if "val_ndcg10" in rec else ""]
                 for rec in state.history])
-    _write_manifest(args.out, "train", cfg, [os.path.join(args.data, "vocab.json")],
-                    [hist_path, os.path.join(args.out, "latest", "params.bin")],
-                    started)
-    return 0
+    return ([os.path.join(args.data, "vocab.json")],
+            [hist_path, os.path.join(args.out, "latest", "params.bin")])
 
 
 # Eval-like commands score a trained checkpoint. Each entry below takes
@@ -333,9 +321,7 @@ EVAL_COMMANDS = {
 }
 
 
-def cmd_eval_like(args) -> int:
-    cfg = resolve_config(args)
-    started = _now()
+def cmd_eval_like(args, cfg):
     split = load_split(args.data)
     state = load_checkpoint(args.checkpoint)
     if args.use_best:
@@ -354,15 +340,11 @@ def cmd_eval_like(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, report_name)
     _write_csv(path, header, rows)
-    _write_manifest(args.out, args.command, cfg,
-                    [os.path.join(args.checkpoint, "params.bin")], [path], started)
     print("\n".join(lines))
-    return 0
+    return [os.path.join(args.checkpoint, "params.bin")], [path]
 
 
-def cmd_ablate(args) -> int:
-    cfg = resolve_config(args)
-    started = _now()
+def cmd_ablate(args, cfg):
     split = load_split(args.data)
     variants = (list(VARIANTS) if args.variants == "all"
                 else [v.strip() for v in args.variants.split(",")])
@@ -380,12 +362,10 @@ def cmd_ablate(args) -> int:
                [[row["variant"], str(len(seeds)), _fmt(row["ndcg10_mean"]),
                  _fmt(100 * row["ndcg10_mean"]),
                  ";".join(_fmt(v) for v in row["per_seed"])] for row in rows])
-    _write_manifest(args.out, "ablate", cfg,
-                    [os.path.join(args.data, "vocab.json")], [path], started)
     print("variant          ndcg@10 (mean over %d seeds)" % len(seeds))
     for row in rows:
         print("  %-14s %8.4f" % (row["variant"], row["ndcg10_mean"]))
-    return 0
+    return [os.path.join(args.data, "vocab.json")], [path]
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +444,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        started = _now()
+        inputs, outputs = args.func(args, cfg)
+        _write_manifest(args.out, args.command, cfg, inputs, outputs, started)
     except (ValueError, FileNotFoundError, RuntimeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

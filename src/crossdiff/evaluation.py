@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, no_grad
-from .data import (DOMAIN_X, DOMAINS, AugmentationSpec, DatasetSplit,
+from .data import (DOMAIN_X, DOMAIN_Y, DOMAINS, AugmentationSpec, DatasetSplit,
                    N_RESERVED, Vocab, augment)
 from .diffusion import DiffusionSchedule, reverse_step, strided_steps
 from .network import (VARIANTS, ModelConfig, ParameterSet, check_seq_lens,
@@ -168,10 +168,11 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
     if exclude_seqs is not None and len(exclude_seqs) != len(part):
         raise ValueError("exclude_seqs must align with part")
     check_negatives(n_negatives)
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1, got %d" % batch_size)
     check_seq_lens(model_cfg, [s for s, _ in part])
     variant = VARIANTS[variant_name]
     steps = sched.T if n_steps is None else n_steps
-    vocabs = {d: (vocab_x if d == DOMAIN_X else vocab_y) for d in DOMAINS}
     ranks = {d: [] for d in DOMAINS}
     for lo in range(0, len(part), batch_size):
         chunk = part[lo:lo + batch_size]
@@ -180,15 +181,12 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
             gb = guidance_forward(params, model_cfg, batch, variant)
         x0_hat = sample_batch(params, model_cfg, sched, gb.guide, gb.guide_valid,
                               batch.user_index, seed, steps)
-        gx = gb.gx_hat.data if gb.gx_hat is not None else None
-        gy = gb.gy_hat.data if gb.gy_hat is not None else None
+        # domain -> (vocab, embedding table, pooled encodings or None)
+        heads = {DOMAIN_X: (vocab_x, params["emb_x"].data, gb.gx_hat),
+                 DOMAIN_Y: (vocab_y, params["emb_y"].data, gb.gy_hat)}
         for b, (seq, (tg, td)) in enumerate(chunk):
-            vocab = vocabs[td]
-            g_hat = None
-            if variant.use_de:
-                g_hat = gx[b] if td == DOMAIN_X else gy[b]
-            emb = params["emb_x" if td == DOMAIN_X else "emb_y"].data
-            logits = score_items(x0_hat[b], g_hat, emb)
+            vocab, emb, g = heads[td]
+            logits = score_items(x0_hat[b], None if g is None else g.data[b], emb)
             history = (exclude_seqs[lo + b] if exclude_seqs is not None else seq).indices
             rng_neg = np.random.default_rng([seed, 1, int(seq.user_index)])
             negs = sample_negatives(rng_neg, vocab, set(history) | {tg},
@@ -277,8 +275,6 @@ def run_ablation(split: DatasetSplit, variant_name: str, model_cfg: ModelConfig,
     """Train one variant from scratch and evaluate it on the test part."""
     from .trainer import fit, init_state
 
-    if variant_name not in VARIANTS:
-        raise ValueError("unknown variant %r" % variant_name)
     if n_negatives is None:
         n_negatives = auto_negatives(split)
     check_negatives(n_negatives)

@@ -107,8 +107,7 @@ def param_specs(cfg: ModelConfig):
 class ParameterSet:
     """Named parameter tensors in a fixed order."""
 
-    def __init__(self, cfg: ModelConfig, tensors: "OrderedDict[str, Tensor]"):
-        self.cfg = cfg
+    def __init__(self, tensors: "OrderedDict[str, Tensor]"):
         self._tensors = tensors
 
     def __getitem__(self, name: str) -> Tensor:
@@ -173,7 +172,7 @@ def init_parameters(cfg: ModelConfig, rng_seed: int = 0) -> ParameterSet:
         tensors[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
     tensors["emb_x"].data[PAD_OFFSET] = 0.0
     tensors["emb_y"].data[PAD_OFFSET] = 0.0
-    return ParameterSet(cfg, tensors)
+    return ParameterSet(tensors)
 
 
 # ---------------------------------------------------------------------------

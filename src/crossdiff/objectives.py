@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import (Tensor, concat, exp, l2_normalize, log, matmul, mean,
-                       slice_rows, sum_, swapaxes, take_last_axis)
+                       reshape, slice_rows, sum_, swapaxes, take_last_axis)
 from .data import N_RESERVED
 
 
@@ -81,20 +81,16 @@ def tri_view_cl_loss(h_c: Tensor, h_d: Tensor, h_aug: Tensor) -> Tensor:
     V = concat([l2_normalize(v) for v in (h_c, h_d, h_aug)], axis=0)   # (3B, d)
     S = matmul(V, swapaxes(V, 0, 1))                   # (3B, 3B) similarities
     E = exp(S)
-    user = np.tile(np.arange(B), 3)
+    view, user = np.divmod(np.arange(3 * B), B)       # row r: view r // B of user r % B
     neg_mask = (user[:, None] != user[None, :]).astype(np.float64)
     neg_sum = sum_(E * neg_mask, axis=-1)              # (3B,)
-    cols = np.arange(B)
+    # a row's k-th positive is the k-th other view of its user; the terms
+    # stack as (view, positive, user)
     terms = []
-    for vi in range(3):
-        block_s = slice_rows(S, vi * B, (vi + 1) * B)          # (B, 3B)
-        n_a = slice_rows(neg_sum, vi * B, (vi + 1) * B)        # (B,)
-        for vj in range(3):
-            if vj == vi:
-                continue
-            s_ap = take_last_axis(block_s, cols + vj * B)      # (B,)
-            terms.append(log(exp(s_ap) + n_a) - s_ap)
-    return mean(concat(terms, axis=0))
+    for k in (0, 1):
+        s_ap = take_last_axis(S, (k + (k >= view)) * B + user)    # (3B,)
+        terms.append(reshape(log(exp(s_ap) + neg_sum) - s_ap, (3, 1, B)))
+    return mean(concat(terms, axis=1))
 
 
 @dataclass(frozen=True)

@@ -134,13 +134,20 @@ class TrainState:
         return VARIANTS[self.variant_name]
 
 
-def init_state(model_cfg: ModelConfig, train_cfg: TrainConfig,
-               sched: DiffusionSchedule, variant: str = "full") -> TrainState:
+def _check_run(model_cfg: ModelConfig, train_cfg: TrainConfig,
+               sched: DiffusionSchedule, variant: str) -> None:
+    """Reject a run description that training could not use, new or restored."""
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r (known: %s)" % (variant, sorted(VARIANTS)))
     if model_cfg.T != sched.T:
         raise ValueError("model T=%d disagrees with schedule T=%d" % (model_cfg.T, sched.T))
+    model_cfg.validate()
     train_cfg.validate()
+
+
+def init_state(model_cfg: ModelConfig, train_cfg: TrainConfig,
+               sched: DiffusionSchedule, variant: str = "full") -> TrainState:
+    _check_run(model_cfg, train_cfg, sched, variant)
     params = init_parameters(model_cfg, rng_seed=train_cfg.seed)
     opt = Adam(params, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
     # separate stream from the one that initialized the parameters
@@ -187,11 +194,17 @@ def train_step(state: TrainState, batch: SequenceBatch, warmup: bool,
     return breakdown
 
 
-def _bucketed_batches(examples, batch_size: int, rng: np.random.Generator):
-    """Batches of equal-length prefixes, shuffled within and across buckets."""
+def _length_buckets(examples) -> dict[int, list[int]]:
+    """Example indices grouped by prefix length."""
     buckets: dict[int, list[int]] = {}
     for i, ex in enumerate(examples):
         buckets.setdefault(len(ex.items), []).append(i)
+    return buckets
+
+
+def _bucketed_batches(examples, batch_size: int, rng: np.random.Generator):
+    """Batches of equal-length prefixes, shuffled within and across buckets."""
+    buckets = _length_buckets(examples)
     batches = []
     for length in sorted(buckets):
         idxs = np.asarray(buckets[length])
@@ -203,10 +216,8 @@ def _bucketed_batches(examples, batch_size: int, rng: np.random.Generator):
 
 
 def count_steps_per_epoch(examples, batch_size: int) -> int:
-    buckets: dict[int, int] = {}
-    for ex in examples:
-        buckets[len(ex.items)] = buckets.get(len(ex.items), 0) + 1
-    return sum(math.ceil(n / batch_size) for n in buckets.values())
+    return sum(math.ceil(len(idxs) / batch_size)
+               for idxs in _length_buckets(examples).values())
 
 
 def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
@@ -387,12 +398,12 @@ def load_checkpoint(ckpt_dir: str) -> TrainState:
     model_cfg = ModelConfig(**manifest["model_cfg"])
     train_cfg = TrainConfig(**manifest["train_cfg"])
     sched = build_schedule(**manifest["schedule"])
-    model_cfg.validate()
+    _check_run(model_cfg, train_cfg, sched, manifest["variant"])
     specs = [(name, shape) for name, shape, _ in param_specs(model_cfg)]
     if [[n, list(s)] for n, s in specs] != [[n, list(s)] for n, s in manifest["params"]]:
         raise ValueError("checkpoint parameter manifest does not match the config")
     n_params = sum(math.prod(s) for _, s in specs)
-    params = ParameterSet(model_cfg, OrderedDict(
+    params = ParameterSet(OrderedDict(
         (name, Tensor(arr, requires_grad=True))
         for name, arr in _split_blob(_read_blob(ckpt_dir, "params.bin", n_params), specs)))
     m, v = np.split(_read_blob(ckpt_dir, "optimizer.bin", 2 * n_params), 2)

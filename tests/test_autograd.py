@@ -192,6 +192,108 @@ def test_take_last_axis():
     check_grads(lambda a: ag.take_last_axis(a, idx), [rand(3, 4, seed=26)])
 
 
+# Reference gathers, each with its own scatter-add backward. Each returns
+# the forward value and the gradient every leaf holds after one backward
+# pass of upstream gradient g (None: no gradient); the primitives must match
+# them bit for bit.
+
+def _ref_accumulate(full):
+    grad = np.zeros_like(full)
+    grad += full
+    return grad
+
+
+def _ref_gather_rows(table, idx, g):
+    full = np.zeros_like(table)
+    np.add.at(full, idx, g)
+    return table[idx], [_ref_accumulate(full)]
+
+
+def _ref_take_rows(src, idx, g):
+    batch = np.arange(src.shape[0])[:, None]
+    full = np.zeros_like(src)
+    np.add.at(full, (batch, idx), g)
+    return src[batch, idx], [_ref_accumulate(full)]
+
+
+def _ref_take_last_axis(src, idx, g):
+    lead = np.indices(idx.shape)
+    full = np.zeros_like(src)
+    np.add.at(full, (*lead, idx), g)
+    return src[(*lead, idx)], [_ref_accumulate(full)]
+
+
+def _ref_gather_concat(table_a, table_b, idx, g, grad_a, grad_b):
+    split = table_a.shape[0]
+    in_a = idx < split
+    local = np.where(in_a, idx, idx - split)
+    data = np.where(in_a[..., None], table_a[np.where(in_a, local, 0)],
+                    table_b[np.where(in_a, 0, local)])
+    grads = [None, None]
+    if grad_a:
+        full = np.zeros_like(table_a)
+        np.add.at(full, local[in_a], g[in_a])
+        grads[0] = _ref_accumulate(full)
+    if grad_b:
+        full = np.zeros_like(table_b)
+        np.add.at(full, local[~in_a], g[~in_a])
+        grads[1] = _ref_accumulate(full)
+    return data, grads
+
+
+def _run_gather(op, arrays, requires_grad, g, *args):
+    leaves = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, requires_grad)]
+    out = op(*leaves, *args)
+    ag.sum_(out * Tensor(g)).backward()
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def _assert_same_bits(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+GATHER_CASES = {
+    # name -> (op, reference, leaf shapes, index builder)
+    "gather_rows": (ag.gather_rows, _ref_gather_rows, [(7, 5)],
+                    lambda rng: rng.integers(0, 7, size=(6, 9))),
+    "take_rows": (ag.take_rows, _ref_take_rows, [(4, 6, 5)],
+                  lambda rng: rng.integers(0, 6, size=(4, 15))),
+    "take_last_axis": (ag.take_last_axis, _ref_take_last_axis, [(3, 4, 5)],
+                       lambda rng: rng.integers(0, 5, size=(3, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATHER_CASES))
+def test_gather_matches_reference_bits(name):
+    op, ref, shapes, make_idx = GATHER_CASES[name]
+    rng = np.random.default_rng(41)
+    arrays = [rng.standard_normal(s) for s in shapes]
+    idx = make_idx(rng)
+    assert len(np.unique(idx)) < idx.size            # repeated index values
+    g = rng.standard_normal(op(Tensor(arrays[0]), idx).data.shape)
+    want_out, want_grads = ref(*arrays, idx, g)
+    out, grads = _run_gather(op, arrays, [True], g, idx)
+    _assert_same_bits(out, want_out)
+    for got, want in zip(grads, want_grads):
+        _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("requires_grad", [(True, True), (True, False), (False, True)])
+def test_gather_concat_matches_reference_bits(requires_grad):
+    rng = np.random.default_rng(43)
+    arrays = [rng.standard_normal((6, 5)), rng.standard_normal((4, 5))]
+    idx = rng.integers(0, 10, size=(5, 8))
+    g = rng.standard_normal((5, 8, 5))
+    want_out, want_grads = _ref_gather_concat(*arrays, idx, g, *requires_grad)
+    out, grads = _run_gather(ag.gather_concat, arrays, requires_grad, g, idx)
+    _assert_same_bits(out, want_out)
+    for got, want in zip(grads, want_grads):
+        _assert_same_bits(got, want)
+
+
 def test_masked_softmax_grad():
     mask = np.array([[1, 1, 0, 1], [1, 0, 1, 1]], dtype=float)
     check_grads(lambda a: ag.masked_softmax(a, mask), [rand(2, 4, seed=27)])

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -309,3 +310,130 @@ class TestRobustSweepAblate:
                    "--out", str(tmp_path / "x"), "--variants", "mega"])
         assert rc == 1
         assert "unknown variant" in capsys.readouterr().err
+
+
+# argparse dests that are not config keys; every other dest must be one
+NON_CONFIG_DESTS = {"help", "version", "command", "config", "set", "out", "input",
+                    "format", "data", "variant", "resume", "checkpoint",
+                    "use_best", "part", "rates", "steps", "variants", "seeds"}
+
+
+def parser_dests():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    dests = {a.dest for a in parser._actions}
+    for name, subparser in sub.choices.items():
+        dests |= {a.dest for a in subparser._actions}
+    return dests
+
+
+class TestDedicatedFlags:
+    def test_every_dest_is_config_or_listed(self):
+        # resolve_config applies any flag named after a config key, so a new
+        # flag must either be meant as config or be listed here
+        stray = parser_dests() - set(CONFIG_SCHEMA) - NON_CONFIG_DESTS
+        assert not stray
+        assert parser_dests() & set(CONFIG_SCHEMA) == {
+            "seed", "min_interactions", "min_per_domain", "max_seq_len"}
+
+    def test_flags_beat_set(self):
+        args = build_parser().parse_args(
+            ["prepare", "--input", "x", "--out", "y", "--seed", "5",
+             "--min-interactions", "2", "--min-per-domain", "1",
+             "--max-seq-len", "9", "--set", "seed=1", "--set", "max_seq_len=4",
+             "--set", "min_interactions=7", "--set", "min_per_domain=6"])
+        cfg = resolve_config(args)
+        assert (cfg["seed"], cfg["min_interactions"], cfg["min_per_domain"],
+                cfg["max_seq_len"]) == (5, 2, 1, 9)
+
+
+def read_manifest(out):
+    with open(os.path.join(out, "run_manifest.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def scored(pipeline):
+    """One run of each checkpoint-scoring command and of ablate."""
+    base = pipeline["base"]
+    ckpt = os.path.join(pipeline["run"], "latest")
+    outs = {name: str(base / ("m_" + name)) for name in ("eval", "robust", "sweep",
+                                                          "ablate")}
+    scoring = ["--checkpoint", ckpt, "--data", pipeline["split"],
+               "--set", "n_negatives=12"]
+    assert main(["eval", "--out", outs["eval"]] + scoring) == 0
+    assert main(["robust", "--out", outs["robust"], "--rates", "0,0.2"] + scoring) == 0
+    assert main(["sweep", "--out", outs["sweep"], "--steps", "1,6"] + scoring) == 0
+    assert main(["ablate", "--data", pipeline["split"], "--out", outs["ablate"],
+                 "--variants", "diff", "--seeds", "0"] + TINY_MODEL) == 0
+    return outs
+
+
+class TestManifests:
+    def check(self, out, command, inputs, outputs):
+        manifest = read_manifest(out)
+        assert manifest["command"] == command
+        assert manifest["inputs"] == {p: cli._sha256(p) for p in inputs}
+        assert manifest["outputs"] == sorted(outputs)
+        assert sorted(manifest["config"]) == sorted(CONFIG_SCHEMA)
+
+    def test_pipeline_commands(self, pipeline):
+        data, split, run = pipeline["data"], pipeline["split"], pipeline["run"]
+        self.check(data, "synth", [], [os.path.join(data, "events.tsv"),
+                                       os.path.join(data, "ground_truth.json")])
+        self.check(split, "prepare", [os.path.join(data, "events.tsv")],
+                   [os.path.join(split, p) for p in
+                    ("vocab.json", "train.jsonl", "valid.jsonl", "test.jsonl",
+                     "stats.json")])
+        self.check(run, "train", [os.path.join(split, "vocab.json")],
+                   [os.path.join(run, "history.csv"),
+                    os.path.join(run, "latest", "params.bin")])
+
+    @pytest.mark.parametrize("command,report", [("eval", "metrics.csv"),
+                                                ("robust", "robustness.csv"),
+                                                ("sweep", "sweep.csv")])
+    def test_scoring_commands(self, pipeline, scored, command, report):
+        out = scored[command]
+        self.check(out, command,
+                   [os.path.join(pipeline["run"], "latest", "params.bin")],
+                   [os.path.join(out, report)])
+
+    def test_ablate(self, pipeline, scored):
+        out = scored["ablate"]
+        self.check(out, "ablate", [os.path.join(pipeline["split"], "vocab.json")],
+                   [os.path.join(out, "ablation.csv")])
+
+    def test_failing_command_writes_none(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "bad")
+        rc = main(["train", "--data", pipeline["split"], "--out", out,
+                   "--set", "lr=-1"])
+        assert rc == 1
+        assert "lr must be positive" in capsys.readouterr().err
+        assert os.path.isdir(out)
+        assert not os.path.exists(os.path.join(out, "run_manifest.json"))
+
+
+class TestRejections:
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_eval_batch_size_below_one(self, pipeline, tmp_path, capsys, size):
+        out = str(tmp_path / "e")
+        rc = main(["eval", "--checkpoint", os.path.join(pipeline["run"], "latest"),
+                   "--data", pipeline["split"], "--out", out,
+                   "--set", "n_negatives=12", "--set", "eval_batch_size=" + size])
+        assert rc == 1
+        assert "error: batch_size must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_resume_of_bad_manifest_is_an_error(self, pipeline, tmp_path, capsys):
+        run = str(tmp_path / "run")
+        shutil.copytree(os.path.join(pipeline["run"], "latest"),
+                        os.path.join(run, "latest"))
+        mp = os.path.join(run, "latest", "manifest.json")
+        with open(mp) as fh:
+            manifest = json.load(fh)
+        manifest["variant"] = "bogus"
+        with open(mp, "w") as fh:
+            json.dump(manifest, fh)
+        rc = main(["train", "--data", pipeline["split"], "--out", run, "--resume"])
+        assert rc == 1
+        assert "unknown variant 'bogus'" in capsys.readouterr().err

@@ -449,6 +449,17 @@ class TestEvaluate:
             evaluate(split.test, params, cfg, sched, "full", split.vocab_x,
                      split.vocab_y, exclude_seqs=[split.test[0][0]])
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_batch_size_below_one(self, eval_setup, monkeypatch, batch_size):
+        split, cfg, params, sched = eval_setup
+        calls = []
+        monkeypatch.setattr(evaluation, "sample_batch",
+                            lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            evaluate(split.test, params, cfg, sched, "full", split.vocab_x,
+                     split.vocab_y, n_negatives=5, batch_size=batch_size)
+        assert calls == []
+
     def test_rejects_fewer_than_one_negative(self, eval_setup):
         # with no negatives every user would rank first and score NDCG@10 = 1
         split, cfg, params, sched = eval_setup

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from crossdiff import autograd as ag
 from crossdiff.autograd import Tensor
 from crossdiff.data import N_RESERVED
 from crossdiff.objectives import (
@@ -70,6 +71,29 @@ def oracle_tricl(h_c, h_d, h_aug, normalize=True):
                           for w in range(3 * B) if owner[w] != u)
                 terms.append(math.log(math.exp(s_ap) + neg) - s_ap)
     return sum(terms) / len(terms)
+
+
+def loop_tricl(h_c, h_d, h_aug):
+    """The contrastive loss with one block of autograd terms per ordered view
+    pair, the reference tri_view_cl_loss must match bit for bit."""
+    B = h_c.data.shape[0]
+    V = ag.concat([ag.l2_normalize(v) for v in (h_c, h_d, h_aug)], axis=0)
+    S = ag.matmul(V, ag.swapaxes(V, 0, 1))
+    E = ag.exp(S)
+    user = np.tile(np.arange(B), 3)
+    neg_mask = (user[:, None] != user[None, :]).astype(np.float64)
+    neg_sum = ag.sum_(E * neg_mask, axis=-1)
+    cols = np.arange(B)
+    terms = []
+    for vi in range(3):
+        block_s = ag.slice_rows(S, vi * B, (vi + 1) * B)
+        n_a = ag.slice_rows(neg_sum, vi * B, (vi + 1) * B)
+        for vj in range(3):
+            if vj == vi:
+                continue
+            s_ap = ag.take_last_axis(block_s, cols + vj * B)
+            terms.append(ag.log(ag.exp(s_ap) + n_a) - s_ap)
+    return ag.mean(ag.concat(terms, axis=0))
 
 
 class TestDiffusionLoss:
@@ -223,6 +247,19 @@ class TestTriViewCL:
         a = tri_view_cl_loss(*[Tensor(v) for v in vs]).data
         b = tri_view_cl_loss(*[Tensor(u) for u in unit]).data
         assert rel_err(a, b) < 1e-8
+
+    @pytest.mark.parametrize("B,d", [(2, 4), (7, 8), (128, 32)])
+    def test_matches_loop_form_bits(self, B, d):
+        rng = np.random.default_rng(B)
+        vs = [rng.normal(size=(B, d)) * rng.uniform(0.2, 5) for _ in range(3)]
+        results = []
+        for loss_fn in (tri_view_cl_loss, loop_tricl):
+            views = [Tensor(v.copy(), requires_grad=True) for v in vs]
+            loss = loss_fn(*views)
+            loss.backward()
+            results.append([loss.data] + [v.grad for v in views])
+        for got, want in zip(*results):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_small_batch_rejected(self):
         one = Tensor(np.ones((1, 4)))

@@ -35,7 +35,7 @@ def bare_params(shapes, seed=0):
     tensors = OrderedDict()
     for name, shape in shapes:
         tensors[name] = Tensor(rng.normal(size=shape), requires_grad=True)
-    return ParameterSet(None, tensors)
+    return ParameterSet(tensors)
 
 
 class TestTrainConfig:
@@ -492,6 +492,26 @@ class TestCheckpoints:
         with open(mp, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match="does not match"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda m: m.update(variant="bogus"), "unknown variant"),
+        (lambda m: m["train_cfg"].update(lr=-1), "lr must be positive"),
+        (lambda m: m["schedule"].update(T=3), "disagrees"),
+    ], ids=["variant", "lr", "schedule_T"])
+    def test_bad_run_description_rejected(self, small_split, small_sched, tmp_path,
+                                          edit, match):
+        # the checks init_state makes on a new run also guard a restored one
+        state = self.trained_state(small_split, small_sched, epochs=1)
+        ckpt = str(tmp_path / "ckpt")
+        save_checkpoint(ckpt, state)
+        mp = os.path.join(ckpt, "manifest.json")
+        with open(mp) as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(mp, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match=match):
             load_checkpoint(ckpt)
 
     def test_format_version_check(self, small_split, small_sched, tmp_path):
