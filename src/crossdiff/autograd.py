@@ -4,6 +4,17 @@ Everything downstream (encoders, denoiser, losses) is built from the handful
 of primitives here, so each primitive carries its own exact backward rule and
 is covered by finite-difference tests. All math runs in float64; there is no
 device or dtype dispatch.
+
+Gradient hand-over: a node keeps the first gradient it receives as given
+and adds later ones out of place. A strided view is copied to C order first,
+because BLAS rounds differently on strided operands. No backward rule writes
+into a gradient array, so a stored gradient may share memory with another
+node's. A gradient whose shape is not the node's is an error, never broadcast.
+
+Each primitive defines its backward closure and then returns
+`Tensor(data, parents=..., backward=backward)`. The closure exists before its
+output does, so it can hold arrays but never its own output Tensor, which
+would make every graph a reference cycle that only the cycle collector frees.
 """
 
 from __future__ import annotations
@@ -46,9 +57,13 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g):
+        if g.shape != self.data.shape:
+            raise ValueError("gradient of shape %r for a tensor of shape %r"
+                             % (g.shape, self.data.shape))
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g if g.flags.c_contiguous else g.copy()
+        else:
+            self.grad = self.grad + g
 
     def backward(self):
         if self.data.shape != ():
@@ -108,12 +123,6 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _attach(out, backward):
-    if out.requires_grad:
-        out._backward = backward
-    return out
-
-
 _NEG_ONE = Tensor(-1.0)
 
 
@@ -129,125 +138,107 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    out = Tensor(a.data + b.data, parents=(a, b))
-
     def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
-    return _attach(out, backward)
+    return Tensor(a.data + b.data, parents=(a, b), backward=backward)
 
 
 def mul(a, b):
-    out = Tensor(a.data * b.data, parents=(a, b))
-
     def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    return _attach(out, backward)
+    return Tensor(a.data * b.data, parents=(a, b), backward=backward)
 
 
 def div(a, b):
-    out = Tensor(a.data / b.data, parents=(a, b))
-
     def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _attach(out, backward)
+    return Tensor(a.data / b.data, parents=(a, b), backward=backward)
 
 
 def matmul(a, b):
     """Batched matrix product, numpy broadcasting rules on leading axes."""
-    out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
-
-    def stack_backward(g):
-        # a stack times one matrix: each gradient is one GEMM over the
-        # flattened rows, not per-example products summed by _unbroadcast.
-        # The forward stays per-example, so that a row's output does not
-        # depend on which other rows share its batch.
+    if b.data.ndim == 2:
+        # a matrix or a stack times one matrix: each gradient is one GEMM
+        # over a's flattened rows, not per-example products summed by
+        # _unbroadcast. A stack's forward stays per-example, so that a row's
+        # output does not depend on which other rows share its batch.
         k, m = b.data.shape
-        g2 = g.reshape(-1, m)
-        if a.requires_grad:
-            a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad:
-            b._accumulate(a.data.reshape(-1, k).T @ g2)
 
-    def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+        def backward(g):
+            g2 = g.reshape(-1, m)
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                b._accumulate(a.data.reshape(-1, k).T @ g2)
+    else:
+        def backward(g):
+            if a.requires_grad:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                a._accumulate(_unbroadcast(ga, a.data.shape))
+            if b.requires_grad:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                b._accumulate(_unbroadcast(gb, b.data.shape))
 
-    if b.data.ndim == 2 and a.data.ndim > 2:
-        return _attach(out, stack_backward)
-    return _attach(out, backward)
+    return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward=backward)
 
 
 def exp(a):
-    # backward closures capture output arrays, never the output Tensor: a
-    # closure stored on its own output makes every graph a reference cycle
-    # that only the cycle collector frees
     e = np.exp(a.data)
-    out = Tensor(e, parents=(a,))
 
     def backward(g):
         a._accumulate(g * e)
 
-    return _attach(out, backward)
+    return Tensor(e, parents=(a,), backward=backward)
 
 
 def log(a):
-    out = Tensor(np.log(a.data), parents=(a,))
-
     def backward(g):
         a._accumulate(g / a.data)
 
-    return _attach(out, backward)
+    return Tensor(np.log(a.data), parents=(a,), backward=backward)
 
 
 def sqrt(a):
     r = np.sqrt(a.data)
-    out = Tensor(r, parents=(a,))
 
     def backward(g):
         a._accumulate(g * 0.5 / r)
 
-    return _attach(out, backward)
+    return Tensor(r, parents=(a,), backward=backward)
 
 
 def gelu(a):
     """Gaussian-error linear unit, exact erf form."""
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    out = Tensor(x * cdf, parents=(a,))
 
     def backward(g):
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
         a._accumulate(g * (cdf + x * pdf))
 
-    return _attach(out, backward)
+    return Tensor(x * cdf, parents=(a,), backward=backward)
 
 
 def sum_(a, axis=None, keepdims=False):
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,))
-
     def backward(g):
         if axis is not None and not keepdims:
             for ax in sorted(np.atleast_1d(axis) % a.data.ndim):
                 g = np.expand_dims(g, ax)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.data.shape))
 
-    return _attach(out, backward)
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,), backward=backward)
 
 
 def mean(a, axis=None, keepdims=False):
@@ -259,27 +250,21 @@ def mean(a, axis=None, keepdims=False):
 
 
 def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape), parents=(a,))
-
     def backward(g):
         a._accumulate(g.reshape(a.data.shape))
 
-    return _attach(out, backward)
+    return Tensor(a.data.reshape(shape), parents=(a,), backward=backward)
 
 
 def swapaxes(a, ax1, ax2):
-    out = Tensor(np.swapaxes(a.data, ax1, ax2), parents=(a,))
-
     def backward(g):
         a._accumulate(np.swapaxes(g, ax1, ax2))
 
-    return _attach(out, backward)
+    return Tensor(np.swapaxes(a.data, ax1, ax2), parents=(a,), backward=backward)
 
 
 def concat(tensors, axis=0):
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -288,19 +273,18 @@ def concat(tensors, axis=0):
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    return _attach(out, backward)
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  parents=tuple(tensors), backward=backward)
 
 
 def slice_rows(a, start, stop):
     """Rows [start, stop) along axis 0; gradient zero-pads the complement."""
-    out = Tensor(a.data[start:stop], parents=(a,))
-
     def backward(g):
         full = np.zeros_like(a.data)
         full[start:stop] = g
         a._accumulate(full)
 
-    return _attach(out, backward)
+    return Tensor(a.data[start:stop], parents=(a,), backward=backward)
 
 
 def _scatter_add(shape, key, g):
@@ -312,12 +296,10 @@ def _scatter_add(shape, key, g):
 
 def _gather(src, key):
     """src.data[key] for an integer-array key; backward scatter-adds into src."""
-    out = Tensor(src.data[key], parents=(src,))
-
     def backward(g):
         src._accumulate(_scatter_add(src.data.shape, key, g))
 
-    return _attach(out, backward)
+    return Tensor(src.data[key], parents=(src,), backward=backward)
 
 
 def gather_rows(table, idx):
@@ -336,7 +318,6 @@ def gather_concat(table_a, table_b, idx):
     local = np.where(in_a, idx, idx - split)
     data = np.where(in_a[..., None], table_a.data[np.where(in_a, local, 0)],
                     table_b.data[np.where(in_a, 0, local)])
-    out = Tensor(data, parents=(table_a, table_b))
 
     def backward(g):
         if table_a.requires_grad:
@@ -344,7 +325,7 @@ def gather_concat(table_a, table_b, idx):
         if table_b.requires_grad:
             table_b._accumulate(_scatter_add(table_b.data.shape, local[~in_a], g[~in_a]))
 
-    return _attach(out, backward)
+    return Tensor(data, parents=(table_a, table_b), backward=backward)
 
 
 def take_rows(src, idx):
@@ -371,13 +352,12 @@ def masked_softmax(x, mask):
     e = np.where(mask, np.exp(neg - m), 0.0)
     s = e.sum(axis=-1, keepdims=True)
     p = e / np.where(s == 0.0, 1.0, s)
-    out = Tensor(p, parents=(x,))
 
     def backward(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
         x._accumulate(p * (g - inner))
 
-    return _attach(out, backward)
+    return Tensor(p, parents=(x,), backward=backward)
 
 
 def layer_norm(x, gain, bias):
@@ -388,7 +368,6 @@ def layer_norm(x, gain, bias):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-8)
     xhat = xc * inv
-    out = Tensor(gain.data * xhat + bias.data, parents=(x, gain, bias))
 
     def backward(g):
         if gain.requires_grad:
@@ -402,7 +381,7 @@ def layer_norm(x, gain, bias):
             t3 = inv * gx.sum(axis=-1, keepdims=True) / d
             x._accumulate(t1 - t2 - t3)
 
-    return _attach(out, backward)
+    return Tensor(gain.data * xhat + bias.data, parents=(x, gain, bias), backward=backward)
 
 
 def l2_normalize(x):

@@ -10,6 +10,7 @@ contain no timestamps so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -95,43 +96,60 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(args) -> dict:
-    cfg = {k: d for k, (d, _) in CONFIG_SCHEMA.items()}
+def _given_settings(args) -> dict:
+    """The settings a run names itself, from every source but the defaults."""
+    given = {}
     if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
+        given.update(_load_config_file(args.config))
     for key in CONFIG_SCHEMA:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            cfg[key] = _coerce(key, env)
+            given[key] = _coerce(key, env)
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ValueError("--set expects key=value, got %r" % item)
         key, raw = (s.strip() for s in item.split("=", 1))
-        cfg[key] = _coerce(key, raw)
+        given[key] = _coerce(key, raw)
     for key in CONFIG_SCHEMA:   # a flag named after a key (--seed, ...) wins
         flag = getattr(args, key, None)
         if flag is not None:
-            cfg[key] = flag
+            given[key] = flag
+    return given
+
+
+def resolve_config(args) -> dict:
+    cfg = {k: d for k, (d, _) in CONFIG_SCHEMA.items()}
+    cfg.update(_given_settings(args))
     return cfg
 
 
+# config key -> ModelConfig field; the vocabulary sizes come from the split
+MODEL_KEYS = {"d": "d", "n_heads": "n_heads", "enc_layers": "enc_layers",
+              "dec_layers": "dec_layers", "max_seq_len": "max_seq_len",
+              "diffusion_steps": "T"}
+# TrainConfig fields are named after their config keys
+TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+
+
 def _model_cfg(cfg: dict, vocab_x_size: int, vocab_y_size: int) -> ModelConfig:
-    return ModelConfig(d=cfg["d"], n_heads=cfg["n_heads"],
-                       enc_layers=cfg["enc_layers"], dec_layers=cfg["dec_layers"],
-                       max_seq_len=cfg["max_seq_len"], T=cfg["diffusion_steps"],
+    return ModelConfig(**{f: cfg[k] for k, f in MODEL_KEYS.items()},
                        vocab_x_size=vocab_x_size, vocab_y_size=vocab_y_size)
 
 
 def _train_cfg(cfg: dict) -> TrainConfig:
-    return TrainConfig(lr=cfg["lr"], batch_size=cfg["batch_size"],
-                       epochs=cfg["epochs"], warmup_epochs=cfg["warmup_epochs"],
-                       beta1=cfg["beta1"], beta2=cfg["beta2"],
-                       adam_eps=cfg["adam_eps"], grad_clip=cfg["grad_clip"],
-                       aug_rate=cfg["aug_rate"], seed=cfg["seed"])
+    return TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS})
 
 
 def _schedule(cfg: dict):
     return build_schedule(cfg["diffusion_steps"], cfg["beta_start"], cfg["beta_end"])
+
+
+def _checkpoint_settings(state) -> dict:
+    """The settings a checkpoint fixes, under their config keys."""
+    fixed = {k: getattr(state.model_cfg, f) for k, f in MODEL_KEYS.items()}
+    fixed.update({k: getattr(state.train_cfg, k) for k in TRAIN_KEYS})
+    fixed.update(beta_start=state.sched.beta_start, beta_end=state.sched.beta_end)
+    return fixed
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +227,8 @@ def _report_lines(title: str, report) -> list:
 
 # ---------------------------------------------------------------------------
 # commands: each takes (args, cfg) and returns the (inputs, outputs) paths
-# that main records in the run manifest
+# that main records in the run manifest, together with cfg; a command that
+# takes settings from a checkpoint writes them into cfg
 
 def cmd_synth(args, cfg):
     os.makedirs(args.out, exist_ok=True)
@@ -260,10 +279,19 @@ def cmd_train(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     if args.resume:
         state = load_checkpoint(os.path.join(args.out, "latest"))
+        fixed = _checkpoint_settings(state)
+        for key, value in _given_settings(args).items():
+            if key in fixed and value != fixed[key]:
+                raise ValueError("--resume: %s=%r was given, but the checkpoint has %s=%r"
+                                 % (key, value, key, fixed[key]))
+        if args.variant not in (None, state.variant_name):
+            raise ValueError("--resume: variant %r was given, but the checkpoint has %r"
+                             % (args.variant, state.variant_name))
+        cfg.update(fixed)
     else:
         model_cfg = _model_cfg(cfg, split.vocab_x.size, split.vocab_y.size)
         state = init_state(model_cfg, _train_cfg(cfg), _schedule(cfg),
-                           variant=args.variant)
+                           variant=args.variant or "full")
     fit(state, split, out_dir=args.out, eval_every=cfg["eval_every"],
         checkpoint_every=cfg["checkpoint_every"], eval_negatives=cfg["n_negatives"],
         eval_seed=cfg["eval_seed"], eval_steps=cfg["n_steps"], verbose=True)
@@ -404,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("train", parents=[common], help="train a model")
     pt.add_argument("--data", required=True, help="prepared split directory")
     pt.add_argument("--out", required=True, help="run directory for checkpoints")
-    pt.add_argument("--variant", default="full", choices=sorted(VARIANTS))
+    pt.add_argument("--variant", choices=sorted(VARIANTS),
+                    help="model variant (default: full; --resume: the checkpoint's)")
     pt.add_argument("--resume", action="store_true",
                     help="continue from <out>/latest")
     pt.set_defaults(func=cmd_train)

@@ -221,6 +221,10 @@ def noise_robustness(part, params: ParameterSet, model_cfg: ModelConfig,
     with the report and the NDCG@10 fraction retained relative to the clean
     run.
     """
+    noise_rates = list(noise_rates)
+    for rate in noise_rates:
+        if not (0.0 <= rate < 1.0):
+            raise ValueError("noise rate %r outside [0, 1)" % rate)
     kw = dict(seed=seed, n_steps=n_steps, n_negatives=n_negatives,
               batch_size=batch_size, trained_steps=trained_steps,
               exclude_seqs=[s for s, _ in part])
@@ -256,10 +260,13 @@ def step_sweep(part, params: ParameterSet, model_cfg: ModelConfig,
                n_negatives: int = 999, batch_size: int = 64,
                trained_steps: int | None = None):
     """Evaluate under different reverse-chain lengths, everything else fixed."""
-    rows = []
+    check_negatives(n_negatives)
+    step_counts = list(step_counts)
     for n in step_counts:
         if not (1 <= n <= sched.T):
             raise ValueError("step count %d outside [1, %d]" % (n, sched.T))
+    rows = []
+    for n in step_counts:
         rep = evaluate(part, params, model_cfg, sched, variant_name, vocab_x,
                        vocab_y, seed=seed, n_steps=int(n),
                        n_negatives=n_negatives, batch_size=batch_size,

@@ -372,3 +372,28 @@ def test_dropped_graph_leaves_no_cycle(op):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("g_shape", [(), (2,), (1, 2), (3, 1), (2, 3), (1, 3, 2)])
+@pytest.mark.parametrize("first", [True, False])
+def test_accumulate_rejects_wrong_shape(g_shape, first):
+    """A gradient must have the tensor's shape; a broadcastable one is not spread."""
+    t = Tensor(rand(3, 2, seed=42), requires_grad=True)
+    if not first:
+        t._accumulate(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        t._accumulate(np.ones(g_shape))
+    assert first == (t.grad is None)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: ag.swapaxes(x, 1, 2),
+    lambda x: ag.concat([x, Tensor(rand(2, 3, 4, seed=43))], axis=1),
+    lambda x: ag.sum_(x, axis=1),
+], ids=["swapaxes", "concat_axis1", "sum_"])
+def test_stored_grad_is_c_contiguous(op):
+    """Strided views of the upstream gradient are copied before they are kept."""
+    x = Tensor(rand(2, 3, 4, seed=44), requires_grad=True)
+    out = op(x)
+    scalarize(out, rand(*out.shape, seed=45)).backward()
+    assert x.grad.flags.c_contiguous

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from crossdiff import cli
+from crossdiff import cli, evaluation
 from crossdiff.cli import (
     CONFIG_SCHEMA,
     _coerce,
@@ -437,3 +437,68 @@ class TestRejections:
         rc = main(["train", "--data", pipeline["split"], "--out", run, "--resume"])
         assert rc == 1
         assert "unknown variant 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [("sweep", ["--steps", "1,99"]),
+                                              ("robust", ["--rates", "0,1.5"])])
+    def test_bad_sweep_point_runs_nothing(self, pipeline, tmp_path, capsys,
+                                          monkeypatch, command, flag):
+        calls = []
+        monkeypatch.setattr(evaluation, "evaluate", lambda *a, **k: calls.append(1))
+        out = str(tmp_path / command)
+        rc = main([command, "--checkpoint", os.path.join(pipeline["run"], "latest"),
+                   "--data", pipeline["split"], "--out", out,
+                   "--set", "n_negatives=12"] + flag)
+        assert rc == 1
+        assert "outside" in capsys.readouterr().err
+        assert calls == []
+        assert not os.path.exists(out)
+
+
+@pytest.fixture
+def finished_run(pipeline, tmp_path):
+    """A copy of the pipeline's finished run (d=8, 2 epochs, T=6, seed 3)."""
+    run = str(tmp_path / "run")
+    shutil.copytree(pipeline["run"], run)
+    return run
+
+
+class TestResumeSettings:
+    @pytest.mark.parametrize("given,key", [
+        (["--set", "epochs=5"], "epochs"),
+        (["--set", "d=16"], "d"),
+        (["--set", "diffusion_steps=50"], "diffusion_steps"),
+        (["--set", "beta_end=0.03"], "beta_end"),
+        (["--set", "grad_clip=1.0"], "grad_clip"),
+        (["--seed", "4"], "seed"),
+        (["--variant", "diff"], "variant"),
+    ])
+    def test_disagreeing_setting_is_rejected(self, pipeline, finished_run, capsys,
+                                             monkeypatch, given, key):
+        calls = []
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: calls.append(1))
+        rc = main(["train", "--data", pipeline["split"], "--out", finished_run,
+                   "--resume"] + given)
+        assert rc == 1
+        assert "--resume: %s" % key in capsys.readouterr().err
+        assert calls == []
+
+    def test_config_file_and_environment_count_as_given(self, pipeline, finished_run,
+                                                        tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("fit ran"))
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("lr=0.5\n")
+        argv = ["train", "--data", pipeline["split"], "--out", finished_run, "--resume"]
+        assert main(argv + ["--config", str(cfile)]) == 1
+        assert "--resume: lr=0.5" in capsys.readouterr().err
+        monkeypatch.setenv("CROSSDIFF_N_HEADS", "1")
+        assert main(argv) == 1
+        assert "--resume: n_heads=1" in capsys.readouterr().err
+
+    def test_manifest_records_the_checkpoint_settings(self, pipeline, finished_run):
+        rc = main(["train", "--data", pipeline["split"], "--out", finished_run,
+                   "--resume", "--set", "d=8", "--variant", "full"])
+        assert rc == 0
+        config = read_manifest(finished_run)["config"]
+        assert (config["d"], config["epochs"], config["diffusion_steps"],
+                config["seed"], config["n_heads"]) == (8, 2, 6, 3, 2)
+        assert config["beta_end"] == CONFIG_SCHEMA["beta_end"][0]

@@ -498,6 +498,16 @@ class TestRobustness:
         fps = [r["report"].fingerprint["n_negatives"] for r in rows]
         assert fps == [15, 15, 15]
 
+    @pytest.mark.parametrize("rates", [[0.1, 1.5], [0.0, 1.0], [-0.1, 0.2]])
+    def test_rates_checked_before_any_pass(self, eval_setup, monkeypatch, rates):
+        split, cfg, params, sched = eval_setup
+        calls = []
+        monkeypatch.setattr(evaluation, "evaluate", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="noise rate"):
+            noise_robustness(split.test, params, cfg, sched, "full", split.vocab_x,
+                             split.vocab_y, rates, seed=3, n_negatives=15)
+        assert calls == []
+
 
 class TestStepSweep:
     def test_full_chain_matches_default_eval(self, eval_setup):
@@ -519,6 +529,15 @@ class TestStepSweep:
             with pytest.raises(ValueError, match="step count"):
                 step_sweep(split.test, params, cfg, sched, "full", split.vocab_x,
                            split.vocab_y, [bad], seed=5, n_negatives=10)
+
+    def test_counts_checked_before_any_pass(self, eval_setup, monkeypatch):
+        split, cfg, params, sched = eval_setup
+        calls = []
+        monkeypatch.setattr(evaluation, "evaluate", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="step count 99"):
+            step_sweep(split.test, params, cfg, sched, "full", split.vocab_x,
+                       split.vocab_y, [1, 2, 99], seed=5, n_negatives=10)
+        assert calls == []
 
 
 class TestAblationHarness:

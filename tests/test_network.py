@@ -1,5 +1,6 @@
 """Parameter plumbing, batch assembly, attention masking, variant wiring."""
 
+import gc
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ from crossdiff.network import (
 )
 from crossdiff.objectives import diffusion_loss, rec_loss, total_loss, tri_view_cl_loss
 
-from conftest import grad_fixture
+from conftest import grad_fixture, make_split
 
 
 def expected_param_count(cfg):
@@ -520,3 +521,68 @@ class TestReverseChainShortcuts:
         assert list(grads) == list(ref_grads)
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def _full_variant_loss(params, cfg, batch, seed=123):
+    """Sum of the three objectives for one main-stage batch of the full variant."""
+    rng = np.random.default_rng(seed)
+    t = rng.integers(1, cfg.T + 1, size=batch.size)
+    eps = rng.standard_normal((batch.size, cfg.d))
+    b = training_forward(params, cfg, batch, VARIANTS["full"], build_schedule(cfg.T), t, eps)
+    gb = b.guidance
+    l_rec = rec_loss(b.x0_hat, gb.gx_hat, gb.gy_hat, batch.tx, batch.wx, batch.ty, batch.wy,
+                     params["emb_x"], params["emb_y"])
+    return total_loss(diffusion_loss(b.x0, b.x0_hat), l_rec,
+                      tri_view_cl_loss(b.x0_hat, gb.gd_hat, b.h_aug))[0]
+
+
+def _bench_shaped():
+    """A 128-example batch at the benchmark's width (d=32, 2 heads), where
+    BLAS may take other kernels than at grad_fixture's size."""
+    split, _ = make_split(n_users=40)
+    examples = build_training_examples(split)[:128]
+    assert len(examples) == 128
+    cfg = ModelConfig(d=32, n_heads=2, enc_layers=1, dec_layers=1, max_seq_len=15, T=20,
+                      vocab_x_size=split.vocab_x.size, vocab_y_size=split.vocab_y.size)
+    aug = [ex.items[::-1] for ex in examples]
+    return cfg, make_train_batch(examples, split.vocab_x, split.vocab_y, augmented=aug)
+
+
+class TestGradientHandOver:
+    @pytest.mark.parametrize("shape", ["grad_fixture", "bench"])
+    def test_grads_match_zero_filled_accumulation(self, shape, monkeypatch):
+        """Keeping the first gradient as given stores the bytes that staging
+        it in a zero-filled array and adding in place would."""
+        cfg, batch = grad_fixture() if shape == "grad_fixture" else _bench_shaped()
+
+        def grads():
+            params = init_parameters(cfg, rng_seed=9)
+            _full_variant_loss(params, cfg, batch).backward()
+            return {n: p.grad for n, p in params.items()}
+
+        def zero_filled(self, g):
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad += g
+
+        got = grads()
+        with monkeypatch.context() as m:
+            m.setattr(Tensor, "_accumulate", zero_filled)
+            want = grads()
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name].shape == want[name].shape, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_dropped_training_graph_leaves_no_cycle(self):
+        """Reference counting alone frees a whole training graph."""
+        cfg, batch = grad_fixture()
+        params = init_parameters(cfg, rng_seed=9)
+        gc.collect()
+        gc.disable()
+        try:
+            _full_variant_loss(params, cfg, batch).backward()
+            params.zero_grads()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
