@@ -12,8 +12,7 @@ used for contrastive views.
 import numpy as np
 
 from crossdiff.data import (AugmentationSpec, SyntheticConfig, augment,
-                            filter_and_split, generate_synthetic,
-                            survival_stats)
+                            filter_and_split_with_stats, generate_synthetic)
 
 # ----------------------------------------------------------------------
 # Generate: 30 users, two 40-item domains, a pinch of noise
@@ -36,13 +35,11 @@ print("latent shared interest of %s: cluster %d"
 # Filter + split: thresholds on the full history, then leave-one-out
 # ----------------------------------------------------------------------
 
-stats = survival_stats(events)
+split, stats = filter_and_split_with_stats(events)
 print("\nsurvival: %d/%d users kept (%d dropped short, %d dropped one-sided)"
       % (stats["n_users_kept"], stats["n_users_total"],
          stats["dropped_by_total_threshold"],
          stats["dropped_by_domain_threshold"]))
-
-split = filter_and_split(events)
 print("vocab: %d domain-x items, %d domain-y items (plus 2 reserved rows each)"
       % (split.vocab_x.n_items, split.vocab_y.n_items))
 seq = split.train[0]

@@ -11,10 +11,13 @@ because BLAS rounds differently on strided operands. No backward rule writes
 into a gradient array, so a stored gradient may share memory with another
 node's. A gradient whose shape is not the node's is an error, never broadcast.
 
-Each primitive defines its backward closure and then returns
-`Tensor(data, parents=..., backward=backward)`. The closure exists before its
-output does, so it can hold arrays but never its own output Tensor, which
-would make every graph a reference cycle that only the cycle collector frees.
+Each primitive is one `_op(value, (parent, rule), ...)` call: its forward
+value, and for each input a rule from the output's gradient to that input's.
+`_op` alone skips inputs that need no gradient, sums each gradient down to its
+input's shape and accumulates it, and builds the output Tensor. The rules
+exist before the output does, so they can hold arrays but never the output
+Tensor, which would make every graph a reference cycle that only the cycle
+collector frees.
 """
 
 from __future__ import annotations
@@ -44,13 +47,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        track = _grad_enabled and (bool(requires_grad) or any(p.requires_grad for p in parents))
-        self.requires_grad = track
-        self._parents = parents if track else ()
-        self._backward = backward if track else None
+        self.requires_grad = _grad_enabled and bool(requires_grad)
+        self._parents = ()     # (parent, rule) edges, set by _op
+        self._backward = None
 
     @property
     def shape(self):
@@ -82,7 +84,7 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p, _ in node._parents:
                 stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
@@ -128,6 +130,8 @@ _NEG_ONE = Tensor(-1.0)
 
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -137,34 +141,43 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def add(a, b):
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+def _op(value, *edges):
+    """The output Tensor of one primitive call.
 
-    return Tensor(a.data + b.data, parents=(a, b), backward=backward)
+    Each edge is a (parent, rule) pair; rule maps the output's gradient to
+    that parent's gradient, before the sum over broadcast axes. Backward hands
+    the edges over in order, skipping parents that need no gradient.
+    """
+    out = Tensor(value)
+    if _grad_enabled:
+        for p, _ in edges:
+            if p.requires_grad:
+                break
+        else:
+            return out
+
+        def backward(g):
+            for p, rule in edges:
+                if p.requires_grad:
+                    p._accumulate(_unbroadcast(rule(g), p.data.shape))
+
+        out.requires_grad = True
+        out._parents = edges
+        out._backward = backward
+    return out
+
+
+def add(a, b):
+    return _op(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(a, b):
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(a.data * b.data, parents=(a, b), backward=backward)
+    return _op(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a, b):
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor(a.data / b.data, parents=(a, b), backward=backward)
+    return _op(a.data / b.data, (a, lambda g: g / b.data),
+               (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def matmul(a, b):
@@ -175,70 +188,44 @@ def matmul(a, b):
         # _unbroadcast. A stack's forward stays per-example, so that a row's
         # output does not depend on which other rows share its batch.
         k, m = b.data.shape
-
-        def backward(g):
-            g2 = g.reshape(-1, m)
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, k).T @ g2)
-    else:
-        def backward(g):
-            if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.data.shape))
-
-    return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward=backward)
+        return _op(np.matmul(a.data, b.data),
+                   (a, lambda g: (g.reshape(-1, m) @ b.data.T).reshape(a.data.shape)),
+                   (b, lambda g: a.data.reshape(-1, k).T @ g.reshape(-1, m)))
+    return _op(np.matmul(a.data, b.data),
+               (a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))),
+               (b, lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
 
 
 def exp(a):
     e = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * e)
-
-    return Tensor(e, parents=(a,), backward=backward)
+    return _op(e, (a, lambda g: g * e))
 
 
 def log(a):
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return Tensor(np.log(a.data), parents=(a,), backward=backward)
+    return _op(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def sqrt(a):
     r = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * 0.5 / r)
-
-    return Tensor(r, parents=(a,), backward=backward)
+    return _op(r, (a, lambda g: g * 0.5 / r))
 
 
 def gelu(a):
     """Gaussian-error linear unit, exact erf form."""
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-
-    def backward(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        a._accumulate(g * (cdf + x * pdf))
-
-    return Tensor(x * cdf, parents=(a,), backward=backward)
+    return _op(x * cdf, (a, lambda g: g * (cdf + x * (np.exp(-0.5 * x * x)
+                                                      / np.sqrt(2.0 * np.pi)))))
 
 
 def sum_(a, axis=None, keepdims=False):
-    def backward(g):
+    def rule(g):
         if axis is not None and not keepdims:
             for ax in sorted(np.atleast_1d(axis) % a.data.ndim):
                 g = np.expand_dims(g, ax)
-        a._accumulate(np.broadcast_to(g, a.data.shape))
+        return np.broadcast_to(g, a.data.shape)
 
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,), backward=backward)
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a, rule))
 
 
 def mean(a, axis=None, keepdims=False):
@@ -250,41 +237,29 @@ def mean(a, axis=None, keepdims=False):
 
 
 def reshape(a, shape):
-    def backward(g):
-        a._accumulate(g.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), parents=(a,), backward=backward)
+    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def swapaxes(a, ax1, ax2):
-    def backward(g):
-        a._accumulate(np.swapaxes(g, ax1, ax2))
-
-    return Tensor(np.swapaxes(a.data, ax1, ax2), parents=(a,), backward=backward)
+    return _op(np.swapaxes(a.data, ax1, ax2), (a, lambda g: np.swapaxes(g, ax1, ax2)))
 
 
 def concat(tensors, axis=0):
+    lead = (slice(None),) * (axis % tensors[0].data.ndim)
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                  parents=tuple(tensors), backward=backward)
+    return _op(np.concatenate([t.data for t in tensors], axis=axis),
+               *[(t, lambda g, key=lead + (slice(lo, hi),): g[key])
+                 for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:])])
 
 
 def slice_rows(a, start, stop):
     """Rows [start, stop) along axis 0; gradient zero-pads the complement."""
-    def backward(g):
+    def rule(g):
         full = np.zeros_like(a.data)
         full[start:stop] = g
-        a._accumulate(full)
+        return full
 
-    return Tensor(a.data[start:stop], parents=(a,), backward=backward)
+    return _op(a.data[start:stop], (a, rule))
 
 
 def _scatter_add(shape, key, g):
@@ -296,10 +271,7 @@ def _scatter_add(shape, key, g):
 
 def _gather(src, key):
     """src.data[key] for an integer-array key; backward scatter-adds into src."""
-    def backward(g):
-        src._accumulate(_scatter_add(src.data.shape, key, g))
-
-    return Tensor(src.data[key], parents=(src,), backward=backward)
+    return _op(src.data[key], (src, lambda g: _scatter_add(src.data.shape, key, g)))
 
 
 def gather_rows(table, idx):
@@ -318,14 +290,9 @@ def gather_concat(table_a, table_b, idx):
     local = np.where(in_a, idx, idx - split)
     data = np.where(in_a[..., None], table_a.data[np.where(in_a, local, 0)],
                     table_b.data[np.where(in_a, 0, local)])
-
-    def backward(g):
-        if table_a.requires_grad:
-            table_a._accumulate(_scatter_add(table_a.data.shape, local[in_a], g[in_a]))
-        if table_b.requires_grad:
-            table_b._accumulate(_scatter_add(table_b.data.shape, local[~in_a], g[~in_a]))
-
-    return Tensor(data, parents=(table_a, table_b), backward=backward)
+    return _op(data,
+               (table_a, lambda g: _scatter_add(table_a.data.shape, local[in_a], g[in_a])),
+               (table_b, lambda g: _scatter_add(table_b.data.shape, local[~in_a], g[~in_a])))
 
 
 def take_rows(src, idx):
@@ -352,12 +319,7 @@ def masked_softmax(x, mask):
     e = np.where(mask, np.exp(neg - m), 0.0)
     s = e.sum(axis=-1, keepdims=True)
     p = e / np.where(s == 0.0, 1.0, s)
-
-    def backward(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        x._accumulate(p * (g - inner))
-
-    return Tensor(p, parents=(x,), backward=backward)
+    return _op(p, (x, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))))
 
 
 def layer_norm(x, gain, bias):
@@ -369,19 +331,15 @@ def layer_norm(x, gain, bias):
     inv = 1.0 / np.sqrt(var + 1e-8)
     xhat = xc * inv
 
-    def backward(g):
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
-            gx = g * gain.data
-            t1 = gx * inv
-            t2 = xhat * (gx * xhat).sum(axis=-1, keepdims=True) * inv / d
-            t3 = inv * gx.sum(axis=-1, keepdims=True) / d
-            x._accumulate(t1 - t2 - t3)
+    def x_rule(g):
+        gx = g * gain.data
+        t1 = gx * inv
+        t2 = xhat * (gx * xhat).sum(axis=-1, keepdims=True) * inv / d
+        t3 = inv * gx.sum(axis=-1, keepdims=True) / d
+        return t1 - t2 - t3
 
-    return Tensor(gain.data * xhat + bias.data, parents=(x, gain, bias), backward=backward)
+    return _op(gain.data * xhat + bias.data, (x, x_rule), (gain, lambda g: g * xhat),
+               (bias, lambda g: g))
 
 
 def l2_normalize(x):

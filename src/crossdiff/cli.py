@@ -18,9 +18,9 @@ import os
 import sys
 
 from . import __version__
-from .data import (filter_and_split, generate_synthetic, ingest_log,
+from .data import (filter_and_split_with_stats, generate_synthetic, ingest_log,
                    load_split, save_events, save_ground_truth, save_split,
-                   survival_stats, SyntheticConfig)
+                   SyntheticConfig)
 from .diffusion import build_schedule
 from .evaluation import (ablation_study, auto_negatives, evaluate,
                          noise_robustness, overall_ndcg, step_sweep)
@@ -254,10 +254,8 @@ def cmd_prepare(args, cfg):
         print("skipped %d malformed rows (first: line %d: %s)"
               % (len(row_errors), row_errors[0][0], row_errors[0][1]),
               file=sys.stderr)
-    stats = survival_stats(events, cfg["min_interactions"], cfg["min_per_domain"],
-                           cfg["max_seq_len"])
-    split = filter_and_split(events, cfg["min_interactions"], cfg["min_per_domain"],
-                             cfg["max_seq_len"])
+    split, stats = filter_and_split_with_stats(events, cfg["min_interactions"],
+                                               cfg["min_per_domain"], cfg["max_seq_len"])
     os.makedirs(args.out, exist_ok=True)
     save_split(split, args.out)
     stats.update({"n_items_x": split.vocab_x.n_items,

@@ -71,11 +71,14 @@ class Vocab:
         except KeyError:
             raise KeyError("unknown item %r in domain %s" % (item_id, self.domain))
 
+    def is_item(self, index: int) -> bool:
+        """True for a real item's index; False for reserved rows and other domains."""
+        return self.base + N_RESERVED <= index < self.base + self.size
+
     def item_of(self, index: int) -> str:
-        local = index - self.base - N_RESERVED
-        if not (0 <= local < len(self.items)):
+        if not self.is_item(index):
             raise IndexError("index %d is not a real item of domain %s" % (index, self.domain))
-        return self.items[local]
+        return self.items[index - self.base - N_RESERVED]
 
     def contains(self, index: int) -> bool:
         """True for any index in this domain's range, reserved rows included."""
@@ -196,6 +199,15 @@ def filter_and_split(events: list[InteractionEvent],
     Users with fewer than 3 surviving items cannot be split and are dropped
     regardless of thresholds. Vocabularies cover surviving items only.
     """
+    return filter_and_split_with_stats(events, min_user_interactions, min_per_domain,
+                                       max_seq_len)[0]
+
+
+def filter_and_split_with_stats(events: list[InteractionEvent],
+                                min_user_interactions: int = 10,
+                                min_per_domain: int = 3,
+                                max_seq_len: int = 15) -> tuple[DatasetSplit, dict]:
+    """filter_and_split and survival_stats from one filtering pass."""
     if max_seq_len < 3:
         raise ValueError("max_seq_len must be >= 3, got %d" % max_seq_len)
 
@@ -223,7 +235,7 @@ def filter_and_split(events: list[InteractionEvent],
         validation.append((UserSequence(ui, seq[:-2]), seq[-2]))
         test.append((UserSequence(ui, seq[:-1]), seq[-1]))
     return DatasetSplit(train=train, validation=validation, test=test,
-                        vocab_x=vocab_x, vocab_y=vocab_y, user_ids=user_ids)
+                        vocab_x=vocab_x, vocab_y=vocab_y, user_ids=user_ids), stats
 
 
 # ---------------------------------------------------------------------------
@@ -459,24 +471,39 @@ def save_split(split: DatasetSplit, out_dir: str) -> None:
 
 
 def load_split(in_dir: str) -> DatasetSplit:
-    with open(os.path.join(in_dir, "vocab.json")) as fh:
+    """Read a split that save_split wrote.
+
+    Raises ValueError unless the vocabularies are contiguous (x at base 0, y
+    where x ends) and every item and target is a real item of the domain it
+    is tagged with.
+    """
+    vocab_path = os.path.join(in_dir, "vocab.json")
+    with open(vocab_path) as fh:
         head = json.load(fh)
     if head.get("format_version") != SPLIT_FORMAT_VERSION:
         raise ValueError("unsupported split format version %r" % head.get("format_version"))
     vocab_x = Vocab(DOMAIN_X, head["vocab_x"]["base"], list(head["vocab_x"]["items"]))
     vocab_y = Vocab(DOMAIN_Y, head["vocab_y"]["base"], list(head["vocab_y"]["items"]))
+    if (vocab_x.base, vocab_y.base) != (0, vocab_x.size):
+        raise ValueError("%s: vocabulary bases %d (x) and %d (y) are not contiguous; "
+                         "expected 0 and %d" % (vocab_path, vocab_x.base, vocab_y.base,
+                                                vocab_x.size))
+    vocabs = {DOMAIN_X: vocab_x, DOMAIN_Y: vocab_y}
 
     def read_seqs(name: str, with_target: bool):
         out = []
-        with open(os.path.join(in_dir, name + ".jsonl")) as fh:
-            for line in fh:
+        path = os.path.join(in_dir, name + ".jsonl")
+        with open(path) as fh:
+            for line_no, line in enumerate(fh, start=1):
                 rec = json.loads(line)
-                seq = UserSequence(rec["user_index"], [(g, d) for g, d in rec["items"]])
-                if with_target:
-                    g, d = rec["target"]
-                    out.append((seq, (g, d)))
-                else:
-                    out.append(seq)
+                items = [(g, d) for g, d in rec["items"]]
+                target = tuple(rec["target"]) if with_target else None
+                for g, d in items + ([target] if with_target else []):
+                    if not (type(g) is int and d in vocabs and vocabs[d].is_item(g)):
+                        raise ValueError("%s line %d: %r is not a real item of the "
+                                         "domain it is tagged with" % (path, line_no, [g, d]))
+                seq = UserSequence(rec["user_index"], items)
+                out.append((seq, target) if with_target else seq)
         return out
 
     return DatasetSplit(train=read_seqs("train", False),

@@ -18,7 +18,8 @@ from .data import (DOMAIN_X, DOMAIN_Y, DOMAINS, AugmentationSpec, DatasetSplit,
                    N_RESERVED, Vocab, augment)
 from .diffusion import DiffusionSchedule, reverse_step, strided_steps
 from .network import (VARIANTS, ModelConfig, ParameterSet, check_seq_lens,
-                      denoise, guide_memory, guidance_forward, make_eval_batch)
+                      check_vocab_sizes, denoise, guide_memory, guidance_forward,
+                      make_eval_batch)
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,7 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
     check_negatives(n_negatives)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1, got %d" % batch_size)
+    check_vocab_sizes(model_cfg, vocab_x, vocab_y)
     check_seq_lens(model_cfg, [s for s, _ in part])
     variant = VARIANTS[variant_name]
     steps = sched.T if n_steps is None else n_steps

@@ -388,6 +388,18 @@ def check_seq_lens(cfg: ModelConfig, seqs) -> None:
                              % (s.user_index, len(s.items), cfg.max_seq_len))
 
 
+def check_vocab_sizes(cfg: ModelConfig, vocab_x: Vocab, vocab_y: Vocab) -> None:
+    """Raise unless the vocabularies have as many rows as the model's embedding tables.
+
+    Checkpoints do not record item ids, so a split with the same sizes but
+    other items passes.
+    """
+    if (vocab_x.size, vocab_y.size) != (cfg.vocab_x_size, cfg.vocab_y_size):
+        raise ValueError("the split's vocabularies have %d (x) and %d (y) rows, but the "
+                         "model's embedding tables have %d and %d"
+                         % (vocab_x.size, vocab_y.size, cfg.vocab_x_size, cfg.vocab_y_size))
+
+
 def embed_sequence(params: ParameterSet, cfg: ModelConfig, idx: np.ndarray) -> Tensor:
     """Token rows from the concatenated domain tables plus position rows."""
     idx = np.asarray(idx)

@@ -22,8 +22,9 @@ from .data import (AUGMENTATION_OPS, AugmentationSpec, DatasetSplit,
                    UserSequence, augment)
 from .diffusion import DiffusionSchedule, build_schedule
 from .network import (VARIANTS, ModelConfig, ParameterSet, SequenceBatch,
-                      build_training_examples, check_seq_lens, init_parameters,
-                      make_train_batch, param_specs, training_forward)
+                      build_training_examples, check_seq_lens, check_vocab_sizes,
+                      init_parameters, make_train_batch, param_specs,
+                      training_forward)
 from .objectives import (LossBreakdown, diffusion_loss, rec_loss, total_loss,
                          tri_view_cl_loss)
 
@@ -239,6 +240,7 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
     examples = build_training_examples(split)
     if not examples:
         raise ValueError("training split yields no prefix examples")
+    check_vocab_sizes(cfg, split.vocab_x, split.vocab_y)
     check_seq_lens(cfg, examples)
     if eval_every > 0:
         check_seq_lens(cfg, [s for s, _ in split.validation])

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ def small_split():
 @pytest.fixture(scope="session")
 def small_sched():
     return build_schedule(6)
+
+
+def edit_json_line(path, line_no, edit):
+    """Replace JSON line line_no (1-based) of path by edit(record)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[line_no - 1] = json.dumps(edit(json.loads(lines[line_no - 1])))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def rel_err(a, b):

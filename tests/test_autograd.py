@@ -360,15 +360,52 @@ def test_grad_accumulates_over_reuse():
     assert np.allclose(t.grad, 3.0 + 2.0 * t.data)
 
 
-@pytest.mark.parametrize("op", ["exp", "sqrt", "log", "gelu"])
+# one call of every public primitive and composite, on leaves x (2, 3) and
+# y (3, 2) that both require grad
+CALLS = {
+    "add": lambda x, y: ag.add(x, x),
+    "mul": lambda x, y: ag.mul(x, x),
+    "div": lambda x, y: ag.div(x, x + 1.0),
+    "matmul": lambda x, y: ag.matmul(x, y),
+    "exp": lambda x, y: ag.exp(x),
+    "log": lambda x, y: ag.log(x),
+    "sqrt": lambda x, y: ag.sqrt(x),
+    "gelu": lambda x, y: ag.gelu(x),
+    "sum_": lambda x, y: ag.sum_(x, axis=0),
+    "mean": lambda x, y: ag.mean(x, axis=1),
+    "reshape": lambda x, y: ag.reshape(x, (3, 2)),
+    "swapaxes": lambda x, y: ag.swapaxes(x, 0, 1),
+    "concat": lambda x, y: ag.concat([x, ag.swapaxes(y, 0, 1)], axis=1),
+    "slice_rows": lambda x, y: ag.slice_rows(x, 1, 2),
+    "gather_rows": lambda x, y: ag.gather_rows(x, np.array([1, 0, 1])),
+    "gather_concat": lambda x, y: ag.gather_concat(x, ag.reshape(y, (2, 3)),
+                                                   np.array([0, 3, 1])),
+    "take_rows": lambda x, y: ag.take_rows(ag.reshape(x, (2, 3, 1)), np.array([[2], [0]])),
+    "take_last_axis": lambda x, y: ag.take_last_axis(x, np.array([2, 0])),
+    "masked_softmax": lambda x, y: ag.masked_softmax(x, np.array([1, 0, 1])),
+    "layer_norm": lambda x, y: ag.layer_norm(x, ag.sum_(y, axis=1), ag.mean(y, axis=1)),
+    "l2_normalize": lambda x, y: ag.l2_normalize(x),
+}
+
+
+def test_every_public_function_is_in_calls():
+    public = {name for name, fn in vars(ag).items()
+              if callable(fn) and getattr(fn, "__module__", None) == ag.__name__
+              and not name.startswith("_") and name not in ("Tensor", "no_grad")}
+    assert public == set(CALLS)
+
+
+@pytest.mark.parametrize("op", sorted(CALLS))
 def test_dropped_graph_leaves_no_cycle(op):
     """Reference counting alone frees a graph once its tensors are dropped."""
     gc.collect()
     gc.disable()
     try:
-        x = Tensor(np.array([0.5, 1.5]), requires_grad=True)
-        ag.sum_(getattr(ag, op)(x)).backward()
-        del x
+        x = Tensor(np.array([[0.5, 1.5, 1.0], [2.0, 0.7, 1.2]]), requires_grad=True)
+        y = Tensor(np.array([[0.3, 1.1], [0.9, 1.4], [0.6, 0.8]]), requires_grad=True)
+        ag.sum_(CALLS[op](x, y)).backward()
+        assert x.grad is not None
+        del x, y
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -8,7 +8,9 @@ import shutil
 import numpy as np
 import pytest
 
+import crossdiff.data as data_mod
 from crossdiff import cli, evaluation
+from crossdiff.data import load_split
 from crossdiff.cli import (
     CONFIG_SCHEMA,
     _coerce,
@@ -17,6 +19,8 @@ from crossdiff.cli import (
     main,
     resolve_config,
 )
+
+from conftest import edit_json_line
 
 
 def read_csv(path):
@@ -167,6 +171,23 @@ class TestPrepare:
         events = os.path.join(pipeline["data"], "events.tsv")
         assert manifest["command"] == "prepare"
         assert manifest["inputs"][events] == cli._sha256(events)
+
+    def test_filters_once(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+        real = data_mod._survivors
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(data_mod, "_survivors", spy)
+        out = str(tmp_path / "again")
+        assert main(["prepare", "--input", os.path.join(pipeline["data"], "events.tsv"),
+                     "--out", out]) == 0
+        assert len(calls) == 1
+        for name in ("vocab.json", "train.jsonl", "valid.jsonl", "test.jsonl", "stats.json"):
+            assert file_bytes(os.path.join(out, name)) == \
+                file_bytes(os.path.join(pipeline["split"], name)), name
 
     def test_missing_input_exit_code(self, tmp_path, capsys):
         rc = main(["prepare", "--input", str(tmp_path / "nope.tsv"),
@@ -452,6 +473,72 @@ class TestRejections:
         assert "outside" in capsys.readouterr().err
         assert calls == []
         assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def wider_split(pipeline):
+    """A split with 45 x items where the pipeline's model was built on at most 30."""
+    data = str(pipeline["base"] / "wide_data")
+    split = str(pipeline["base"] / "wide_split")
+    assert main(["synth", "--out", data, "--seed", "3"] + SMALL
+                + ["--set", "n_items_x=45"]) == 0
+    assert main(["prepare", "--input", os.path.join(data, "events.tsv"),
+                 "--out", split]) == 0
+    return split
+
+
+def copy_split(src, dst, name, line_no, edit):
+    """Copy split dir src to dst, replacing JSON line line_no of name by edit(record)."""
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, name)
+    edit_json_line(path, line_no, edit)
+    return path
+
+
+class TestSplitChecks:
+    def size_error(self, split_dir):
+        wide = load_split(split_dir)
+        return ("error: the split's vocabularies have %d (x) and %d (y) rows, but the "
+                "model's embedding tables have"
+                % (wide.vocab_x.size, wide.vocab_y.size))
+
+    @pytest.mark.parametrize("command, flag", [("eval", []), ("robust", ["--rates", "0,0.2"]),
+                                               ("sweep", ["--steps", "1,2"])],
+                             ids=["eval", "robust", "sweep"])
+    def test_scoring_a_split_of_other_sizes(self, pipeline, wider_split, tmp_path, capsys,
+                                            command, flag):
+        out = str(tmp_path / command)
+        rc = main([command, "--checkpoint", os.path.join(pipeline["run"], "latest"),
+                   "--data", wider_split, "--out", out, "--set", "n_negatives=12"] + flag)
+        assert rc == 1
+        assert self.size_error(wider_split) in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_resuming_on_a_split_of_other_sizes(self, wider_split, finished_run, capsys):
+        rc = main(["train", "--data", wider_split, "--out", finished_run, "--resume"])
+        assert rc == 1
+        assert self.size_error(wider_split) in capsys.readouterr().err
+
+    def test_train_item_out_of_range(self, pipeline, tmp_path, capsys):
+        def edit(rec):
+            rec["items"][0] = [99999, "x"]
+            return rec
+
+        path = copy_split(pipeline["split"], str(tmp_path / "split"), "train.jsonl", 4, edit)
+        rc = main(["train", "--data", os.path.dirname(path), "--out", str(tmp_path / "run")]
+                  + TINY_MODEL)
+        assert rc == 1
+        assert ("error: %s line 4: [99999, 'x'] is not a real item" % path
+                in capsys.readouterr().err)
+
+    def test_test_target_of_the_other_domain(self, pipeline, tmp_path, capsys):
+        path = copy_split(pipeline["split"], str(tmp_path / "split"), "test.jsonl", 2,
+                          lambda rec: dict(rec, target=[9, "y"]))
+        rc = main(["eval", "--checkpoint", os.path.join(pipeline["run"], "latest"),
+                   "--data", os.path.dirname(path), "--out", str(tmp_path / "e"),
+                   "--set", "n_negatives=12"])
+        assert rc == 1
+        assert "error: %s line 2: [9, 'y'] is not a real item" % path in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
 """Log ingestion, filtering, leave-one-out splits, augmentation, synthetic data."""
 
+import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossdiff.data as data_mod
 from crossdiff.data import (
     AUGMENTATION_OPS,
     DOMAIN_X,
@@ -30,6 +33,8 @@ from crossdiff.data import (
     save_split,
     survival_stats,
 )
+
+from conftest import edit_json_line
 
 
 def write_log(path, rows, delim="\t", header=True):
@@ -144,6 +149,12 @@ class TestVocab:
             v.item_of(v.mask_index)
         with pytest.raises(IndexError):
             v.item_of(99)
+
+    def test_is_item(self):
+        vx = Vocab(DOMAIN_X, 0, ["a", "b"])
+        vy = Vocab(DOMAIN_Y, vx.size, ["p"])
+        assert [i for i in range(8) if vx.is_item(i)] == [2, 3]
+        assert [i for i in range(8) if vy.is_item(i)] == [6]
 
 
 def seq_of(split, uid):
@@ -282,6 +293,23 @@ class TestFilterAndSplit:
         assert stats["dropped_by_total_threshold"] == 1
         assert stats["dropped_by_domain_threshold"] == 1
         assert stats["n_events"] == len(events)
+
+    def test_split_and_stats_from_one_pass(self, monkeypatch):
+        events, _ = generate_synthetic(SyntheticConfig(n_users=20, rng_seed=5))
+        kw = dict(min_user_interactions=12, min_per_domain=4, max_seq_len=9)
+        want_split, want_stats = filter_and_split(events, **kw), survival_stats(events, **kw)
+        calls = []
+        real = data_mod._survivors
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(data_mod, "_survivors", spy)
+        split, stats = data_mod.filter_and_split_with_stats(events, **kw)
+        assert len(calls) == 1
+        assert stats == want_stats
+        assert split == want_split
 
 
 @pytest.fixture(scope="module")
@@ -541,4 +569,60 @@ class TestRoundTrips:
         with open(vp, "w") as fh:
             json.dump(head, fh)
         with pytest.raises(ValueError, match="format version"):
+            load_split(out)
+
+
+class TestLoadSplitChecks:
+    """load_split refuses a split whose indices do not name real items of their domain."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, small_split):
+        out = str(tmp_path / "split")
+        save_split(small_split, out)
+        return out, small_split
+
+    def _item(self, rec, g, d, pos=0):
+        rec["items"][pos] = [g, d]
+        return rec
+
+    @pytest.mark.parametrize("name, entry", [
+        ("train", lambda vx, vy: [99999, "x"]),                 # out of range
+        ("train", lambda vx, vy: [vy.base + 2, "x"]),           # a y item tagged x
+        ("train", lambda vx, vy: [vx.base + 2, "y"]),           # an x item tagged y
+        ("train", lambda vx, vy: [vx.mask_index, "x"]),         # a reserved row
+        ("valid", lambda vx, vy: [vx.base + 2, "z"]),           # unknown domain
+        ("test", lambda vx, vy: [-1, "y"]),
+        ("test", lambda vx, vy: [2.0, "x"]),                    # not an integer
+    ], ids=["out_of_range", "y_item_tagged_x", "x_item_tagged_y", "reserved_row",
+            "unknown_domain", "negative", "float"])
+    def test_bad_history_item(self, saved, name, entry):
+        out, split = saved
+        g, d = entry(split.vocab_x, split.vocab_y)
+        path = os.path.join(out, name + ".jsonl")
+        edit_json_line(path, 3, lambda rec: self._item(rec, g, d))
+        with pytest.raises(ValueError, match=r"%s line 3: \[%r, '%s'\] is not a real item"
+                           % (re.escape(path), g, d)):
+            load_split(out)
+
+    @pytest.mark.parametrize("name", ["valid", "test"])
+    def test_target_of_the_other_domain(self, saved, name):
+        out, split = saved
+        x_item = split.vocab_x.base + 9
+        path = os.path.join(out, name + ".jsonl")
+        edit_json_line(path, 2, lambda rec: dict(rec, target=[x_item, "y"]))
+        with pytest.raises(ValueError, match=r"%s line 2: \[%d, 'y'\]"
+                           % (re.escape(path), x_item)):
+            load_split(out)
+
+    @pytest.mark.parametrize("bases", [(1, None), (0, -1), (0, 1)])
+    def test_vocabularies_must_be_contiguous(self, saved, bases):
+        out, split = saved
+        vp = os.path.join(out, "vocab.json")
+        with open(vp) as fh:
+            head = json.load(fh)
+        head["vocab_x"]["base"] = bases[0]
+        head["vocab_y"]["base"] += bases[1] or 0
+        with open(vp, "w") as fh:
+            json.dump(head, fh)
+        with pytest.raises(ValueError, match="not contiguous"):
             load_split(out)

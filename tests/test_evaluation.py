@@ -468,6 +468,19 @@ class TestEvaluate:
                 evaluate(split.test, params, cfg, sched, "full", split.vocab_x,
                          split.vocab_y, n_negatives=k)
 
+    def test_vocab_size_mismatch_rejected_before_any_batch(self, eval_setup,
+                                                            monkeypatch):
+        split, cfg, params, sched = eval_setup
+        vx = Vocab(DOMAIN_X, 0, split.vocab_x.items + ["extra"])
+        vy = Vocab(DOMAIN_Y, vx.size, split.vocab_y.items)
+        calls = []
+        monkeypatch.setattr(evaluation, "sample_batch", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="%d \\(x\\) and %d \\(y\\) rows, but the model's "
+                           "embedding tables have %d and %d"
+                           % (vx.size, vy.size, cfg.vocab_x_size, cfg.vocab_y_size)):
+            evaluate(split.test, params, cfg, sched, "full", vx, vy, n_negatives=5)
+        assert calls == []
+
 
 class TestRobustness:
     def test_rate_zero_retains_exactly_one(self, eval_setup):

@@ -302,6 +302,18 @@ class TestTrainingLoop:
             fit(state, split, eval_every=1)
         assert calls == []
 
+    def test_vocab_size_mismatch_rejected_before_any_step(self, small_split, small_sched,
+                                                          monkeypatch):
+        cfg = replace(tiny_model_cfg(small_split), vocab_y_size=small_split.vocab_y.size - 1)
+        state = init_state(cfg, TrainConfig(batch_size=4, epochs=1, seed=3),
+                           small_sched, "full")
+        calls = spy_calls(monkeypatch, "train_step")
+        with pytest.raises(ValueError, match="embedding tables have %d and %d"
+                           % (cfg.vocab_x_size, cfg.vocab_y_size)):
+            fit(state, small_split, eval_every=0)
+        assert calls == []
+        assert state.global_step == 0
+
     def test_main_stage_has_all_terms(self, small_split, small_sched):
         cfg = tiny_model_cfg(small_split)
         state = init_state(cfg, TrainConfig(batch_size=32, epochs=1, seed=3),
