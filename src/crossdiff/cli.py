@@ -25,11 +25,13 @@ from .diffusion import build_schedule
 from .evaluation import (ablation_study, auto_negatives, evaluate,
                          noise_robustness, overall_ndcg, step_sweep)
 from .network import VARIANTS, ModelConfig
+from .objectives import LOSS_TERMS
 from .trainer import TrainConfig, fit, init_state, load_checkpoint
 
 ENV_PREFIX = "CROSSDIFF_"
 
-# key -> (default, type tag); "opt*" types accept none/auto for None
+# key -> (default, type tag); "opt*" types accept none/auto for None. Every
+# TrainConfig field is a key of its own name, with the default it has there.
 CONFIG_SCHEMA = {
     "d": (256, "int"),
     "n_heads": (1, "int"),
@@ -39,16 +41,8 @@ CONFIG_SCHEMA = {
     "diffusion_steps": (50, "int"),
     "beta_start": (1e-4, "float"),
     "beta_end": (0.02, "float"),
-    "lr": (1e-3, "float"),
-    "batch_size": (512, "int"),
-    "epochs": (100, "int"),
-    "warmup_epochs": (2, "int"),
-    "beta1": (0.9, "float"),
-    "beta2": (0.999, "float"),
-    "adam_eps": (1e-8, "float"),
-    "grad_clip": (None, "optfloat"),
-    "aug_rate": (0.2, "float"),
-    "seed": (0, "int"),
+    **{f.name: (f.default, {"float | None": "optfloat"}.get(f.type, f.type))
+       for f in dataclasses.fields(TrainConfig)},
     "min_interactions": (10, "int"),
     "min_per_domain": (3, "int"),
     "eval_seed": (101, "int"),
@@ -294,10 +288,8 @@ def cmd_train(args, cfg):
         checkpoint_every=cfg["checkpoint_every"], eval_negatives=cfg["n_negatives"],
         eval_seed=cfg["eval_seed"], eval_steps=cfg["n_steps"], verbose=True)
     hist_path = os.path.join(args.out, "history.csv")
-    _write_csv(hist_path, ["epoch", "stage", "l_diff", "l_rec", "l_tri_cl", "l_total",
-                           "val_ndcg10"],
-               [[str(rec["epoch"]), rec["stage"]]
-                + [_fmt(rec[k]) for k in ("l_diff", "l_rec", "l_tri_cl", "l_total")]
+    _write_csv(hist_path, ["epoch", "stage", *LOSS_TERMS, "val_ndcg10"],
+               [[str(rec["epoch"]), rec["stage"]] + [_fmt(rec[k]) for k in LOSS_TERMS]
                 + [_fmt(rec["val_ndcg10"]) if "val_ndcg10" in rec else ""]
                 for rec in state.history])
     return ([os.path.join(args.data, "vocab.json")],

@@ -474,8 +474,8 @@ def load_split(in_dir: str) -> DatasetSplit:
     """Read a split that save_split wrote.
 
     Raises ValueError unless the vocabularies are contiguous (x at base 0, y
-    where x ends) and every item and target is a real item of the domain it
-    is tagged with.
+    where x ends), every item and target is a real item of the domain it
+    is tagged with, and every user_index is an integer in [0, len(user_ids)).
     """
     vocab_path = os.path.join(in_dir, "vocab.json")
     with open(vocab_path) as fh:
@@ -489,6 +489,7 @@ def load_split(in_dir: str) -> DatasetSplit:
                          "expected 0 and %d" % (vocab_path, vocab_x.base, vocab_y.base,
                                                 vocab_x.size))
     vocabs = {DOMAIN_X: vocab_x, DOMAIN_Y: vocab_y}
+    user_ids = list(head["user_ids"])
 
     def read_seqs(name: str, with_target: bool):
         out = []
@@ -502,12 +503,15 @@ def load_split(in_dir: str) -> DatasetSplit:
                     if not (type(g) is int and d in vocabs and vocabs[d].is_item(g)):
                         raise ValueError("%s line %d: %r is not a real item of the "
                                          "domain it is tagged with" % (path, line_no, [g, d]))
-                seq = UserSequence(rec["user_index"], items)
+                u = rec["user_index"]
+                if not (type(u) is int and 0 <= u < len(user_ids)):
+                    raise ValueError("%s line %d: user_index %r is not an integer in "
+                                     "[0, %d)" % (path, line_no, u, len(user_ids)))
+                seq = UserSequence(u, items)
                 out.append((seq, target) if with_target else seq)
         return out
 
     return DatasetSplit(train=read_seqs("train", False),
                         validation=read_seqs("valid", True),
                         test=read_seqs("test", True),
-                        vocab_x=vocab_x, vocab_y=vocab_y,
-                        user_ids=list(head["user_ids"]))
+                        vocab_x=vocab_x, vocab_y=vocab_y, user_ids=user_ids)

@@ -128,26 +128,27 @@ def sample_batch(params: ParameterSet, cfg: ModelConfig, sched: DiffusionSchedul
                  n_steps: int) -> np.ndarray:
     """Guided reverse chains for a batch of users, one RNG stream per user.
 
-    Each user's stream yields one (n transitions, d) block: row 0 starts the
-    chain and row i+1 is the noise of transition i (the final transition
-    draws none). It equals the same draws made one row at a time, and
-    results do not depend on batch composition. The guide's decoder keys
-    and values are projected once, before the chain.
+    Each user's stream yields one (n steps, d) block: row 0 starts the
+    chain and row i is the noise of the transition into step i. It equals
+    the same draws made one row at a time, and results do not depend on
+    batch composition. The guide's decoder keys and values are projected
+    once, before the chain. The sample is the last step's denoised vector,
+    and a non-finite one raises ValueError.
     """
     B, d = len(user_indices), cfg.d
     steps = strided_steps(sched.T, n_steps)
     draws = np.stack([np.random.default_rng([seed, 0, int(u)]).standard_normal((len(steps), d))
                       for u in user_indices], axis=1)
     x = draws[0]
-    x0_hat = None
     with no_grad():
         memory = guide_memory(params, cfg, guide, guide_valid)
         for i, t in enumerate(steps):
-            out = denoise(params, cfg, Tensor(x), np.full(B, t, dtype=np.int64), memory)
-            x0_hat = out.data
-            t_prev = steps[i + 1] if i + 1 < len(steps) else 0
-            noise = draws[i + 1] if t_prev > 0 else np.zeros((B, d))
-            x = reverse_step(x, t, x0_hat, sched, noise, t_prev=t_prev)
+            if i:
+                x = reverse_step(x, steps[i - 1], x0_hat, sched, draws[i], t_prev=t)
+            x0_hat = denoise(params, cfg, Tensor(x), np.full(B, t, dtype=np.int64),
+                             memory).data
+    if not np.all(np.isfinite(x0_hat)):
+        raise ValueError("non-finite sample at the end of the reverse chain")
     return x0_hat
 
 
@@ -287,6 +288,8 @@ def run_ablation(split: DatasetSplit, variant_name: str, model_cfg: ModelConfig,
     if n_negatives is None:
         n_negatives = auto_negatives(split)
     check_negatives(n_negatives)
+    if eval_steps is not None:
+        strided_steps(sched.T, eval_steps)
     state = init_state(model_cfg, train_cfg, sched, variant=variant_name)
     fit(state, split, eval_every=0)
     rep = evaluate(split.test, state.params, model_cfg, sched, variant_name,

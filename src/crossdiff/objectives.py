@@ -9,7 +9,7 @@ pooled fused encoding, and an augmented-sequence encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,21 +50,17 @@ def rec_loss(x0_hat: Tensor | None, gx_hat: Tensor | None, gy_hat: Tensor | None
     example; targets are real-item local rows. Result is averaged over the
     batch, counting each example once regardless of how many terms it has.
     """
-    heads_x = [h for h in (x0_hat, gx_hat) if h is not None]
-    heads_y = [h for h in (x0_hat, gy_hat) if h is not None]
-    if not heads_x and not heads_y:
+    heads = [h for h in (x0_hat, gx_hat, gy_hat) if h is not None]
+    if not heads:
         raise ValueError("rec_loss needs at least one scoring head")
-    B = (heads_x or heads_y)[0].data.shape[0]
-    ex_t = _real_rows_t(emb_x)
-    ey_t = _real_rows_t(emb_y)
     total = None
-    for h in heads_x:
-        term = _masked_ce_sum(matmul(h, ex_t), tx, wx)
-        total = term if total is None else total + term
-    for h in heads_y:
-        term = _masked_ce_sum(matmul(h, ey_t), ty, wy)
-        total = term if total is None else total + term
-    return total * (1.0 / B)
+    for emb, target, weight, g_hat in ((emb_x, tx, wx, gx_hat), (emb_y, ty, wy, gy_hat)):
+        emb_t = _real_rows_t(emb)
+        for h in (x0_hat, g_hat):
+            if h is not None:
+                term = _masked_ce_sum(matmul(h, emb_t), target, weight)
+                total = term if total is None else total + term
+    return total * (1.0 / heads[0].data.shape[0])
 
 
 def tri_view_cl_loss(h_c: Tensor, h_d: Tensor, h_aug: Tensor) -> Tensor:
@@ -101,6 +97,10 @@ class LossBreakdown:
     l_total: float
 
 
+# the loss terms by name, in the order total_loss sums them, then the sum
+LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
+
+
 def total_loss(l_diff: Tensor | None, l_rec: Tensor | None,
                l_tri_cl: Tensor | None) -> tuple[Tensor, LossBreakdown]:
     """Unweighted sum of the present terms plus a float snapshot.
@@ -108,17 +108,14 @@ def total_loss(l_diff: Tensor | None, l_rec: Tensor | None,
     A non-finite component is a hard error naming the term; silently
     propagating it would poison the optimizer state.
     """
-    named = [("l_diff", l_diff), ("l_rec", l_rec), ("l_tri_cl", l_tri_cl)]
-    present = [(n, t) for n, t in named if t is not None]
+    terms = (l_diff, l_rec, l_tri_cl)
+    present = [(n, t) for n, t in zip(LOSS_TERMS, terms) if t is not None]
     if not present:
         raise ValueError("total_loss needs at least one component")
+    total = None
     for name, t in present:
         if not np.isfinite(t.data):
             raise FloatingPointError("non-finite loss component %s = %r" % (name, t.data))
-    total = None
-    for _, t in present:
         total = t if total is None else total + t
-    vals = {n: (float(t.data) if t is not None else 0.0) for n, t in named}
-    return total, LossBreakdown(l_diff=vals["l_diff"], l_rec=vals["l_rec"],
-                                l_tri_cl=vals["l_tri_cl"],
-                                l_total=float(total.data))
+    return total, LossBreakdown(*(0.0 if t is None else float(t.data) for t in terms),
+                                float(total.data))

@@ -13,20 +13,20 @@ import math
 import os
 import shutil
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
 from .autograd import Tensor
 from .data import (AUGMENTATION_OPS, AugmentationSpec, DatasetSplit,
                    UserSequence, augment)
-from .diffusion import DiffusionSchedule, build_schedule
+from .diffusion import DiffusionSchedule, build_schedule, strided_steps
 from .network import (VARIANTS, ModelConfig, ParameterSet, SequenceBatch,
                       build_training_examples, check_seq_lens, check_vocab_sizes,
                       init_parameters, make_train_batch, param_specs,
                       training_forward)
-from .objectives import (LossBreakdown, diffusion_loss, rec_loss, total_loss,
-                         tri_view_cl_loss)
+from .objectives import (LOSS_TERMS, LossBreakdown, diffusion_loss, rec_loss,
+                         total_loss, tri_view_cl_loss)
 
 
 @dataclass(frozen=True)
@@ -83,31 +83,27 @@ class Adam:
     def restored(cls, t: int, m: dict, v: dict, beta1: float, beta2: float,
                  eps: float) -> "Adam":
         """An optimizer resuming from saved step count and moments."""
-        opt = cls.__new__(cls)
-        opt.beta1, opt.beta2, opt.eps = beta1, beta2, eps
+        opt = cls({}, beta1, beta2, eps)
         opt.t, opt.m, opt.v = t, m, v
         return opt
 
     def step(self, params: ParameterSet, lr: float, grad_clip: float | None = None) -> None:
         """One update. A non-finite gradient norm raises FloatingPointError
         before the step count, the moments or any parameter change."""
-        grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for name, p in params.items()}
+        grads = [(name, p, 0.0 if p.grad is None else p.grad) for name, p in params.items()]
         sq_norm = 0.0
-        for name, g in grads.items():
+        for name, _, g in grads:
             sq_norm += float(np.sum(g * g))
             if not math.isfinite(sq_norm):
                 raise FloatingPointError("gradient norm turns non-finite at %s" % name)
-        if grad_clip is not None:
-            norm = math.sqrt(sq_norm)
-            if norm > grad_clip:
-                scale = grad_clip / norm
-                grads = {name: g * scale for name, g in grads.items()}
+        norm = math.sqrt(sq_norm)
+        scale = grad_clip / norm if grad_clip is not None and norm > grad_clip else None
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
+        for name, p, g in grads:
+            if scale is not None:
+                g = g * scale
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
@@ -166,24 +162,19 @@ def train_step(state: TrainState, batch: SequenceBatch, warmup: bool,
                lr: float) -> LossBreakdown:
     """One forward/backward/update pass. Draws t and noise from the state RNG."""
     cfg = state.model_cfg
-    variant = state.variant
     B = batch.size
     if warmup:
         t_arr = eps = None
     else:
         t_arr = state.rng.integers(1, cfg.T + 1, size=B)
         eps = state.rng.standard_normal((B, cfg.d))
-    bundle = training_forward(state.params, cfg, batch, variant, state.sched,
+    bundle = training_forward(state.params, cfg, batch, state.variant, state.sched,
                               t_arr, eps, warmup=warmup)
     gb = bundle.guidance
-    l_diff = None
-    if bundle.x0_hat is not None:
-        l_diff = diffusion_loss(bundle.x0, bundle.x0_hat)
-    l_rec = None
-    if bundle.x0_hat is not None or gb.gx_hat is not None:
-        l_rec = rec_loss(bundle.x0_hat, gb.gx_hat, gb.gy_hat,
-                         batch.tx, batch.wx, batch.ty, batch.wy,
-                         state.params["emb_x"], state.params["emb_y"])
+    l_diff = None if warmup else diffusion_loss(bundle.x0, bundle.x0_hat)
+    l_rec = rec_loss(bundle.x0_hat, gb.gx_hat, gb.gy_hat,
+                     batch.tx, batch.wx, batch.ty, batch.wy,
+                     state.params["emb_x"], state.params["emb_y"])
     l_cl = None
     if bundle.h_aug is not None and B >= 2:
         l_cl = tri_view_cl_loss(bundle.x0_hat, gb.gd_hat, bundle.h_aug)
@@ -242,8 +233,11 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
         raise ValueError("training split yields no prefix examples")
     check_vocab_sizes(cfg, split.vocab_x, split.vocab_y)
     check_seq_lens(cfg, examples)
-    if eval_every > 0:
+    validate = eval_every > 0 and bool(split.validation)
+    if validate:
         check_seq_lens(cfg, [s for s, _ in split.validation])
+        if eval_steps is not None:
+            strided_steps(cfg.T, eval_steps)
     vx, vy = split.vocab_x, split.vocab_y
     steps_per_epoch = count_steps_per_epoch(examples, tcfg.batch_size)
     total_steps = max(1, tcfg.epochs * steps_per_epoch)
@@ -258,9 +252,9 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
 
     for epoch in range(state.epoch, end_epoch):
         warmup = epoch < warm_epochs
-        sums = np.zeros(4)
-        n_steps = 0
-        for batch_idx in _bucketed_batches(examples, tcfg.batch_size, state.rng):
+        sums = np.zeros(len(LOSS_TERMS))
+        batches = _bucketed_batches(examples, tcfg.batch_size, state.rng)
+        for batch_idx in batches:
             exs = [examples[j] for j in batch_idx]
             augmented = None
             if state.variant.use_tricl and not warmup:
@@ -281,13 +275,11 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
                     save_checkpoint(os.path.join(out_dir, "crash"), state)
                 raise RuntimeError("training diverged at epoch %d step %d: %s"
                                    % (epoch, state.global_step, e)) from e
-            sums += (bd.l_diff, bd.l_rec, bd.l_tri_cl, bd.l_total)
-            n_steps += 1
+            sums += astuple(bd)
         state.epoch = epoch + 1
         record = {"epoch": state.epoch, "stage": "warmup" if warmup else "main",
-                  "l_diff": sums[0] / n_steps, "l_rec": sums[1] / n_steps,
-                  "l_tri_cl": sums[2] / n_steps, "l_total": sums[3] / n_steps}
-        if eval_every > 0 and state.epoch % eval_every == 0 and split.validation:
+                  **dict(zip(LOSS_TERMS, sums / len(batches)))}
+        if validate and state.epoch % eval_every == 0:
             report = evaluation.evaluate(split.validation, state.params, cfg,
                                          state.sched, state.variant_name, vx, vy,
                                          seed=eval_seed, n_steps=eval_steps,
@@ -320,6 +312,8 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
 # checkpoints
 
 CHECKPOINT_FORMAT_VERSION = 2
+# TrainState fields the manifest holds under their own names
+PROGRESS_FIELDS = ("epoch", "global_step", "best_epoch", "history")
 
 
 def save_checkpoint(ckpt_dir: str, state: TrainState) -> None:
@@ -344,15 +338,12 @@ def save_checkpoint(ckpt_dir: str, state: TrainState) -> None:
         "schedule": state.sched.spec(),
         "variant": state.variant_name,
         "params": [[name, list(p.data.shape)] for name, p in state.params.items()],
-        "epoch": state.epoch,
-        "global_step": state.global_step,
         "adam_t": state.opt.t,
         "rng_state": state.rng.bit_generator.state,
         "best_metric": (None if state.best_metric == float("-inf")
                         else state.best_metric),
-        "best_epoch": state.best_epoch,
         "has_best": state.best_params is not None,
-        "history": state.history,
+        **{key: getattr(state, key) for key in PROGRESS_FIELDS},
     }
     with open(os.path.join(tmp, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -417,11 +408,9 @@ def load_checkpoint(ckpt_dir: str) -> TrainState:
     best_metric = manifest["best_metric"]
     state = TrainState(params=params, model_cfg=model_cfg, train_cfg=train_cfg,
                        sched=sched, variant_name=manifest["variant"], opt=opt,
-                       rng=rng, epoch=manifest["epoch"],
-                       global_step=manifest["global_step"],
+                       rng=rng,
                        best_metric=float("-inf") if best_metric is None else best_metric,
-                       best_epoch=manifest["best_epoch"],
-                       history=list(manifest["history"]))
+                       **{key: manifest[key] for key in PROGRESS_FIELDS})
     if manifest["has_best"]:
         state.best_params = _read_blob(ckpt_dir, "best.bin", n_params)
     return state

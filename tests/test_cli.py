@@ -205,6 +205,8 @@ class TestTrain:
             assert os.path.isfile(os.path.join(run, sub, "manifest.json"))
             assert os.path.isfile(os.path.join(run, sub, "params.bin"))
             assert os.path.isfile(os.path.join(run, sub, "optimizer.bin"))
+        with open(os.path.join(run, "history.csv")) as fh:
+            assert fh.readline() == "epoch,stage,l_diff,l_rec,l_tri_cl,l_total,val_ndcg10\n"
         rows = read_csv(os.path.join(run, "history.csv"))
         assert [r["stage"] for r in rows] == ["warmup", "main"]
         assert float(rows[1]["l_total"]) > 0
@@ -324,6 +326,21 @@ class TestRobustSweepAblate:
                    "--set", "n_negatives=0"])
         assert rc == 1
         assert "n_negatives" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_ablate_bad_n_steps_trains_nothing(self, pipeline, tmp_path, capsys,
+                                               monkeypatch):
+        import crossdiff.trainer as trainer_mod
+
+        calls = []
+        monkeypatch.setattr(trainer_mod, "fit", lambda *a, **kw: calls.append(1))
+        out = str(tmp_path / "abl")
+        rc = main(["ablate", "--data", pipeline["split"], "--out", out,
+                   "--variants", "diff", "--seeds", "0", "--set", "n_steps=99"]
+                  + TINY_MODEL)
+        assert rc == 1
+        assert "n_steps=99 outside [1, 6]" in capsys.readouterr().err
+        assert calls == []
         assert not os.path.exists(out)
 
     def test_ablate_unknown_variant(self, pipeline, tmp_path, capsys):
@@ -530,6 +547,18 @@ class TestSplitChecks:
         assert rc == 1
         assert ("error: %s line 4: [99999, 'x'] is not a real item" % path
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("user_index", [-3, 99999])
+    def test_test_user_index_out_of_range(self, pipeline, tmp_path, capsys, user_index):
+        path = copy_split(pipeline["split"], str(tmp_path / "split"), "test.jsonl", 2,
+                          lambda rec: dict(rec, user_index=user_index))
+        rc = main(["eval", "--checkpoint", os.path.join(pipeline["run"], "latest"),
+                   "--data", os.path.dirname(path), "--out", str(tmp_path / "e"),
+                   "--set", "n_negatives=12"])
+        assert rc == 1
+        assert ("error: %s line 2: user_index %d is not an integer in [0, "
+                % (path, user_index) in capsys.readouterr().err)
+        assert not os.path.exists(str(tmp_path / "e"))
 
     def test_test_target_of_the_other_domain(self, pipeline, tmp_path, capsys):
         path = copy_split(pipeline["split"], str(tmp_path / "split"), "test.jsonl", 2,

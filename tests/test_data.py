@@ -573,7 +573,8 @@ class TestRoundTrips:
 
 
 class TestLoadSplitChecks:
-    """load_split refuses a split whose indices do not name real items of their domain."""
+    """load_split refuses a split whose indices do not name real items of their
+    domain or real users."""
 
     @pytest.fixture
     def saved(self, tmp_path, small_split):
@@ -625,4 +626,17 @@ class TestLoadSplitChecks:
         with open(vp, "w") as fh:
             json.dump(head, fh)
         with pytest.raises(ValueError, match="not contiguous"):
+            load_split(out)
+
+    @pytest.mark.parametrize("name", ["train", "valid", "test"])
+    @pytest.mark.parametrize("user_index", [-3, "n_users", "3", 1.5, True])
+    def test_user_index_must_name_a_user(self, saved, name, user_index):
+        out, split = saved
+        if user_index == "n_users":
+            user_index = len(split.user_ids)
+        path = os.path.join(out, name + ".jsonl")
+        edit_json_line(path, 4, lambda rec: dict(rec, user_index=user_index))
+        with pytest.raises(ValueError, match=r"%s line 4: user_index %s is not an integer "
+                           r"in \[0, %d\)" % (re.escape(path), re.escape(repr(user_index)),
+                                               len(split.user_ids))):
             load_split(out)

@@ -372,7 +372,29 @@ class TestSampleBatch:
             noise = (np.stack([r.standard_normal(cfg.d) for r in rngs]) if t_prev > 0
                      else np.zeros_like(x))
             x = reverse_step(x, t, x0_hat, sched, noise, t_prev=t_prev)
+        # the sampler makes only the transitions whose results it uses
+        transitions = []
+        real_step = evaluation.reverse_step
+
+        def counted(*args, **kwargs):
+            transitions.append(args[1])
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "reverse_step", counted)
         assert np.array_equal(self._sample(eval_setup, n_steps=n_steps), x0_hat)
+        assert transitions == steps[:-1]
+
+    @pytest.mark.parametrize("n_steps", [1, 2, None])
+    def test_non_finite_final_sample_rejected(self, eval_setup, monkeypatch, n_steps):
+        sched = eval_setup[3]
+        last = strided_steps(sched.T, sched.T if n_steps is None else n_steps)[-1]
+
+        def stub(params, cfg, x_t, t, memory):
+            return Tensor(np.full_like(x_t.data, np.nan) if t[0] == last else 0.5 * x_t.data)
+
+        monkeypatch.setattr(evaluation, "denoise", stub)
+        with pytest.raises(ValueError, match="non-finite"):
+            self._sample(eval_setup, n_steps=n_steps)
 
 
 class TestEvaluate:
@@ -570,6 +592,27 @@ class TestAblationHarness:
             for rep in row["reports"]:
                 assert rep.fingerprint["variant"] == row["variant"]
                 assert rep.fingerprint["trained_steps"] != "untrained"
+
+    @pytest.mark.parametrize("eval_steps", [0, 99])
+    def test_bad_eval_steps_rejected_before_training(self, small_split_mod, sched_mod,
+                                                     monkeypatch, eval_steps):
+        import crossdiff.trainer as trainer_mod
+        from crossdiff.evaluation import run_ablation
+        from crossdiff.trainer import TrainConfig
+
+        calls = []
+        real = trainer_mod.train_step
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "train_step", spy)
+        with pytest.raises(ValueError, match="n_steps=%d outside" % eval_steps):
+            run_ablation(small_split_mod, "diff", tiny_model_cfg(small_split_mod),
+                         TrainConfig(batch_size=64, epochs=1), sched_mod,
+                         n_negatives=10, eval_steps=eval_steps)
+        assert calls == []
 
     def test_unknown_variant(self, small_split_mod, sched_mod):
         from crossdiff.evaluation import run_ablation

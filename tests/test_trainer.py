@@ -131,16 +131,29 @@ class TestAdam:
         assert np.all(opt.m["a"] != 0.0)
 
     def test_moments_decay_without_gradient(self):
-        params = bare_params([("a", (2,))])
-        opt = Adam(params, 0.9, 0.99)
-        params["a"].grad = np.array([1.0, -2.0])
-        opt.step(params, 0.0)
-        m1 = opt.m["a"].copy()
-        v1 = opt.v["a"].copy()
-        params["a"].grad = None
-        opt.step(params, 0.0)
-        assert np.allclose(opt.m["a"], 0.9 * m1, atol=0, rtol=1e-15)
-        assert np.allclose(opt.v["a"], 0.99 * v1, atol=0, rtol=1e-15)
+        # "a" gets no gradient in the second step, as None in one run and as
+        # explicit zeros in the other; with a clip of 0.5, "b"'s gradient
+        # (norm 5) makes the clip fire
+        for grad_clip in (None, 0.5):
+            runs = []
+            for missing in (None, np.zeros(2)):
+                params = bare_params([("a", (2,)), ("b", (2,))])
+                opt = Adam(params, 0.9, 0.99)
+                params["a"].grad = np.array([1.0, -2.0])
+                params["b"].grad = np.array([0.5, 0.25])
+                opt.step(params, 0.1, grad_clip=grad_clip)
+                m1, v1 = opt.m["a"].copy(), opt.v["a"].copy()
+                params["a"].grad = missing
+                params["b"].grad = np.array([3.0, -4.0])
+                opt.step(params, 0.1, grad_clip=grad_clip)
+                assert np.array_equal(opt.m["a"], 0.9 * m1)
+                assert np.array_equal(opt.v["a"], 0.99 * v1)
+                runs.append((params, opt))
+            (p_none, opt_none), (p_zero, opt_zero) = runs
+            for n in ("a", "b"):
+                assert np.array_equal(p_none[n].data, p_zero[n].data)
+                assert np.array_equal(opt_none.m[n], opt_zero.m[n])
+                assert np.array_equal(opt_none.v[n], opt_zero.v[n])
 
     def test_grad_clip_rescales_globally(self):
         mk = lambda: bare_params([("a", (3,)), ("b", (2,))], seed=2)
@@ -311,6 +324,17 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match="embedding tables have %d and %d"
                            % (cfg.vocab_x_size, cfg.vocab_y_size)):
             fit(state, small_split, eval_every=0)
+        assert calls == []
+        assert state.global_step == 0
+
+    @pytest.mark.parametrize("eval_steps", [0, 7])
+    def test_bad_eval_steps_rejected_before_any_step(self, small_split, small_sched,
+                                                     monkeypatch, eval_steps):
+        state = init_state(tiny_model_cfg(small_split),
+                           TrainConfig(batch_size=4, epochs=1, seed=3), small_sched, "full")
+        calls = spy_calls(monkeypatch, "train_step")
+        with pytest.raises(ValueError, match=r"n_steps=%d outside \[1, 6\]" % eval_steps):
+            fit(state, small_split, eval_every=1, eval_steps=eval_steps)
         assert calls == []
         assert state.global_step == 0
 

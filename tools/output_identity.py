@@ -1,0 +1,178 @@
+"""Digest crossdiff's outputs, to show that a change leaves every byte as it was.
+
+    python3 tools/output_identity.py --src DIR
+
+runs the crossdiff package found in DIR/src, in child processes, and prints
+one SHA-256 for each of two sections:
+
+- library: `fit` over six small runs that between them cover all five
+  variants, d 8/12/16, 1-3 heads, 1-2 decoder layers, no gradient clip and
+  clips of 0.3/0.5/1/5, 0-2 warm-up epochs, validation every epoch and a
+  checkpoint every epoch. It digests the parameters, the Adam moments, the
+  history, every checkpoint file and the verbose output, then `evaluate` on
+  the test part at n_steps 1, 2 and T, each at batch sizes 64 and 5.
+- cli: synth, prepare, train (`full` with a gradient clip, and `diff`),
+  eval (also `--use-best --part valid`), robust, sweep and ablate. It
+  digests every file the commands write and their standard output, leaving
+  out the run manifests' timestamps and output paths.
+
+Run it on two trees, say a parent commit and a change; equal lines mean
+equal bytes. Both sections together take about 10 seconds on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# every child imports crossdiff from --src and uses one BLAS thread, so the
+# digests do not depend on the machine's core count
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# (variant, d, n_heads, dec_layers, grad_clip, warmup_epochs)
+LIBRARY_RUNS = [
+    ("full", 8, 2, 1, None, 1),
+    ("diff", 12, 3, 2, 0.3, 2),
+    ("diff_de", 16, 1, 1, 0.5, 2),
+    ("diff_de_g", 8, 1, 2, 1.0, 0),
+    ("diff_de_tricl", 12, 2, 1, 5.0, 1),
+    ("full", 16, 2, 2, 0.3, 2),
+]
+
+CLI_SETTINGS = ["n_users=60", "n_items_x=30", "n_items_y=30", "min_interactions=5",
+                "d=8", "n_heads=2", "enc_layers=1", "diffusion_steps=6",
+                "epochs=3", "warmup_epochs=1", "batch_size=32", "checkpoint_every=1"]
+
+
+def _digest_tree(h, root: str) -> None:
+    """Feed every file under root, by relative path and bytes, into h."""
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            h.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name == "run_manifest.json":
+                manifest = json.loads(data)
+                for key in ("started_at", "finished_at", "outputs"):
+                    manifest.pop(key)
+                data = json.dumps(manifest, sort_keys=True).encode()
+            h.update(data + b"\0")
+
+
+def library_section(work: str) -> str:
+    import numpy as np
+
+    from crossdiff.data import SyntheticConfig, filter_and_split, generate_synthetic
+    from crossdiff.diffusion import build_schedule
+    from crossdiff.evaluation import evaluate
+    from crossdiff.network import ModelConfig
+    from crossdiff.trainer import TrainConfig, fit, init_state
+
+    events, _ = generate_synthetic(SyntheticConfig(
+        n_users=24, n_items_x=40, n_items_y=40, n_shared_interests=3,
+        n_specific_interests=1, noise_rate=0.1, seq_len_range=(10, 15), rng_seed=7))
+    split = filter_and_split(events)
+    sched = build_schedule(6)
+    h = hashlib.sha256()
+    for i, (variant, d, heads, dec_layers, clip, warm) in enumerate(LIBRARY_RUNS):
+        model_cfg = ModelConfig(d=d, n_heads=heads, enc_layers=1, dec_layers=dec_layers,
+                                max_seq_len=15, T=sched.T,
+                                vocab_x_size=split.vocab_x.size,
+                                vocab_y_size=split.vocab_y.size)
+        train_cfg = TrainConfig(lr=1e-2, batch_size=16, epochs=4, warmup_epochs=warm,
+                                grad_clip=clip, seed=i)
+        state = init_state(model_cfg, train_cfg, sched, variant=variant)
+        out_dir = os.path.join(work, "run%d" % i)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            fit(state, split, out_dir=out_dir, eval_every=1, checkpoint_every=1,
+                eval_seed=5, verbose=True)
+        h.update(stdout.getvalue().encode())
+        h.update(state.params.to_vector().tobytes())
+        for name in state.params.names():
+            h.update(state.opt.m[name].tobytes() + state.opt.v[name].tobytes())
+        h.update(json.dumps(state.history, sort_keys=True).encode())
+        _digest_tree(h, out_dir)
+        for n_steps in (1, 2, sched.T):
+            for batch_size in (64, 5):
+                rep = evaluate(split.test, state.params, model_cfg, sched, variant,
+                               split.vocab_x, split.vocab_y, seed=3, n_steps=n_steps,
+                               n_negatives=10, batch_size=batch_size,
+                               trained_steps=state.global_step)
+                h.update(repr(sorted(rep.per_domain.items())).encode())
+                h.update(json.dumps(rep.fingerprint, sort_keys=True).encode())
+        h.update(np.float64(state.best_metric).tobytes())
+    return h.hexdigest()
+
+
+def cli_section(src: str, work: str) -> str:
+    h = hashlib.sha256()
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **CHILD_ENV)
+    common = [arg for kv in CLI_SETTINGS for arg in ("--set", kv)]
+    commands = [
+        ["synth", "--out", "raw"],
+        ["prepare", "--input", "raw/events.tsv", "--out", "data"],
+        ["train", "--data", "data", "--out", "run_full", "--set", "grad_clip=0.5"],
+        ["train", "--data", "data", "--out", "run_diff", "--variant", "diff"],
+        ["eval", "--checkpoint", "run_full/latest", "--data", "data", "--out", "ev"],
+        ["eval", "--checkpoint", "run_full/latest", "--data", "data", "--out", "ev_best",
+         "--use-best", "--part", "valid"],
+        ["eval", "--checkpoint", "run_diff/latest", "--data", "data", "--out", "ev_diff"],
+        ["robust", "--checkpoint", "run_full/latest", "--data", "data", "--out", "rob",
+         "--rates", "0,0.2"],
+        ["sweep", "--checkpoint", "run_full/latest", "--data", "data", "--out", "sw",
+         "--steps", "1,2,6"],
+        ["ablate", "--data", "data", "--out", "abl", "--variants", "diff,full",
+         "--seeds", "0,1", "--set", "epochs=2"],
+    ]
+    for cmd in commands:
+        # the command's own --set comes last, so it wins over the shared ones
+        proc = subprocess.run([sys.executable, "-m", "crossdiff.cli", cmd[0]] + common
+                              + cmd[1:],
+                              cwd=work, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit("crossdiff %s failed:\n%s" % (cmd[0], proc.stderr))
+        h.update((" ".join(cmd) + "\0" + proc.stdout + "\0").encode())
+    _digest_tree(h, work)
+    return h.hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", required=True,
+                    help="root of the crossdiff tree whose src/ is imported")
+    ap.add_argument("--library-child", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    src = os.path.join(os.path.abspath(args.src), "src")
+    if not os.path.isdir(os.path.join(src, "crossdiff")):
+        ap.error("%s holds no crossdiff package" % src)
+    with tempfile.TemporaryDirectory(prefix="crossdiff-identity-") as work:
+        if args.library_child:
+            import crossdiff
+            if not os.path.abspath(crossdiff.__file__).startswith(src + os.sep):
+                raise SystemExit("imported crossdiff from %s, not %s"
+                                 % (crossdiff.__file__, src))
+            print(library_section(work))
+            return 0
+        env = dict(os.environ, PYTHONPATH=src, **CHILD_ENV)
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--src",
+                               args.src, "--library-child"],
+                              env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit("library section failed:\n%s" % proc.stderr)
+        print("library %s" % proc.stdout.strip())
+        print("cli     %s" % cli_section(src, work))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
