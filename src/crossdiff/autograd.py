@@ -18,6 +18,12 @@ input's shape and accumulates it, and builds the output Tensor. The rules
 exist before the output does, so they can hold arrays but never the output
 Tensor, which would make every graph a reference cycle that only the cycle
 collector frees.
+
+Products with one matrix: a stack times a weight matrix runs, forward and
+backward, as one GEMM over the stack's flattened rows. The forward pads a
+call with too few rows with zero rows, so that a row's bits do not depend on
+how many rows share the call; evaluation's batch-composition invariance
+rests on this, and a guard test pins it for the BLAS in use.
 """
 
 from __future__ import annotations
@@ -180,15 +186,31 @@ def div(a, b):
                (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
+def _rows_times_matrix(a, b):
+    """a's rows, under any leading axes, times the matrix b as one GEMM.
+
+    A row's bits must not depend on how many rows share the call. OpenBLAS
+    sends a single row to gemv, and for K > 256 a product under about 2**20
+    multiply-adds to a small-matrix kernel; both sum in another order. So a
+    call with fewer rows than that is padded with zero rows, then sliced back.
+    """
+    k, n = b.shape
+    rows = a.reshape(-1, k)
+    m = rows.shape[0]
+    floor = 2 if k <= 256 else max(2, -(-2 ** 20 // (n * k)))
+    if m < floor:
+        rows = np.concatenate([rows, np.zeros((floor - m, k))])
+    return (rows @ b)[:m].reshape(a.shape[:-1] + (n,))
+
+
 def matmul(a, b):
     """Batched matrix product, numpy broadcasting rules on leading axes."""
     if b.data.ndim == 2:
-        # a matrix or a stack times one matrix: each gradient is one GEMM
-        # over a's flattened rows, not per-example products summed by
-        # _unbroadcast. A stack's forward stays per-example, so that a row's
-        # output does not depend on which other rows share its batch.
+        # a matrix or a stack times one matrix: the forward and each gradient
+        # are one GEMM over a's flattened rows, not per-example products. The
+        # forward's padding keeps a row's bits independent of the row count.
         k, m = b.data.shape
-        return _op(np.matmul(a.data, b.data),
+        return _op(_rows_times_matrix(a.data, b.data),
                    (a, lambda g: (g.reshape(-1, m) @ b.data.T).reshape(a.data.shape)),
                    (b, lambda g: a.data.reshape(-1, k).T @ g.reshape(-1, m)))
     return _op(np.matmul(a.data, b.data),

@@ -266,8 +266,7 @@ def step_sweep(part, params: ParameterSet, model_cfg: ModelConfig,
     check_negatives(n_negatives)
     step_counts = list(step_counts)
     for n in step_counts:
-        if not (1 <= n <= sched.T):
-            raise ValueError("step count %d outside [1, %d]" % (n, sched.T))
+        strided_steps(sched.T, n)
     rows = []
     for n in step_counts:
         rep = evaluate(part, params, model_cfg, sched, variant_name, vocab_x,

@@ -249,6 +249,7 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
     end_epoch = tcfg.epochs
     if max_epochs is not None:
         end_epoch = min(end_epoch, state.epoch + max_epochs)
+    saved_epoch = None   # the epoch `latest` was last saved at by this call
 
     for epoch in range(state.epoch, end_epoch):
         warmup = epoch < warm_epochs
@@ -303,7 +304,8 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
             print(msg)
         if out_dir and checkpoint_every > 0 and state.epoch % checkpoint_every == 0:
             save_checkpoint(os.path.join(out_dir, "latest"), state)
-    if out_dir:
+            saved_epoch = state.epoch
+    if out_dir and saved_epoch != state.epoch:
         save_checkpoint(os.path.join(out_dir, "latest"), state)
     return state
 

@@ -107,18 +107,50 @@ def test_matmul_stack_times_matrix_one_operand(requires_grad):
                 requires_grad=requires_grad)
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [((1, 1, 4), (4, 3)), ((2, 1, 320), (320, 4))])
+def test_matmul_padded_rows(a_shape, b_shape):
+    # one row, and a K > 256 product padded to hundreds of rows
+    check_grads(lambda a, b: ag.matmul(a, b), [rand(*a_shape, seed=23), rand(*b_shape, seed=24)])
+
+
 @pytest.mark.parametrize("B", [1, 8])
 def test_matmul_stack_forward_is_per_example(B):
-    """Each row of a stack's product equals that row's own product, bit for bit.
-
-    Batch-composition invariance of evaluation rests on this, which is why
-    only the backward of a stack times a matrix is flattened into one GEMM.
+    """Each example's rows of a stack's product equal that example's own
+    product, bit for bit: the batch beside it does not change them.
     """
     a = rand(B, 10, 64, seed=17)
     w = rand(64, 256, seed=18)
     out = ag.matmul(Tensor(a), Tensor(w)).data
     for i in range(B):
         assert np.array_equal(out[i], a[i] @ w)
+
+
+# every (K, N) weight shape of the model at these widths: the attention
+# projections and fuse.w are (d, d), the MLP layers (d, 4d) and (4d, d)
+MODEL_GEMM_SHAPES = sorted({s for d in (8, 12, 16, 32, 64, 128, 256)
+                            for s in ((d, d), (d, 4 * d), (4 * d, d))})
+
+
+@pytest.mark.parametrize("k,n", MODEL_GEMM_SHAPES)
+def test_matmul_row_bits_do_not_depend_on_row_count(k, n):
+    """A row of a stack times a matrix has the same bits whatever the row count.
+
+    Batch-composition invariance of evaluation rests on this: a denoiser token
+    goes through the same GEMM alone as in a batch of 130. It holds only for a
+    BLAS whose row results, past the padding in `_rows_times_matrix`, do not
+    depend on the row count; another BLAS fails here by name.
+    """
+    x = rand(130, k, seed=21)
+    w = rand(k, n, seed=22)
+    want = x @ w
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    for m in range(1, 131):
+        for off in sorted({0, (130 - m) // 2, 130 - m}):
+            got = ag.matmul(Tensor(x[off:off + m].reshape(m, 1, k)), Tensor(w)).data
+            assert np.array_equal(got.reshape(m, n), want[off:off + m]), (
+                "rows %d:%d of a (%d, %d) @ (%d, %d) product differ from the same rows "
+                "of a 130-row product under BLAS %s %s"
+                % (off, off + m, m, k, k, n, blas.get("name"), blas.get("version")))
 
 
 def test_matmul_stack_backward_memory():

@@ -301,7 +301,7 @@ class TestRobustSweepAblate:
                    "--data", pipeline["split"], "--out", str(tmp_path / "s"),
                    "--steps", "0", "--set", "n_negatives=12"])
         assert rc == 1
-        assert "step count" in capsys.readouterr().err
+        assert "n_steps=0 outside [1, " in capsys.readouterr().err
 
     def test_ablate_csv(self, pipeline, tmp_path):
         out = str(tmp_path / "abl")

@@ -267,6 +267,27 @@ class TestSampleBatch:
                             solo_batch.user_index, seed=5, n_steps=sched.T)
         assert np.array_equal(solo[0], full[3])
 
+    def test_batch_composition_invariance_wide_mlp(self):
+        # at d=128 the second MLP layer is (512, 128): with K > 256, a product
+        # of a few rows would take OpenBLAS's small-matrix kernel
+        from conftest import make_split
+        split, _ = make_split(n_users=24)
+        cfg = tiny_model_cfg(split, d=128, T=3)
+        params = init_parameters(cfg, rng_seed=3)
+        sched = build_schedule(cfg.T)
+        batch = make_eval_batch([s for s, _ in split.test[:20]], split.vocab_x,
+                                split.vocab_y)
+        with no_grad():
+            gb = guidance_forward(params, cfg, batch, VARIANTS["full"])
+
+        def sample(rows):
+            return sample_batch(params, cfg, sched, Tensor(gb.guide.data[rows]),
+                                gb.guide_valid[rows], batch.user_index[rows],
+                                seed=5, n_steps=cfg.T)
+
+        full = sample(slice(None))
+        assert np.array_equal(sample(slice(7, 8))[0], full[7])
+
     def test_seed_and_steps_matter(self, eval_setup):
         split, cfg, params, sched = eval_setup
         seqs = [s for s, _ in split.test[:4]]
@@ -561,7 +582,7 @@ class TestStepSweep:
                           split.vocab_y, [1, 2, 3], seed=5, n_negatives=10)
         assert [r["n_steps"] for r in rows] == [1, 2, 3]
         for bad in (0, sched.T + 1):
-            with pytest.raises(ValueError, match="step count"):
+            with pytest.raises(ValueError, match=r"n_steps=%d outside \[1, %d\]" % (bad, sched.T)):
                 step_sweep(split.test, params, cfg, sched, "full", split.vocab_x,
                            split.vocab_y, [bad], seed=5, n_negatives=10)
 
@@ -569,7 +590,7 @@ class TestStepSweep:
         split, cfg, params, sched = eval_setup
         calls = []
         monkeypatch.setattr(evaluation, "evaluate", lambda *a, **k: calls.append(1))
-        with pytest.raises(ValueError, match="step count 99"):
+        with pytest.raises(ValueError, match=r"n_steps=99 outside \[1, %d\]" % sched.T):
             step_sweep(split.test, params, cfg, sched, "full", split.vocab_x,
                        split.vocab_y, [1, 2, 99], seed=5, n_negatives=10)
         assert calls == []

@@ -372,6 +372,24 @@ class TestTrainingLoop:
         examples = build_training_examples(small_split)
         assert state.global_step == 3 * count_steps_per_epoch(examples, 64)
 
+    @pytest.mark.parametrize("every,want", [(1, [1, 2, 3]), (2, [2, 3])])
+    def test_latest_saved_once_per_epoch(self, small_split, small_sched, tmp_path,
+                                         monkeypatch, every, want):
+        saved = []
+        real = trainer_mod.save_checkpoint
+
+        def spy(ckpt_dir, state):
+            if os.path.basename(ckpt_dir) == "latest":
+                saved.append(state.epoch)
+            return real(ckpt_dir, state)
+
+        monkeypatch.setattr(trainer_mod, "save_checkpoint", spy)
+        state = init_state(tiny_model_cfg(small_split),
+                           TrainConfig(batch_size=64, epochs=3, seed=5), small_sched, "diff")
+        fit(state, small_split, out_dir=str(tmp_path / "run"), eval_every=0,
+            checkpoint_every=every)
+        assert saved == want
+
     def test_variant_without_encoders_skips_warmup(self, small_split, small_sched):
         cfg = tiny_model_cfg(small_split)
         tcfg = TrainConfig(batch_size=64, epochs=1, warmup_epochs=2, seed=5)
