@@ -10,6 +10,10 @@ and adds later ones out of place. A strided view is copied to C order first,
 because BLAS rounds differently on strided operands. No backward rule writes
 into a gradient array, so a stored gradient may share memory with another
 node's. A gradient whose shape is not the node's is an error, never broadcast.
+Once an interior node has handed its gradient to its inputs, `backward` drops
+it, so after the pass only leaves keep `.grad`; the rules, and the
+activations they hold, live until the graph is dropped. A bias is part of its
+product's node (`matmul(a, W, bias)`), not a separate addition.
 
 Each primitive is one `_op(value, (parent, rule), ...)` call: its forward
 value, and for each input a rule from the output's gradient to that input's.
@@ -96,6 +100,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # operator sugar; constants are promoted on the fly
     def __add__(self, other):
@@ -203,16 +208,26 @@ def _rows_times_matrix(a, b):
     return (rows @ b)[:m].reshape(a.shape[:-1] + (n,))
 
 
-def matmul(a, b):
-    """Batched matrix product, numpy broadcasting rules on leading axes."""
+def matmul(a, b, bias=None):
+    """Batched matrix product, numpy broadcasting rules on leading axes.
+
+    bias, when given, is added to every output row inside the same node; b
+    must then be a matrix.
+    """
     if b.data.ndim == 2:
         # a matrix or a stack times one matrix: the forward and each gradient
         # are one GEMM over a's flattened rows, not per-example products. The
         # forward's padding keeps a row's bits independent of the row count.
         k, m = b.data.shape
-        return _op(_rows_times_matrix(a.data, b.data),
-                   (a, lambda g: (g.reshape(-1, m) @ b.data.T).reshape(a.data.shape)),
-                   (b, lambda g: a.data.reshape(-1, k).T @ g.reshape(-1, m)))
+        out = _rows_times_matrix(a.data, b.data)
+        edges = [(a, lambda g: (g.reshape(-1, m) @ b.data.T).reshape(a.data.shape)),
+                 (b, lambda g: a.data.reshape(-1, k).T @ g.reshape(-1, m))]
+        if bias is not None:
+            out += bias.data
+            edges.append((bias, lambda g: g))
+        return _op(out, *edges)
+    if bias is not None:
+        raise ValueError("a bias needs a 2-D right operand, got shape %r" % (b.data.shape,))
     return _op(np.matmul(a.data, b.data),
                (a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))),
                (b, lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
@@ -235,9 +250,22 @@ def sqrt(a):
 def gelu(a):
     """Gaussian-error linear unit, exact erf form."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    return _op(x * cdf, (a, lambda g: g * (cdf + x * (np.exp(-0.5 * x * x)
-                                                      / np.sqrt(2.0 * np.pi)))))
+    cdf = erf(x / np.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
+
+    def rule(g):
+        # an array even for a 0-d x, so that every later step works in place
+        w = np.multiply(x, -0.5, out=np.empty_like(x))
+        w *= x
+        np.exp(w, out=w)
+        w /= np.sqrt(2.0 * np.pi)
+        w *= x
+        w += cdf
+        w *= g
+        return w
+
+    return _op(x * cdf, (a, rule))
 
 
 def sum_(a, axis=None, keepdims=False):
@@ -347,21 +375,29 @@ def masked_softmax(x, mask):
 def layer_norm(x, gain, bias):
     """Normalize over the last axis (eps 1e-8), then scale and shift. gain/bias: (d,)."""
     d = x.data.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-8)
-    xhat = xc * inv
+    xhat *= inv
 
     def x_rule(g):
+        # gx*inv - xhat*sum(gx*xhat)*inv/d - inv*sum(gx)/d, gx = g*gain, in
+        # that order of operations
         gx = g * gain.data
-        t1 = gx * inv
-        t2 = xhat * (gx * xhat).sum(axis=-1, keepdims=True) * inv / d
         t3 = inv * gx.sum(axis=-1, keepdims=True) / d
-        return t1 - t2 - t3
+        w = gx * xhat
+        s = w.sum(axis=-1, keepdims=True)
+        np.multiply(xhat, s, out=w)
+        w *= inv
+        w /= d
+        gx *= inv
+        gx -= w
+        gx -= t3
+        return gx
 
-    return _op(gain.data * xhat + bias.data, (x, x_rule), (gain, lambda g: g * xhat),
-               (bias, lambda g: g))
+    out = gain.data * xhat
+    out += bias.data
+    return _op(out, (x, x_rule), (gain, lambda g: g * xhat), (bias, lambda g: g))
 
 
 def l2_normalize(x):

@@ -176,6 +176,7 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
     check_seq_lens(model_cfg, [s for s, _ in part])
     variant = VARIANTS[variant_name]
     steps = sched.T if n_steps is None else n_steps
+    strided_steps(sched.T, steps)
     ranks = {d: [] for d in DOMAINS}
     for lo in range(0, len(part), batch_size):
         chunk = part[lo:lo + batch_size]

@@ -316,7 +316,8 @@ def make_eval_batch(sequences: list[UserSequence], vocab_x: Vocab, vocab_y: Voca
 # forward passes
 
 def _proj(params: ParameterSet, prefix: str, which: str, x: Tensor) -> Tensor:
-    return x @ params["%s.attn.w%s" % (prefix, which)] + params["%s.attn.b%s" % (prefix, which)]
+    return matmul(x, params["%s.attn.w%s" % (prefix, which)],
+                  params["%s.attn.b%s" % (prefix, which)])
 
 
 def _split_heads(t: Tensor, B: int, L: int, H: int, dh: int) -> Tensor:
@@ -346,8 +347,8 @@ def _attention(params: ParameterSet, prefix: str, q_in: Tensor, kv, mask: np.nda
 
 
 def _mlp(params: ParameterSet, prefix: str, x: Tensor) -> Tensor:
-    h = gelu(x @ params[prefix + ".mlp.w1"] + params[prefix + ".mlp.b1"])
-    return h @ params[prefix + ".mlp.w2"] + params[prefix + ".mlp.b2"]
+    h = gelu(matmul(x, params[prefix + ".mlp.w1"], params[prefix + ".mlp.b1"]))
+    return matmul(h, params[prefix + ".mlp.w2"], params[prefix + ".mlp.b2"])
 
 
 def _block(params: ParameterSet, prefix: str, h: Tensor, mask: np.ndarray | None,

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from crossdiff import autograd as ag
 from crossdiff.autograd import Tensor
@@ -113,6 +114,40 @@ def test_matmul_padded_rows(a_shape, b_shape):
     check_grads(lambda a, b: ag.matmul(a, b), [rand(*a_shape, seed=23), rand(*b_shape, seed=24)])
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (4, 3)), ((3, 4), (4, 2)),
+                                             ((2, 1, 320), (320, 4))])
+def test_matmul_bias(a_shape, b_shape):
+    # a stack, a matrix, and a K > 256 product padded to hundreds of rows
+    check_grads(lambda a, b, bias: ag.matmul(a, b, bias),
+                [rand(*a_shape, seed=25), rand(*b_shape, seed=26),
+                 rand(b_shape[1], seed=27)])
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((128, 12, 32), (32, 128)),
+                                             ((64, 1, 1024), (1024, 256)), ((5, 32), (32, 32))])
+def test_matmul_bias_matches_add_bits(a_shape, b_shape):
+    """The bias inside the product's node gives the bits of a separate add."""
+    arrays = [rand(*a_shape, seed=28), rand(*b_shape, seed=29), rand(b_shape[1], seed=30)]
+    g = rand(*a_shape[:-1], b_shape[1], seed=31)
+
+    def run(build):
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+        out = build(*leaves)
+        ag.sum_(out * Tensor(g)).backward()
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    got = run(lambda a, b, bias: ag.matmul(a, b, bias))
+    want = run(lambda a, b, bias: ag.add(ag.matmul(a, b), bias))
+    for x, y in zip(got, want):
+        _assert_same_bits(x, y)
+
+
+def test_matmul_bias_needs_a_matrix():
+    with pytest.raises(ValueError, match="2-D"):
+        ag.matmul(Tensor(rand(2, 3, 4, seed=32)), Tensor(rand(2, 4, 5, seed=33)),
+                  Tensor(rand(5, seed=34)))
+
+
 @pytest.mark.parametrize("B", [1, 8])
 def test_matmul_stack_forward_is_per_example(B):
     """Each example's rows of a stack's product equal that example's own
@@ -175,6 +210,56 @@ def test_exp_log_sqrt():
 
 def test_gelu():
     check_grads(lambda a: ag.gelu(a), [rand(3, 5, seed=13, lo=-2.0, hi=2.0)])
+
+
+# the rules as written before they worked in place; the primitives must
+# match them bit for bit
+
+def _ref_gelu(a):
+    x = a.data
+    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return ag._op(x * cdf, (a, lambda g: g * (cdf + x * (np.exp(-0.5 * x * x)
+                                                         / np.sqrt(2.0 * np.pi)))))
+
+
+def _ref_layer_norm(x, gain, bias):
+    d = x.data.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-8)
+    xhat = xc * inv
+
+    def x_rule(g):
+        gx = g * gain.data
+        t1 = gx * inv
+        t2 = xhat * (gx * xhat).sum(axis=-1, keepdims=True) * inv / d
+        t3 = inv * gx.sum(axis=-1, keepdims=True) / d
+        return t1 - t2 - t3
+
+    return ag._op(gain.data * xhat + bias.data, (x, x_rule), (gain, lambda g: g * xhat),
+                  (bias, lambda g: g))
+
+
+@pytest.mark.parametrize("op,ref,shapes", [
+    (ag.gelu, _ref_gelu, [(128, 12, 128)]),
+    (ag.gelu, _ref_gelu, [()]),
+    (ag.layer_norm, _ref_layer_norm, [(128, 12, 32), (32,), (32,)]),
+    (ag.layer_norm, _ref_layer_norm, [(7, 256), (256,), (256,)]),
+], ids=["gelu", "gelu_0d", "layer_norm", "layer_norm_2d"])
+def test_rules_match_reference_bits(op, ref, shapes):
+    rng = np.random.default_rng(46)
+    arrays = [rng.standard_normal(s) * 3.0 for s in shapes]
+    g = rng.standard_normal(shapes[0])
+
+    def run(build):
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+        out = build(*leaves)
+        ag.sum_(out * Tensor(g)).backward()
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    for got, want in zip(run(op), run(ref)):
+        _assert_same_bits(np.asarray(got), np.asarray(want))
 
 
 @pytest.mark.parametrize("axis", [None, 0, 1, -1, (0, 1), (1, 2)])
@@ -399,6 +484,7 @@ CALLS = {
     "mul": lambda x, y: ag.mul(x, x),
     "div": lambda x, y: ag.div(x, x + 1.0),
     "matmul": lambda x, y: ag.matmul(x, y),
+    "matmul:bias": lambda x, y: ag.matmul(x, y, ag.sum_(y, axis=0)),
     "exp": lambda x, y: ag.exp(x),
     "log": lambda x, y: ag.log(x),
     "sqrt": lambda x, y: ag.sqrt(x),
@@ -424,7 +510,7 @@ def test_every_public_function_is_in_calls():
     public = {name for name, fn in vars(ag).items()
               if callable(fn) and getattr(fn, "__module__", None) == ag.__name__
               and not name.startswith("_") and name not in ("Tensor", "no_grad")}
-    assert public == set(CALLS)
+    assert public == {op.split(":")[0] for op in CALLS}
 
 
 @pytest.mark.parametrize("op", sorted(CALLS))

@@ -452,6 +452,16 @@ class TestEvaluate:
                      n_negatives=5, batch_size=2)
         assert calls == []
 
+    @pytest.mark.parametrize("n_steps", [0, -1, 99])
+    def test_bad_n_steps_rejected_before_any_batch(self, eval_setup, monkeypatch, n_steps):
+        split, cfg, params, sched = eval_setup
+        calls = []
+        monkeypatch.setattr(evaluation, "guidance_forward", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match=r"n_steps=%d outside \[1, %d\]" % (n_steps, sched.T)):
+            evaluate(split.test, params, cfg, sched, "full", split.vocab_x, split.vocab_y,
+                     n_steps=n_steps, n_negatives=5)
+        assert calls == []
+
     def test_batch_size_invariance(self, eval_setup):
         split, cfg, params, sched = eval_setup
         a = evaluate(split.test, params, cfg, sched, "full", split.vocab_x,

@@ -548,7 +548,69 @@ def _bench_shaped():
     return cfg, make_train_batch(examples, split.vocab_x, split.vocab_y, augmented=aug)
 
 
+def _backward_keeping_grads(self):
+    """Tensor.backward as it was before interior gradients were released."""
+    topo, seen, stack = [], set(), [(self, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not node.requires_grad:
+            continue
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p, _ in node._parents:
+            stack.append((p, False))
+    self._accumulate(np.ones_like(self.data))
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def _graph_nodes(root):
+    """Every tensor of root's graph that needs a gradient."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(p for p, _ in node._parents)
+    return nodes
+
+
 class TestGradientHandOver:
+    @pytest.mark.parametrize("shape", ["grad_fixture", "bench"])
+    def test_interior_grads_released(self, shape, monkeypatch):
+        """Backward drops each interior gradient once it is handed over, and
+        the leaves get the bits that keeping every gradient gives."""
+        cfg, batch = grad_fixture() if shape == "grad_fixture" else _bench_shaped()
+
+        def run():
+            params = init_parameters(cfg, rng_seed=9)
+            loss = _full_variant_loss(params, cfg, batch)
+            nodes = _graph_nodes(loss)
+            loss.backward()
+            interior = [n for n in nodes if n._backward is not None]
+            return {n: p.grad for n, p in params.items()}, interior
+
+        got, interior = run()
+        assert len(interior) > 200
+        assert all(n.grad is None for n in interior)
+        with monkeypatch.context() as m:
+            m.setattr(Tensor, "backward", _backward_keeping_grads)
+            want, kept = run()
+        assert all(n.grad is not None for n in kept)
+        assert list(got) == list(want)
+        for name in got:
+            assert (got[name] is None) == (want[name] is None), name
+            if got[name] is not None:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
     @pytest.mark.parametrize("shape", ["grad_fixture", "bench"])
     def test_grads_match_zero_filled_accumulation(self, shape, monkeypatch):
         """Keeping the first gradient as given stores the bytes that staging

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -11,8 +12,11 @@ import pytest
 
 import crossdiff.trainer as trainer_mod
 from crossdiff.autograd import Tensor
-from crossdiff.data import UserSequence
-from crossdiff.network import ParameterSet, build_training_examples
+from crossdiff.data import (AugmentationSpec, SyntheticConfig, UserSequence, augment,
+                            filter_and_split, generate_synthetic)
+from crossdiff.diffusion import build_schedule
+from crossdiff.network import (ModelConfig, ParameterSet, build_training_examples,
+                               make_train_batch)
 from crossdiff.trainer import (
     Adam,
     TrainConfig,
@@ -280,7 +284,6 @@ class TestTrainingLoop:
                    for n in ("emb_x", "emb_y", "pos", "enc_x.0.attn.wq",
                              "enc_y.0.mlp.w1")}
         examples = build_training_examples(small_split)
-        from crossdiff.network import make_train_batch
         batch = make_train_batch(examples[:8], small_split.vocab_x, small_split.vocab_y)
         bd = train_step(state, batch, warmup=True, lr=0.01)
         assert bd.l_diff == 0.0 and bd.l_tri_cl == 0.0 and bd.l_rec > 0.0
@@ -338,14 +341,39 @@ class TestTrainingLoop:
         assert calls == []
         assert state.global_step == 0
 
+    def test_bench_step_memory(self):
+        """A benchmark-shaped step (B=128, prefix 12, d=32) peaks under 60 MB:
+        interior gradients are dropped once handed over and a bias adds into
+        its product (46 MB here). Keeping both, as before, peaked at 87 MB."""
+        events, _ = generate_synthetic(SyntheticConfig(
+            n_users=256, noise_rate=0.2, seq_len_range=(15, 15), rng_seed=3))
+        split = filter_and_split(events)
+        cfg = ModelConfig(d=32, n_heads=2, enc_layers=1, dec_layers=1, max_seq_len=15, T=20,
+                          vocab_x_size=split.vocab_x.size, vocab_y_size=split.vocab_y.size)
+        state = init_state(cfg, TrainConfig(lr=1e-3, batch_size=128, warmup_epochs=0,
+                                            grad_clip=5.0, aug_rate=0.2),
+                           build_schedule(cfg.T))
+        examples = [ex for ex in build_training_examples(split) if len(ex.items) == 12][:128]
+        assert len(examples) == 128
+        aug = [augment(UserSequence(ex.user_index, list(ex.items)),
+                       AugmentationSpec("mask", 0.2, i), split.vocab_x, split.vocab_y,
+                       max_seq_len=15).items for i, ex in enumerate(examples)]
+        batch = make_train_batch(examples, split.vocab_x, split.vocab_y, aug)
+        train_step(state, batch, False, 1e-3)
+        tracemalloc.start()
+        try:
+            train_step(state, batch, False, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
+
     def test_main_stage_has_all_terms(self, small_split, small_sched):
         cfg = tiny_model_cfg(small_split)
         state = init_state(cfg, TrainConfig(batch_size=32, epochs=1, seed=3),
                            small_sched, "full")
         examples = build_training_examples(small_split)
-        from crossdiff.data import AUGMENTATION_OPS, AugmentationSpec, augment
-        from crossdiff.data import UserSequence
-        from crossdiff.network import make_train_batch
+        from crossdiff.data import AUGMENTATION_OPS
         exs = examples[:8]
         aug = [augment(UserSequence(e.user_index, list(e.items)),
                        AugmentationSpec("mask", 0.3, i), small_split.vocab_x,
@@ -613,7 +641,6 @@ class TestCheckpointCrashes:
     @pytest.fixture(scope="class")
     def two_states(self, tmp_path_factory):
         from conftest import make_split
-        from crossdiff.diffusion import build_schedule
 
         split, _ = make_split()
         state = init_state(tiny_model_cfg(split),
