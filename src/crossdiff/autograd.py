@@ -356,6 +356,30 @@ def take_last_axis(src, idx):
     return _gather(src, (*np.indices(idx.shape), idx))
 
 
+def pack_rows(a, rows):
+    """The rows `rows` of a, counted over its leading axes, as one (len(rows), d) stack.
+
+    rows must be distinct, so the backward places each gradient row once
+    and adds nothing.
+    """
+    d = a.data.shape[-1]
+
+    def rule(g):
+        full = np.zeros((a.data.size // d, d))
+        full[rows] = g
+        return full.reshape(a.data.shape)
+
+    return _op(a.data.reshape(-1, d)[rows], (a, rule))
+
+
+def unpack_rows(a, rows, shape):
+    """The inverse of pack_rows: a's rows at the rows `rows` of zeros of `shape`."""
+    d = shape[-1]
+    out = np.zeros((int(np.prod(shape[:-1])), d))
+    out[rows] = a.data
+    return _op(out.reshape(shape), (a, lambda g: g.reshape(-1, d)[rows]))
+
+
 def masked_softmax(x, mask):
     """Softmax over the last axis restricted to mask==1; fully-masked rows yield zeros.
 

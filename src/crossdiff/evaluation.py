@@ -19,7 +19,7 @@ from .data import (DOMAIN_X, DOMAIN_Y, DOMAINS, AugmentationSpec, DatasetSplit,
 from .diffusion import DiffusionSchedule, reverse_step, strided_steps
 from .network import (VARIANTS, ModelConfig, ParameterSet, check_seq_lens,
                       check_vocab_sizes, denoise, guide_memory, guidance_forward,
-                      make_eval_batch)
+                      make_eval_batch, pad_batch)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,8 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
     ranks = {d: [] for d in DOMAINS}
     for lo in range(0, len(part), batch_size):
         chunk = part[lo:lo + batch_size]
-        batch = make_eval_batch([s for s, _ in chunk], vocab_x, vocab_y)
+        batch = pad_batch(make_eval_batch([s for s, _ in chunk], vocab_x, vocab_y),
+                          model_cfg.max_seq_len, vocab_x, vocab_y)
         with no_grad():
             gb = guidance_forward(params, model_cfg, batch, variant)
         x0_hat = sample_batch(params, model_cfg, sched, gb.guide, gb.guide_valid,

@@ -7,19 +7,27 @@ and a denoiser that encodes the noisy target token and cross-attends over the
 guidance. All blocks are pre-norm residual. The guidance is projected into
 the decoder's keys and values once per batch (`guide_memory`), and every
 denoising step of a reverse chain reuses it.
+
+An encoder bank skips the padding: its norms, projections, MLP and residual
+adds run on the packed real rows, and only attention sees the padded
+(B, H, L, .) layout, where the queries, keys and values of padded rows are
+zeros. Each real row has the bits the padded computation gives, because
+every row-wise product is the row-invariant GEMM of `autograd.matmul`. When
+only each sequence's last row is read (the augmented view, the pooled
+shared guide), the final block finishes that row alone.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autograd import (Tensor, concat, gather_concat, gather_rows, gelu,
-                       layer_norm, masked_softmax, matmul, reshape, slice_rows,
-                       swapaxes, take_rows)
+                       layer_norm, masked_softmax, matmul, pack_rows, reshape,
+                       slice_rows, swapaxes, take_rows, unpack_rows)
 from .data import DOMAIN_X, DOMAIN_Y, N_RESERVED, PAD_OFFSET, UserSequence, Vocab
 from .diffusion import forward_diffuse
 
@@ -312,6 +320,25 @@ def make_eval_batch(sequences: list[UserSequence], vocab_x: Vocab, vocab_y: Voca
     return SequenceBatch(user_index=np.array([s.user_index for s in sequences]), **core)
 
 
+def pad_batch(batch: SequenceBatch, L: int, vocab_x: Vocab, vocab_y: Vocab) -> SequenceBatch:
+    """The batch with its merged, x and y arrays right-padded to length L.
+
+    `evaluate` pads every batch to the model's max_seq_len, so that each
+    attention row sums over the same keys whoever shares the batch; an
+    encoder pays for the padded rows in attention only.
+    """
+    def pad(a, value):
+        return np.pad(a, ((0, 0), (0, L - a.shape[1])), constant_values=value)
+
+    Lx = batch.x_idx.shape[1]
+    inter = np.where(batch.inter_map < Lx, batch.inter_map, batch.inter_map + (L - Lx))
+    return replace(batch, merged_idx=pad(batch.merged_idx, vocab_x.pad_index),
+                   merged_valid=pad(batch.merged_valid, 0.0),
+                   x_idx=pad(batch.x_idx, vocab_x.pad_index), x_valid=pad(batch.x_valid, 0.0),
+                   y_idx=pad(batch.y_idx, vocab_y.pad_index), y_valid=pad(batch.y_valid, 0.0),
+                   inter_map=pad(inter, 0))
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 
@@ -332,6 +359,14 @@ def _kv(params: ParameterSet, prefix: str, x: Tensor, cfg: ModelConfig):
             _split_heads(_proj(params, prefix, "v", x), B, L, H, dh))
 
 
+def _attend(q, k, v, mask: np.ndarray, cfg: ModelConfig) -> Tensor:
+    """Context rows (B, Lq, d) of split-head queries over split-head keys and values."""
+    B, Lq, dh = q.data.shape[0], q.data.shape[2], q.data.shape[3]
+    scores = matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
+    probs = masked_softmax(scores, mask)
+    return reshape(swapaxes(matmul(probs, v), 1, 2), (B, Lq, cfg.d))
+
+
 def _attention(params: ParameterSet, prefix: str, q_in: Tensor, kv, mask: np.ndarray,
                cfg: ModelConfig) -> Tensor:
     """Attention of q_in over the split-head keys and values kv, or over
@@ -340,15 +375,14 @@ def _attention(params: ParameterSet, prefix: str, q_in: Tensor, kv, mask: np.nda
     H, dh = cfg.n_heads, cfg.d // cfg.n_heads
     q = _split_heads(_proj(params, prefix, "q", q_in), B, Lq, H, dh)
     k, v = _kv(params, prefix, q_in, cfg) if kv is None else kv
-    scores = matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
-    probs = masked_softmax(scores, mask)
-    ctx = reshape(swapaxes(matmul(probs, v), 1, 2), (B, Lq, cfg.d))
-    return _proj(params, prefix, "o", ctx)
+    return _proj(params, prefix, "o", _attend(q, k, v, mask, cfg))
 
 
-def _mlp(params: ParameterSet, prefix: str, x: Tensor) -> Tensor:
-    h = gelu(matmul(x, params[prefix + ".mlp.w1"], params[prefix + ".mlp.b1"]))
-    return matmul(h, params[prefix + ".mlp.w2"], params[prefix + ".mlp.b2"])
+def _mlp_residual(params: ParameterSet, prefix: str, h: Tensor) -> Tensor:
+    """h plus the MLP of its ln2 norm: the second half of every block."""
+    m = layer_norm(h, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
+    u = gelu(matmul(m, params[prefix + ".mlp.w1"], params[prefix + ".mlp.b1"]))
+    return h + matmul(u, params[prefix + ".mlp.w2"], params[prefix + ".mlp.b2"])
 
 
 def _block(params: ParameterSet, prefix: str, h: Tensor, mask: np.ndarray | None,
@@ -366,8 +400,32 @@ def _block(params: ParameterSet, prefix: str, h: Tensor, mask: np.ndarray | None
         h = h + _proj(params, prefix, "o", _proj(params, prefix, "v", a))
     else:
         h = h + _attention(params, prefix, a, kv, mask, cfg)
-    m = layer_norm(h, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
-    return h + _mlp(params, prefix, m)
+    return _mlp_residual(params, prefix, h)
+
+
+def _packed_block(params: ParameterSet, prefix: str, x: Tensor, rows: np.ndarray,
+                  mask: np.ndarray, shape: tuple, cfg: ModelConfig,
+                  out: np.ndarray | None = None) -> Tensor:
+    """An encoder block over the packed rows x, one per flat index in `rows`
+    of the padded layout `shape` (B, L, d).
+
+    Causal self-attention under `mask` runs in the padded layout, where the
+    queries, keys and values of padded rows are zeros. With `out` (flat
+    indices, a subset of rows) the block returns only those rows; the others
+    get no o-projection, ln2 or MLP.
+    """
+    B, L, d = shape
+    H = cfg.n_heads
+    a = layer_norm(x, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
+    q, k, v = (_split_heads(unpack_rows(_proj(params, prefix, w, a), rows, shape),
+                            B, L, H, d // H) for w in "qkv")
+    ctx = _attend(q, k, v, mask, cfg)
+    if out is None:
+        ctx = pack_rows(ctx, rows)
+    else:
+        ctx = pack_rows(ctx, out)
+        x = pack_rows(x, np.searchsorted(rows, out))
+    return _mlp_residual(params, prefix, x + _proj(params, prefix, "o", ctx))
 
 
 def causal_mask(valid: np.ndarray) -> np.ndarray:
@@ -413,12 +471,36 @@ def embed_sequence(params: ParameterSet, cfg: ModelConfig, idx: np.ndarray) -> T
 
 
 def encode_domain(params: ParameterSet, cfg: ModelConfig, bank: str, h: Tensor,
-                  valid: np.ndarray) -> Tensor:
-    """Run one encoder bank (enc_x / enc_y / enc_c) causally over embedded tokens."""
+                  valid: np.ndarray, last: np.ndarray | None = None) -> Tensor:
+    """Run one encoder bank (enc_x / enc_y / enc_c) causally over embedded tokens.
+
+    h is (B, L, d) and valid (B, L). The norms, projections, MLP and
+    residual adds run on the packed rows only: every real token, and
+    position 0 of a sequence that has none, which pool_last reads. The
+    output's other rows are zeros. With last (B,) given, the final block
+    finishes only row last[b] of each sequence, and the result is
+    pool_last(full output, last) as a (B, d) stack.
+    """
+    B, L, d = h.data.shape
+    keep = np.asarray(valid) > 0
+    keep[:, 0] |= ~keep.any(axis=1)
+    rows = np.flatnonzero(keep)
+    out = None
+    if last is not None:
+        last = np.asarray(last)
+        if last.shape != (B,) or np.any((last < 0) | (last >= L)):
+            raise ValueError("last must hold one position in [0, %d) per sequence" % L)
+        out = np.arange(B) * L + last
+        if not np.all(keep.ravel()[out]):
+            raise ValueError("last must index a real token, or position 0 of an "
+                             "empty sequence")
     mask = causal_mask(valid)
+    x = pack_rows(h, rows)
     for i in range(cfg.enc_layers):
-        h = _block(params, "%s.%d" % (bank, i), h, mask, cfg)
-    return h
+        final = i == cfg.enc_layers - 1
+        x = _packed_block(params, "%s.%d" % (bank, i), x, rows, mask, (B, L, d), cfg,
+                          out=out if final else None)
+    return x if last is not None else unpack_rows(x, rows, (B, L, d))
 
 
 def fuse_guidance(params: ParameterSet, gx_rows: Tensor, gy_rows: Tensor,
@@ -478,8 +560,7 @@ def encode_aug(params: ParameterSet, cfg: ModelConfig, idx: np.ndarray,
                valid: np.ndarray, last: np.ndarray) -> Tensor:
     """Augmented-view representation from the shared encoder bank."""
     h = embed_sequence(params, cfg, idx)
-    h = encode_domain(params, cfg, "enc_c", h, valid)
-    return pool_last(h, last)
+    return encode_domain(params, cfg, "enc_c", h, valid, last=last)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +594,14 @@ def guidance_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
         guide, guide_valid = fused, batch.merged_valid
     else:
         hm = embed_sequence(params, cfg, batch.merged_idx)
-        shared = encode_domain(params, cfg, "enc_c", hm, batch.merged_valid)
         if variant.use_de:
             B = batch.size
-            guide = reshape(pool_last(shared, batch.merged_last), (B, 1, cfg.d))
-            guide_valid = np.ones((B, 1))
+            pooled = encode_domain(params, cfg, "enc_c", hm, batch.merged_valid,
+                                   last=batch.merged_last)
+            guide, guide_valid = reshape(pooled, (B, 1, cfg.d)), np.ones((B, 1))
         else:
-            guide, guide_valid = shared, batch.merged_valid
+            guide = encode_domain(params, cfg, "enc_c", hm, batch.merged_valid)
+            guide_valid = batch.merged_valid
     return GuidanceBundle(guide=guide, guide_valid=guide_valid,
                           gx_hat=gx_hat, gy_hat=gy_hat, gd_hat=gd_hat)
 

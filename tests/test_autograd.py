@@ -411,6 +411,16 @@ def test_gather_concat_matches_reference_bits(requires_grad):
         _assert_same_bits(got, want)
 
 
+def test_pack_and_unpack_rows():
+    rows = np.array([4, 0, 3])
+    check_grads(lambda a: ag.pack_rows(a, rows), [rand(2, 3, 4)])
+    check_grads(lambda a: ag.unpack_rows(a, rows, (2, 3, 4)), [rand(3, 4)])
+    x = rand(2, 3, 4, seed=1)
+    back = ag.unpack_rows(ag.pack_rows(Tensor(x), rows), rows, x.shape).data.reshape(6, 4)
+    assert np.array_equal(back[rows], x.reshape(6, 4)[rows])
+    assert not np.any(np.delete(back, rows, axis=0))
+
+
 def test_masked_softmax_grad():
     mask = np.array([[1, 1, 0, 1], [1, 0, 1, 1]], dtype=float)
     check_grads(lambda a: ag.masked_softmax(a, mask), [rand(2, 4, seed=27)])
@@ -500,6 +510,8 @@ CALLS = {
                                                    np.array([0, 3, 1])),
     "take_rows": lambda x, y: ag.take_rows(ag.reshape(x, (2, 3, 1)), np.array([[2], [0]])),
     "take_last_axis": lambda x, y: ag.take_last_axis(x, np.array([2, 0])),
+    "pack_rows": lambda x, y: ag.pack_rows(x, np.array([1, 0])),
+    "unpack_rows": lambda x, y: ag.unpack_rows(x, np.array([3, 0]), (2, 2, 3)),
     "masked_softmax": lambda x, y: ag.masked_softmax(x, np.array([1, 0, 1])),
     "layer_norm": lambda x, y: ag.layer_norm(x, ag.sum_(y, axis=1), ag.mean(y, axis=1)),
     "l2_normalize": lambda x, y: ag.l2_normalize(x),

@@ -26,6 +26,7 @@ from crossdiff.network import (
     guidance_forward,
     init_parameters,
     make_eval_batch,
+    pad_batch,
 )
 from crossdiff.autograd import Tensor, no_grad
 
@@ -251,21 +252,34 @@ def sched_mod():
 
 
 class TestSampleBatch:
-    def test_batch_composition_invariance(self, eval_setup):
-        split, cfg, params, sched = eval_setup
-        seqs = [s for s, _ in split.test[:6]]
-        batch = make_eval_batch(seqs, split.vocab_x, split.vocab_y)
-        with no_grad():
-            gb = guidance_forward(params, cfg, batch, VARIANTS["full"])
-        full = sample_batch(params, cfg, sched, gb.guide, gb.guide_valid,
-                            batch.user_index, seed=5, n_steps=sched.T)
-        # the same user alone must reproduce its row exactly
-        solo_batch = make_eval_batch([seqs[3]], split.vocab_x, split.vocab_y)
-        with no_grad():
-            gb1 = guidance_forward(params, cfg, solo_batch, VARIANTS["full"])
-        solo = sample_batch(params, cfg, sched, gb1.guide, gb1.guide_valid,
-                            solo_batch.user_index, seed=5, n_steps=sched.T)
-        assert np.array_equal(solo[0], full[3])
+    def test_batch_composition_invariance(self):
+        """Each of 20 users gets the same guidance and sample bits alone as
+        in a batch of 20, with batches built as evaluate builds them."""
+        from conftest import make_split
+        split, _ = make_split(n_users=24)
+        seqs = [s for s, _ in split.test[:20]]
+        assert len(seqs) == 20
+        for d in (8, 64, 128):
+            cfg = tiny_model_cfg(split, d=d, T=3)
+            params = init_parameters(cfg, rng_seed=3)
+            sched = build_schedule(cfg.T)
+
+            def per_user(users, variant):
+                batch = pad_batch(make_eval_batch(users, split.vocab_x, split.vocab_y),
+                                  cfg.max_seq_len, split.vocab_x, split.vocab_y)
+                with no_grad():
+                    gb = guidance_forward(params, cfg, batch, VARIANTS[variant])
+                x0 = sample_batch(params, cfg, sched, gb.guide, gb.guide_valid,
+                                  batch.user_index, seed=5, n_steps=cfg.T)
+                hats = [t.data for t in (gb.gx_hat, gb.gy_hat, gb.gd_hat) if t is not None]
+                return [b"".join(a[b].tobytes() for a in [gb.guide.data, x0] + hats)
+                        for b in range(batch.size)]
+
+            for variant in VARIANTS:
+                together = per_user(seqs, variant)
+                alone = [per_user([s], variant)[0] for s in seqs]
+                differ = [u for u in range(20) if alone[u] != together[u]]
+                assert differ == [], (d, variant, differ)
 
     def test_batch_composition_invariance_wide_mlp(self):
         # at d=128 the second MLP layer is (512, 128): with K > 256, a product

@@ -8,7 +8,7 @@ import pytest
 
 from crossdiff import network
 from crossdiff.autograd import (Tensor, gather_concat, gather_rows, gelu, layer_norm,
-                                masked_softmax, matmul, reshape, swapaxes)
+                                masked_softmax, matmul, no_grad, reshape, sum_, swapaxes)
 from crossdiff.data import (
     DOMAIN_X,
     DOMAIN_Y,
@@ -33,6 +33,7 @@ from crossdiff.network import (
     init_parameters,
     make_eval_batch,
     make_train_batch,
+    pad_batch,
     param_specs,
     pool_last,
     training_forward,
@@ -187,6 +188,33 @@ class TestBatchAssembly:
             for i in range(batch.merged_idx.shape[1]):
                 if batch.merged_valid[b, i]:
                     assert cat[b, batch.inter_map[b, i]] == batch.merged_idx[b, i]
+
+    def test_pad_batch(self, vocabs):
+        vx, vy = vocabs
+        seqs = [UserSequence(0, [(vx.index_of("a0"), DOMAIN_X),
+                                 (vy.index_of("b0"), DOMAIN_Y),
+                                 (vx.index_of("a1"), DOMAIN_X)]),
+                UserSequence(1, [(vy.index_of("b1"), DOMAIN_Y)])]
+        batch = make_eval_batch(seqs, vx, vy)
+        padded = pad_batch(batch, 6, vx, vy)
+        for name in ("merged", "x", "y"):
+            idx, valid = getattr(padded, name + "_idx"), getattr(padded, name + "_valid")
+            L = getattr(batch, name + "_idx").shape[1]
+            assert idx.shape == valid.shape == (2, 6), name
+            assert np.array_equal(idx[:, :L], getattr(batch, name + "_idx")), name
+            assert np.array_equal(valid[:, :L], getattr(batch, name + "_valid")), name
+            assert not np.any(valid[:, L:]), name
+        assert np.all(padded.x_idx[:, 2:] == vx.pad_index)
+        assert np.all(padded.y_idx[:, 1:] == vy.pad_index)
+        assert np.all(padded.merged_idx[:, 3:] == vx.pad_index)
+        for last in ("merged_last", "x_last", "y_last"):
+            assert np.array_equal(getattr(padded, last), getattr(batch, last))
+        cat = np.concatenate([padded.x_idx, padded.y_idx], axis=1)
+        for b in range(2):
+            real = padded.merged_valid[b] > 0
+            assert np.array_equal(cat[b, padded.inter_map[b, real]],
+                                  padded.merged_idx[b, real])
+        assert padded.inter_map.tolist() == [[0, 6, 1, 0, 0, 0], [6, 0, 0, 0, 0, 0]]
 
     def test_padding_and_last(self, vocabs):
         vx, vy = vocabs
@@ -521,6 +549,128 @@ class TestReverseChainShortcuts:
         assert list(grads) == list(ref_grads)
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def reference_encode_domain(params, cfg, bank, h, valid):
+    """encode_domain before packing: every block runs on the whole padded
+    (B, L, d) layout, padded rows included."""
+    B, L = valid.shape
+    H, dh = cfg.n_heads, cfg.d // cfg.n_heads
+    mask = causal_mask(valid)
+
+    def proj(prefix, which, x):
+        return matmul(x, params["%s.attn.w%s" % (prefix, which)],
+                      params["%s.attn.b%s" % (prefix, which)])
+
+    for i in range(cfg.enc_layers):
+        prefix = "%s.%d" % (bank, i)
+        a = layer_norm(h, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
+        q, k, v = (swapaxes(reshape(proj(prefix, w, a), (B, L, H, dh)), 1, 2) for w in "qkv")
+        probs = masked_softmax(matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh)), mask)
+        h = h + proj(prefix, "o", reshape(swapaxes(matmul(probs, v), 1, 2), (B, L, cfg.d)))
+        m = layer_norm(h, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
+        u = gelu(matmul(m, params[prefix + ".mlp.w1"], params[prefix + ".mlp.b1"]))
+        h = h + matmul(u, params[prefix + ".mlp.w2"], params[prefix + ".mlp.b2"])
+    return h
+
+
+# (B, L, lengths): per-sequence real lengths, 0 for an empty domain sequence
+PADDING_PATTERNS = [
+    (1, 1, [1]),
+    (1, 1, [0]),
+    (1, 6, [4]),
+    (4, 1, [1, 0, 1, 1]),
+    (5, 7, [7, 0, 3, 1, 5]),
+    (9, 12, "random"),
+]
+
+
+def _packed_case(d, n_layers, B, L, lengths, seed):
+    """Perturbed parameters (non-zero biases, non-unit gains), random token
+    rows for every position and the valid mask of `lengths`."""
+    cfg = tiny_cfg(d=d, n_heads=2, enc_layers=n_layers, max_seq_len=12)
+    params = init_parameters(cfg, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    params.from_vector(params.to_vector() + 0.1 * rng.standard_normal(params.n_params))
+    if lengths == "random":
+        lengths = rng.integers(0, L + 1, size=B)
+        lengths[0] = 0
+    valid = (np.arange(L)[None, :] < np.asarray(lengths)[:, None]).astype(float)
+    h = Tensor(rng.standard_normal((B, L, d)))
+    last = np.maximum(valid.sum(axis=1).astype(np.int64) - 1, 0)
+    return cfg, params, h, valid, last
+
+
+class TestPackedEncoder:
+    @pytest.mark.parametrize("d", [8, 64])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("pattern", range(len(PADDING_PATTERNS)))
+    def test_rows_match_padded_reference(self, d, n_layers, pattern):
+        """Every real row, and row 0 of an empty sequence, has the padded
+        encoder's bits; the other rows are zeros."""
+        cfg, params, h, valid, _ = _packed_case(d, n_layers, *PADDING_PATTERNS[pattern],
+                                                seed=pattern)
+        got = encode_domain(params, cfg, "enc_y", h, valid).data
+        want = reference_encode_domain(params, cfg, "enc_y", h, valid).data
+        kept = valid > 0
+        kept[:, 0] |= ~kept.any(axis=1)
+        assert got[kept].tobytes() == want[kept].tobytes()
+        assert not np.any(got[~kept])
+
+    @pytest.mark.parametrize("d", [8, 64])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("pattern", range(len(PADDING_PATTERNS)))
+    def test_last_matches_pool_last(self, d, n_layers, pattern):
+        cfg, params, h, valid, last = _packed_case(d, n_layers, *PADDING_PATTERNS[pattern],
+                                                   seed=pattern)
+        full = encode_domain(params, cfg, "enc_c", h, valid)
+        pooled = encode_domain(params, cfg, "enc_c", h, valid, last=last)
+        assert pooled.data.shape == (h.data.shape[0], d)
+        assert pooled.data.tobytes() == pool_last(full, last).data.tobytes()
+
+    def test_last_must_be_a_computed_row(self):
+        cfg, params, h, valid, last = _packed_case(8, 1, *PADDING_PATTERNS[4], seed=4)
+        # past an empty and a 3-token sequence; one past the end, which would
+        # land on the next sequence's row 0; and before the start, which would
+        # land on the previous sequence's last row
+        for b, pos in ((1, 1), (2, 3), (0, 7), (1, -1)):
+            bad = last.copy()
+            bad[b] = pos
+            with pytest.raises(ValueError, match="last"):
+                encode_domain(params, cfg, "enc_c", h, valid, last=bad)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_gradients_with_an_empty_sequence(self, pooled):
+        """Finite differences, at test_02's tolerance, over the token rows
+        and every parameter of a two-layer bank, on a batch that holds an
+        empty sequence."""
+        cfg, params, h, valid, last = _packed_case(4, 2, 3, 3, [2, 0, 3], seed=11)
+        last = last if pooled else None
+        leaves = [h] + [params[n] for n in params.names() if n.startswith("enc_x.")]
+        h.requires_grad = True
+        out = encode_domain(params, cfg, "enc_x", h, valid, last=last)
+        w = np.random.default_rng(12).standard_normal(out.data.shape)
+        sum_(out * w).backward()
+
+        def f():
+            with no_grad():
+                return float(np.sum(encode_domain(params, cfg, "enc_x", h, valid,
+                                                  last=last).data * w))
+
+        step = 1e-6
+        for leaf in leaves:
+            assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+            flat = leaf.data.reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + step
+                up = f()
+                flat[j] = orig - step
+                dn = f()
+                flat[j] = orig
+                fd = (up - dn) / (2 * step)
+                an = leaf.grad.reshape(-1)[j]
+                assert abs(an - fd) / max(1.0, abs(an), abs(fd)) <= 1e-4, (j, an, fd)
 
 
 def _full_variant_loss(params, cfg, batch, seed=123):

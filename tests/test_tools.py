@@ -1,0 +1,74 @@
+"""tools/bench_record.py --run: alternating pairs in two trees, folded into one record."""
+
+import importlib.util
+import json
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# stands in for perfbench/run.py: logs its call and writes a results file
+# whose every metric is the seed, doubled in the tree named "parent"
+FAKE_RUN = """
+import argparse, json, os
+ap = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--trace"):
+    ap.add_argument(flag)
+ap.add_argument("--seconds", default="10")
+a = ap.parse_args()
+tree = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+name = os.path.basename(tree)
+with open(os.path.join(os.path.dirname(tree), "calls.log"), "a") as fh:
+    fh.write("%s %s %s %s\\n" % (name, a.workload, a.seed, a.seconds))
+value = int(a.seed) * (2.0 if name == "parent" else 1.0)
+out = {"workload": a.workload, "seed": int(a.seed), "seconds": int(a.seconds),
+       "machine": {"nproc": 1}, "correct": True,
+       "end_to_end": {m: {"value": value} for m in METRICS}}
+os.makedirs(os.path.join(tree, "bench_results"), exist_ok=True)
+with open(os.path.join(tree, "bench_results", "%s-seed%s-trace0.json"
+                       % (a.workload, a.seed)), "w") as fh:
+    json.dump(out, fh)
+"""
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", os.path.join(ROOT, "tools", "bench_record.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_alternates_and_folds_only_its_runs(tmp_path):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        metrics = [m["name"] for m in json.load(fh)["end_to_end"]]
+    for tree in ("parent", "change"):
+        os.makedirs(tmp_path / tree / "perfbench")
+        (tmp_path / tree / "perfbench" / "run.py").write_text(
+            "METRICS = %r\n" % metrics + FAKE_RUN)
+    # a stale result on one side only must not reach the record
+    os.makedirs(tmp_path / "parent" / "bench_results")
+    (tmp_path / "parent" / "bench_results" / "wl_a-seed99-trace0.json").write_text(
+        json.dumps({"workload": "wl_a", "seed": 99}))
+    out = tmp_path / "BENCH.json"
+    load_bench_record().main(["--run", "--parent", str(tmp_path / "parent"),
+                              "--change", str(tmp_path / "change"), "--workloads",
+                              "wl_a,wl_b", "--seeds", "2-3", "--out", str(out)])
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    # no --seconds is passed, so each tree's run.py keeps its own default
+    assert calls == ["parent wl_a 2 10", "change wl_a 2 10", "parent wl_b 2 10",
+                     "change wl_b 2 10", "change wl_a 3 10", "parent wl_a 3 10",
+                     "change wl_b 3 10", "parent wl_b 3 10"]
+    rec = json.loads(out.read_text())
+    assert sorted(rec["workloads"]) == ["wl_a", "wl_b"]
+    assert rec["seconds"] == [10] and rec["all_correct"]
+    for wl in ("wl_a", "wl_b"):
+        rows = rec["workloads"][wl]["metrics"]
+        assert rec["workloads"][wl]["seeds"] == [2, 3]
+        assert rows["train_step_ms"]["pairs"] == [[4.0, 2.0], [6.0, 3.0]]
+        assert rows["train_step_ms"]["change_wins"] == 2
+        assert rows["eval_users_per_s"]["change_wins"] == 0
+        assert rows["train_step_ms"]["change_over_parent"] == 0.5
+
+
+def test_seed_ranges():
+    assert load_bench_record()._seeds("401-403,7,9-9") == [401, 402, 403, 7, 9]

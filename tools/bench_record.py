@@ -2,11 +2,18 @@
 
     python3 tools/bench_record.py --parent P/bench_results --change C/bench_results \\
         --out BENCH_<n>.json [--tier1 "443 passed in 240.56s"]
+    python3 tools/bench_record.py --run --parent P --change C \\
+        --workloads train_small,train_wide,eval_chain --seeds 401-410 \\
+        --out BENCH_<n>.json [--tier1 "..."]
 
 Each directory holds the untraced results files
 (`<workload>-seed<n>-trace0.json`) that `perfbench/run.py --trace 0` wrote in
-that tree. Runs pair up by workload and seed; a seed present on one side only
-is an error. For each workload and end-to-end metric of BENCHMARK.json the
+that tree. With --run, --parent and --change are the roots of two checkouts:
+for each seed and workload the tool runs `perfbench/run.py --trace 0` once
+in each, one after the other (the parent first on even seeds, the change
+first on odd ones), so that each tree writes its own bench_results/, and
+then folds exactly the runs it made. Runs pair up by workload and seed; a
+seed present on one side only is an error. For each workload and end-to-end metric of BENCHMARK.json the
 record gives both sides' median and quartiles, the change's median over the
 parent's, and how many pairs the change won (ties count for neither side).
 It also keeps the machine block of the results files, every pair's values and
@@ -20,21 +27,51 @@ import glob
 import json
 import os
 import statistics
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load(results_dir):
-    """{(workload, seed): results} for the untraced runs in results_dir."""
+def _load(results_dir, pairs=None):
+    """{(workload, seed): results} for the untraced runs in results_dir, or
+    for the (workload, seed) pairs given."""
+    if pairs is None:
+        paths = glob.glob(os.path.join(results_dir, "*-trace0.json"))
+    else:
+        paths = [os.path.join(results_dir, "%s-seed%d-trace0.json" % p) for p in sorted(pairs)]
     runs = {}
-    for path in glob.glob(os.path.join(results_dir, "*-trace0.json")):
+    for path in paths:
         with open(path) as fh:
             r = json.load(fh)
         runs[(r["workload"], r["seed"])] = r
     if not runs:
         raise SystemExit("bench_record: no untraced results in %s" % results_dir)
     return runs
+
+
+def _seeds(text):
+    """'401-410' or '5,7,9' (or a mix) -> [401, ..., 410]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_pairs(trees, workloads, seeds):
+    """Run every (workload, seed) once in each tree, alternating which goes first."""
+    for seed in seeds:
+        for wl in workloads:
+            order = trees if seed % 2 == 0 else trees[::-1]
+            for tree in order:
+                cmd = [sys.executable, "perfbench/run.py", "--workload", wl, "--seed",
+                       str(seed), "--trace", "0"]
+                print("%s: %s" % (tree, " ".join(cmd[1:])), file=sys.stderr, flush=True)
+                proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.DEVNULL)
+                if proc.returncode != 0:
+                    raise SystemExit("bench_record: %s exited with %d in %s"
+                                     % (" ".join(cmd[1:]), proc.returncode, tree))
 
 
 def _summary(values):
@@ -71,14 +108,31 @@ def record(parent, change, metrics, tier1=None):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="the parent tree's bench_results/")
-    ap.add_argument("--change", required=True, help="the change's bench_results/")
+    ap.add_argument("--parent", required=True,
+                    help="the parent tree's bench_results/, or with --run the tree")
+    ap.add_argument("--change", required=True,
+                    help="the change's bench_results/, or with --run the tree")
     ap.add_argument("--out", required=True)
     ap.add_argument("--tier1", help="the tier-1 suite's summary line, as pytest printed it")
+    ap.add_argument("--run", action="store_true",
+                    help="run the pairs in the two trees first, then fold them")
+    ap.add_argument("--workloads", help="with --run: comma-separated workload names")
+    ap.add_argument("--seeds", type=_seeds, help="with --run: e.g. 401-410 or 1,3,5")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
-    rec = record(_load(args.parent), _load(args.change), metrics, args.tier1)
+    parent, change, pairs = args.parent, args.change, None
+    if args.run:
+        if not (args.workloads and args.seeds):
+            ap.error("--run needs --workloads and --seeds")
+        workloads = args.workloads.split(",")
+        for tree in (parent, change):
+            if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
+                ap.error("%s has no perfbench/run.py" % tree)
+        run_pairs((parent, change), workloads, args.seeds)
+        pairs = {(wl, s) for wl in workloads for s in args.seeds}
+        parent, change = (os.path.join(t, "bench_results") for t in (parent, change))
+    rec = record(_load(parent, pairs), _load(change, pairs), metrics, args.tier1)
     with open(args.out, "w") as fh:
         json.dump(rec, fh, indent=1, sort_keys=True)
         fh.write("\n")

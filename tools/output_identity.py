@@ -3,7 +3,7 @@
     python3 tools/output_identity.py --src DIR
 
 runs the crossdiff package found in DIR/src, in child processes, and prints
-one SHA-256 for each of two sections:
+one SHA-256 for each of three sections:
 
 - library: `fit` over six small runs that between them cover all five
   variants, d 8/12/16, 1-3 heads, 1-2 decoder layers, no gradient clip and
@@ -11,13 +11,20 @@ one SHA-256 for each of two sections:
   checkpoint every epoch. It digests the parameters, the Adam moments, the
   history, every checkpoint file and the verbose output, then `evaluate` on
   the test part at n_steps 1, 2 and T, each at batch sizes 64 and 5.
+- eval: the forward path alone, on seeded untrained parameters and no
+  `fit`: `evaluate` on the test part for all five variants, at n_steps 1
+  and T, each at batch sizes 64, 5 and 1. It digests the reports and the
+  bytes of every `guidance_forward` and `sample_batch` result that
+  `evaluate` computes, so a change that moves training bits can show that
+  its forward path is unchanged.
 - cli: synth, prepare, train (`full` with a gradient clip, and `diff`),
   eval (also `--use-best --part valid`), robust, sweep and ablate. It
   digests every file the commands write and their standard output, leaving
   out the run manifests' timestamps and output paths.
 
 Run it on two trees, say a parent commit and a change; equal lines mean
-equal bytes. Both sections together take about 10 seconds on a 2-core machine.
+equal bytes. The three sections together take about 15 seconds on a 2-core
+machine.
 """
 
 from __future__ import annotations
@@ -46,6 +53,15 @@ LIBRARY_RUNS = [
     ("full", 16, 2, 2, 0.3, 2),
 ]
 
+# (variant, d, n_heads, dec_layers) for the eval section
+EVAL_RUNS = [
+    ("diff", 8, 2, 1),
+    ("diff_de", 16, 1, 2),
+    ("diff_de_g", 64, 2, 1),
+    ("diff_de_tricl", 12, 3, 1),
+    ("full", 64, 4, 2),
+]
+
 CLI_SETTINGS = ["n_users=60", "n_items_x=30", "n_items_y=30", "min_interactions=5",
                 "d=8", "n_heads=2", "enc_layers=1", "diffusion_steps=6",
                 "epochs=3", "warmup_epochs=1", "batch_size=32", "checkpoint_every=1"]
@@ -68,19 +84,24 @@ def _digest_tree(h, root: str) -> None:
             h.update(data + b"\0")
 
 
+def _split():
+    from crossdiff.data import SyntheticConfig, filter_and_split, generate_synthetic
+
+    events, _ = generate_synthetic(SyntheticConfig(
+        n_users=24, n_items_x=40, n_items_y=40, n_shared_interests=3,
+        n_specific_interests=1, noise_rate=0.1, seq_len_range=(10, 15), rng_seed=7))
+    return filter_and_split(events)
+
+
 def library_section(work: str) -> str:
     import numpy as np
 
-    from crossdiff.data import SyntheticConfig, filter_and_split, generate_synthetic
     from crossdiff.diffusion import build_schedule
     from crossdiff.evaluation import evaluate
     from crossdiff.network import ModelConfig
     from crossdiff.trainer import TrainConfig, fit, init_state
 
-    events, _ = generate_synthetic(SyntheticConfig(
-        n_users=24, n_items_x=40, n_items_y=40, n_shared_interests=3,
-        n_specific_interests=1, noise_rate=0.1, seq_len_range=(10, 15), rng_seed=7))
-    split = filter_and_split(events)
+    split = _split()
     sched = build_schedule(6)
     h = hashlib.sha256()
     for i, (variant, d, heads, dec_layers, clip, warm) in enumerate(LIBRARY_RUNS):
@@ -111,6 +132,48 @@ def library_section(work: str) -> str:
                 h.update(repr(sorted(rep.per_domain.items())).encode())
                 h.update(json.dumps(rep.fingerprint, sort_keys=True).encode())
         h.update(np.float64(state.best_metric).tobytes())
+    return h.hexdigest()
+
+
+def eval_section() -> str:
+    from crossdiff import evaluation
+    from crossdiff.diffusion import build_schedule
+    from crossdiff.network import ModelConfig, init_parameters
+
+    split = _split()
+    sched = build_schedule(6)
+    h = hashlib.sha256()
+
+    def digesting(fn, arrays):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for a in arrays(out):
+                h.update(b"-" if a is None else repr(a.shape).encode() + a.tobytes())
+            return out
+        return wrapper
+
+    def hats(t):
+        return None if t is None else t.data
+
+    evaluation.guidance_forward = digesting(
+        evaluation.guidance_forward,
+        lambda gb: (gb.guide.data[gb.guide_valid > 0], gb.guide_valid, hats(gb.gx_hat),
+                    hats(gb.gy_hat), hats(gb.gd_hat)))
+    evaluation.sample_batch = digesting(evaluation.sample_batch, lambda x0_hat: (x0_hat,))
+    for i, (variant, d, heads, dec_layers) in enumerate(EVAL_RUNS):
+        model_cfg = ModelConfig(d=d, n_heads=heads, enc_layers=2, dec_layers=dec_layers,
+                                max_seq_len=15, T=sched.T,
+                                vocab_x_size=split.vocab_x.size,
+                                vocab_y_size=split.vocab_y.size)
+        params = init_parameters(model_cfg, rng_seed=i)
+        for n_steps in (1, sched.T):
+            for batch_size in (64, 5, 1):
+                rep = evaluation.evaluate(split.test, params, model_cfg, sched, variant,
+                                          split.vocab_x, split.vocab_y, seed=3,
+                                          n_steps=n_steps, n_negatives=10,
+                                          batch_size=batch_size)
+                h.update(repr(sorted(rep.per_domain.items())).encode())
+                h.update(json.dumps(rep.fingerprint, sort_keys=True).encode())
     return h.hexdigest()
 
 
@@ -150,26 +213,27 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", required=True,
                     help="root of the crossdiff tree whose src/ is imported")
-    ap.add_argument("--library-child", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--child", choices=("library", "eval"), help=argparse.SUPPRESS)
     args = ap.parse_args()
     src = os.path.join(os.path.abspath(args.src), "src")
     if not os.path.isdir(os.path.join(src, "crossdiff")):
         ap.error("%s holds no crossdiff package" % src)
     with tempfile.TemporaryDirectory(prefix="crossdiff-identity-") as work:
-        if args.library_child:
+        if args.child:
             import crossdiff
             if not os.path.abspath(crossdiff.__file__).startswith(src + os.sep):
                 raise SystemExit("imported crossdiff from %s, not %s"
                                  % (crossdiff.__file__, src))
-            print(library_section(work))
+            print(library_section(work) if args.child == "library" else eval_section())
             return 0
         env = dict(os.environ, PYTHONPATH=src, **CHILD_ENV)
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--src",
-                               args.src, "--library-child"],
-                              env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit("library section failed:\n%s" % proc.stderr)
-        print("library %s" % proc.stdout.strip())
+        for child in ("library", "eval"):
+            proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--src",
+                                   args.src, "--child", child],
+                                  env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit("%s section failed:\n%s" % (child, proc.stderr))
+            print("%-7s %s" % (child, proc.stdout.strip()))
         print("cli     %s" % cli_section(src, work))
     return 0
 
