@@ -474,8 +474,9 @@ def load_split(in_dir: str) -> DatasetSplit:
     """Read a split that save_split wrote.
 
     Raises ValueError unless the vocabularies are contiguous (x at base 0, y
-    where x ends), every item and target is a real item of the domain it
-    is tagged with, and every user_index is an integer in [0, len(user_ids)).
+    where x ends) and, naming the file and line, unless every record is JSON
+    with items, user_index and (valid, test) target, each item and target a
+    real item of its tagged domain, and user_index an integer in [0, len(user_ids)).
     """
     vocab_path = os.path.join(in_dir, "vocab.json")
     with open(vocab_path) as fh:
@@ -496,14 +497,21 @@ def load_split(in_dir: str) -> DatasetSplit:
         path = os.path.join(in_dir, name + ".jsonl")
         with open(path) as fh:
             for line_no, line in enumerate(fh, start=1):
-                rec = json.loads(line)
-                items = [(g, d) for g, d in rec["items"]]
-                target = tuple(rec["target"]) if with_target else None
+                try:
+                    rec = json.loads(line)
+                    items = [(g, d) for g, d in rec["items"]]
+                    target = None
+                    if with_target:
+                        g, d = rec["target"]
+                        target = (g, d)
+                    u = rec["user_index"]
+                except (ValueError, KeyError, TypeError) as e:
+                    raise ValueError("%s line %d: malformed record (%s: %s)"
+                                     % (path, line_no, type(e).__name__, e)) from None
                 for g, d in items + ([target] if with_target else []):
                     if not (type(g) is int and d in vocabs and vocabs[d].is_item(g)):
                         raise ValueError("%s line %d: %r is not a real item of the "
                                          "domain it is tagged with" % (path, line_no, [g, d]))
-                u = rec["user_index"]
                 if not (type(u) is int and 0 <= u < len(user_ids)):
                     raise ValueError("%s line %d: user_index %r is not an integer in "
                                      "[0, %d)" % (path, line_no, u, len(user_ids)))

@@ -4,17 +4,19 @@ Architecture: token embeddings shared between the guidance path and the
 scoring rule; one transformer encoder bank per domain plus a shared bank; a
 projection that re-interleaves the two domain encodings into guidance rows;
 and a denoiser that encodes the noisy target token and cross-attends over the
-guidance. All blocks are pre-norm residual. The guidance is projected into
-the decoder's keys and values once per batch (`guide_memory`), and every
-denoising step of a reverse chain reuses it.
+guidance.
 
-An encoder bank skips the padding: its norms, projections, MLP and residual
-adds run on the packed real rows, and only attention sees the padded
-(B, H, L, .) layout, where the queries, keys and values of padded rows are
-zeros. Each real row has the bits the padded computation gives, because
-every row-wise product is the row-invariant GEMM of `autograd.matmul`. When
-only each sequence's last row is read (the augmented view, the pooled
-shared guide), the final block finishes that row alone.
+Every bank runs one pre-norm residual block over rows (N, d); the banks
+differ only in what attention reads. An encoder bank attends causally over
+its sequence: its rows are the packed real tokens, and only attention sees
+the padded (B, H, L, .) layout, with zero queries, keys and values for
+padded rows. Each real row keeps the padded computation's bits, because
+every row-wise product is the row-invariant GEMM of `autograd.matmul`; when
+only each sequence's last row is read, the final block finishes that row
+alone. The denoiser's token is one row per example: in enc_c it attends
+only to itself, so its attention is v(x); in dec it attends over the guide,
+whose keys and values `guide_memory` projects once per batch for a whole
+reverse chain.
 """
 
 from __future__ import annotations
@@ -238,8 +240,8 @@ class SequenceBatch:
         return int(self.merged_idx.shape[0])
 
 
-def _pad_rows(rows: list[list[int]], pad_value: int, min_len: int = 1):
-    L = max(min_len, max((len(r) for r in rows), default=0))
+def _pad_rows(rows: list[list[int]], pad_value: int):
+    L = max(1, max((len(r) for r in rows), default=0))
     idx = np.full((len(rows), L), pad_value, dtype=np.int64)
     valid = np.zeros((len(rows), L))
     last = np.zeros(len(rows), dtype=np.int64)
@@ -347,85 +349,35 @@ def _proj(params: ParameterSet, prefix: str, which: str, x: Tensor) -> Tensor:
                   params["%s.attn.b%s" % (prefix, which)])
 
 
-def _split_heads(t: Tensor, B: int, L: int, H: int, dh: int) -> Tensor:
-    return swapaxes(reshape(t, (B, L, H, dh)), 1, 2)
-
-
-def _kv(params: ParameterSet, prefix: str, x: Tensor, cfg: ModelConfig):
-    """Split-head keys and values of x for the attention of layer `prefix`."""
-    B, L = x.data.shape[0], x.data.shape[1]
-    H, dh = cfg.n_heads, cfg.d // cfg.n_heads
-    return (_split_heads(_proj(params, prefix, "k", x), B, L, H, dh),
-            _split_heads(_proj(params, prefix, "v", x), B, L, H, dh))
+def _heads(t: Tensor, B: int, L: int, cfg: ModelConfig) -> Tensor:
+    """Rows (B·L, d), or any stack of them, as split heads (B, H, L, d/H)."""
+    return swapaxes(reshape(t, (B, L, cfg.n_heads, cfg.d // cfg.n_heads)), 1, 2)
 
 
 def _attend(q, k, v, mask: np.ndarray, cfg: ModelConfig) -> Tensor:
-    """Context rows (B, Lq, d) of split-head queries over split-head keys and values."""
+    """Context rows (B·Lq, d) of split-head queries over split-head keys and values."""
     B, Lq, dh = q.data.shape[0], q.data.shape[2], q.data.shape[3]
-    scores = matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
-    probs = masked_softmax(scores, mask)
-    return reshape(swapaxes(matmul(probs, v), 1, 2), (B, Lq, cfg.d))
+    probs = masked_softmax(matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh)), mask)
+    return reshape(swapaxes(matmul(probs, v), 1, 2), (B * Lq, cfg.d))
 
 
-def _attention(params: ParameterSet, prefix: str, q_in: Tensor, kv, mask: np.ndarray,
-               cfg: ModelConfig) -> Tensor:
-    """Attention of q_in over the split-head keys and values kv, or over
-    q_in itself when kv is None."""
-    B, Lq = q_in.data.shape[0], q_in.data.shape[1]
-    H, dh = cfg.n_heads, cfg.d // cfg.n_heads
-    q = _split_heads(_proj(params, prefix, "q", q_in), B, Lq, H, dh)
-    k, v = _kv(params, prefix, q_in, cfg) if kv is None else kv
-    return _proj(params, prefix, "o", _attend(q, k, v, mask, cfg))
+def _block(params: ParameterSet, prefix: str, x: Tensor, context, ln: str = "ln1",
+           keep: np.ndarray | None = None) -> Tensor:
+    """Pre-norm residual block over the rows x (N, d): x + o(context(a)), with a
+    the `ln` norm of x, then the MLP of the ln2 norm.
 
-
-def _mlp_residual(params: ParameterSet, prefix: str, h: Tensor) -> Tensor:
-    """h plus the MLP of its ln2 norm: the second half of every block."""
-    m = layer_norm(h, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
+    context, all that differs between the banks, maps a to the attention
+    rows. With keep (indices into x's rows), only those rows go on, and
+    context returns only theirs.
+    """
+    a = layer_norm(x, params["%s.%s.g" % (prefix, ln)], params["%s.%s.b" % (prefix, ln)])
+    ctx = context(a)
+    if keep is not None:
+        x = pack_rows(x, keep)
+    x = x + _proj(params, prefix, "o", ctx)
+    m = layer_norm(x, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
     u = gelu(matmul(m, params[prefix + ".mlp.w1"], params[prefix + ".mlp.b1"]))
-    return h + matmul(u, params[prefix + ".mlp.w2"], params[prefix + ".mlp.b2"])
-
-
-def _block(params: ParameterSet, prefix: str, h: Tensor, mask: np.ndarray | None,
-           cfg: ModelConfig, kv=None) -> Tensor:
-    """Pre-norm residual block: attention, then the MLP (norm ln2).
-
-    The attention is cross-attention over the guide's split-head keys and
-    values `kv` (query norm lnq), or self-attention under `mask` (norm ln1).
-    mask None means each row is a single token that attends only to itself:
-    a softmax over one key is exactly 1, so the attention is o(v(x)).
-    """
-    ln = "lnq" if kv is not None else "ln1"
-    a = layer_norm(h, params["%s.%s.g" % (prefix, ln)], params["%s.%s.b" % (prefix, ln)])
-    if mask is None:
-        h = h + _proj(params, prefix, "o", _proj(params, prefix, "v", a))
-    else:
-        h = h + _attention(params, prefix, a, kv, mask, cfg)
-    return _mlp_residual(params, prefix, h)
-
-
-def _packed_block(params: ParameterSet, prefix: str, x: Tensor, rows: np.ndarray,
-                  mask: np.ndarray, shape: tuple, cfg: ModelConfig,
-                  out: np.ndarray | None = None) -> Tensor:
-    """An encoder block over the packed rows x, one per flat index in `rows`
-    of the padded layout `shape` (B, L, d).
-
-    Causal self-attention under `mask` runs in the padded layout, where the
-    queries, keys and values of padded rows are zeros. With `out` (flat
-    indices, a subset of rows) the block returns only those rows; the others
-    get no o-projection, ln2 or MLP.
-    """
-    B, L, d = shape
-    H = cfg.n_heads
-    a = layer_norm(x, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
-    q, k, v = (_split_heads(unpack_rows(_proj(params, prefix, w, a), rows, shape),
-                            B, L, H, d // H) for w in "qkv")
-    ctx = _attend(q, k, v, mask, cfg)
-    if out is None:
-        ctx = pack_rows(ctx, rows)
-    else:
-        ctx = pack_rows(ctx, out)
-        x = pack_rows(x, np.searchsorted(rows, out))
-    return _mlp_residual(params, prefix, x + _proj(params, prefix, "o", ctx))
+    return x + matmul(u, params[prefix + ".mlp.w2"], params[prefix + ".mlp.b2"])
 
 
 def causal_mask(valid: np.ndarray) -> np.ndarray:
@@ -474,32 +426,36 @@ def encode_domain(params: ParameterSet, cfg: ModelConfig, bank: str, h: Tensor,
                   valid: np.ndarray, last: np.ndarray | None = None) -> Tensor:
     """Run one encoder bank (enc_x / enc_y / enc_c) causally over embedded tokens.
 
-    h is (B, L, d) and valid (B, L). The norms, projections, MLP and
-    residual adds run on the packed rows only: every real token, and
-    position 0 of a sequence that has none, which pool_last reads. The
-    output's other rows are zeros. With last (B,) given, the final block
-    finishes only row last[b] of each sequence, and the result is
-    pool_last(full output, last) as a (B, d) stack.
+    h is (B, L, d) and valid (B, L). The blocks run on the packed rows: every
+    real token, and position 0 of a sequence that has none, which pool_last
+    reads; the output's other rows are zeros. With last (B,) given, the
+    result is pool_last(full output, last) as a (B, d) stack.
     """
     B, L, d = h.data.shape
-    keep = np.asarray(valid) > 0
-    keep[:, 0] |= ~keep.any(axis=1)
-    rows = np.flatnonzero(keep)
-    out = None
+    real = np.asarray(valid) > 0
+    real[:, 0] |= ~real.any(axis=1)
+    rows = np.flatnonzero(real)
+    out, keep = rows, None
     if last is not None:
         last = np.asarray(last)
         if last.shape != (B,) or np.any((last < 0) | (last >= L)):
             raise ValueError("last must hold one position in [0, %d) per sequence" % L)
         out = np.arange(B) * L + last
-        if not np.all(keep.ravel()[out]):
-            raise ValueError("last must index a real token, or position 0 of an "
-                             "empty sequence")
+        if not np.all(real.ravel()[out]):
+            raise ValueError("last must index a real token, or row 0 of an empty sequence")
+        keep = np.searchsorted(rows, out)
     mask = causal_mask(valid)
     x = pack_rows(h, rows)
     for i in range(cfg.enc_layers):
+        prefix = "%s.%d" % (bank, i)
         final = i == cfg.enc_layers - 1
-        x = _packed_block(params, "%s.%d" % (bank, i), x, rows, mask, (B, L, d), cfg,
-                          out=out if final else None)
+
+        def context(a):
+            q, k, v = (_heads(unpack_rows(_proj(params, prefix, w, a), rows, (B, L, d)),
+                              B, L, cfg) for w in "qkv")
+            return pack_rows(_attend(q, k, v, mask, cfg), out if final else rows)
+
+        x = _block(params, prefix, x, context, keep=keep if final else None)
     return x if last is not None else unpack_rows(x, rows, (B, L, d))
 
 
@@ -535,7 +491,9 @@ def guide_memory(params: ParameterSet, cfg: ModelConfig, guide: Tensor,
     """
     if np.any(guide_valid.sum(axis=-1) < 1):
         raise ValueError("denoise requires at least one guidance row per example")
-    kv = [_kv(params, "dec.%d" % i, guide, cfg) for i in range(cfg.dec_layers)]
+    B, Lg = guide.data.shape[:2]
+    kv = [tuple(_heads(_proj(params, "dec.%d" % i, w, guide), B, Lg, cfg) for w in "kv")
+          for i in range(cfg.dec_layers)]
     return GuideMemory(kv=kv, mask=guide_valid[:, None, None, :])
 
 
@@ -548,19 +506,17 @@ def denoise(params: ParameterSet, cfg: ModelConfig, x_t: Tensor, t: np.ndarray,
         raise ValueError("timesteps must lie in [1, %d]" % cfg.T)
     B = x_t.data.shape[0]
     tok = x_t + gather_rows(params["step_emb"], t - 1)
-    tok = reshape(tok, (B, 1, cfg.d))
     for i in range(cfg.enc_layers):
-        tok = _block(params, "enc_c.%d" % i, tok, None, cfg)
+        # the token is its own only key, and a softmax over one key is exactly 1
+        prefix = "enc_c.%d" % i
+        tok = _block(params, prefix, tok, lambda a: _proj(params, prefix, "v", a))
     for i in range(cfg.dec_layers):
-        tok = _block(params, "dec.%d" % i, tok, memory.mask, cfg, memory.kv[i])
-    return reshape(tok, (B, cfg.d))
-
-
-def encode_aug(params: ParameterSet, cfg: ModelConfig, idx: np.ndarray,
-               valid: np.ndarray, last: np.ndarray) -> Tensor:
-    """Augmented-view representation from the shared encoder bank."""
-    h = embed_sequence(params, cfg, idx)
-    return encode_domain(params, cfg, "enc_c", h, valid, last=last)
+        prefix = "dec.%d" % i
+        k, v = memory.kv[i]
+        tok = _block(params, prefix, tok,
+                     lambda a: _attend(_heads(_proj(params, prefix, "q", a), B, 1, cfg),
+                                       k, v, memory.mask, cfg), ln="lnq")
+    return tok
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +551,9 @@ def guidance_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     else:
         hm = embed_sequence(params, cfg, batch.merged_idx)
         if variant.use_de:
-            B = batch.size
             pooled = encode_domain(params, cfg, "enc_c", hm, batch.merged_valid,
                                    last=batch.merged_last)
-            guide, guide_valid = reshape(pooled, (B, 1, cfg.d)), np.ones((B, 1))
+            guide, guide_valid = reshape(pooled, (batch.size, 1, cfg.d)), np.ones((batch.size, 1))
         else:
             guide = encode_domain(params, cfg, "enc_c", hm, batch.merged_valid)
             guide_valid = batch.merged_valid
@@ -634,6 +589,7 @@ def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     memory = guide_memory(params, cfg, gb.guide, gb.guide_valid)
     bundle.x0_hat = denoise(params, cfg, x_t, t, memory)
     if variant.use_tricl and batch.aug_idx is not None:
-        bundle.h_aug = encode_aug(params, cfg, batch.aug_idx, batch.aug_valid,
-                                  batch.aug_last)
+        h_aug = embed_sequence(params, cfg, batch.aug_idx)
+        bundle.h_aug = encode_domain(params, cfg, "enc_c", h_aug, batch.aug_valid,
+                                     last=batch.aug_last)
     return bundle

@@ -548,6 +548,16 @@ class TestSplitChecks:
         assert ("error: %s line 4: [99999, 'x'] is not a real item" % path
                 in capsys.readouterr().err)
 
+    def test_test_record_without_target(self, pipeline, tmp_path, capsys):
+        path = copy_split(pipeline["split"], str(tmp_path / "split"), "test.jsonl", 2,
+                          lambda rec: {k: v for k, v in rec.items() if k != "target"})
+        rc = main(["train", "--data", os.path.dirname(path), "--out", str(tmp_path / "run")]
+                  + TINY_MODEL)
+        assert rc == 1
+        assert ("error: %s line 2: malformed record (KeyError: 'target')" % path
+                in capsys.readouterr().err)
+        assert not os.path.exists(str(tmp_path / "run"))
+
     @pytest.mark.parametrize("user_index", [-3, 99999])
     def test_test_user_index_out_of_range(self, pipeline, tmp_path, capsys, user_index):
         path = copy_split(pipeline["split"], str(tmp_path / "split"), "test.jsonl", 2,

@@ -629,6 +629,49 @@ class TestLoadSplitChecks:
             load_split(out)
 
     @pytest.mark.parametrize("name", ["train", "valid", "test"])
+    @pytest.mark.parametrize("text, error", [
+        ("", "JSONDecodeError"),
+        ('{"items": [[3, "x"]], "user_index"', "JSONDecodeError"),
+        ("[1, 2]", "TypeError"),
+    ], ids=["blank", "truncated", "not_an_object"])
+    def test_record_that_is_not_a_json_object(self, saved, name, text, error):
+        out, _ = saved
+        path = os.path.join(out, name + ".jsonl")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        lines[1] = text
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"%s line 2: malformed record \(%s: "
+                           % (re.escape(path), error)):
+            load_split(out)
+
+    @pytest.mark.parametrize("name, key", [
+        ("train", "items"), ("train", "user_index"), ("valid", "items"),
+        ("valid", "target"), ("test", "user_index"), ("test", "target"),
+    ])
+    def test_record_missing_a_field(self, saved, name, key):
+        out, _ = saved
+        path = os.path.join(out, name + ".jsonl")
+        edit_json_line(path, 3, lambda rec: {k: v for k, v in rec.items() if k != key})
+        with pytest.raises(ValueError, match=r"%s line 3: malformed record \(KeyError: '%s'\)"
+                           % (re.escape(path), key)):
+            load_split(out)
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("train", "items", [[3, "x", 0]]),
+        ("valid", "items", [3]),
+        ("test", "target", [3]),
+    ], ids=["three_part_item", "bare_item", "bare_target"])
+    def test_entry_that_is_not_an_item_domain_pair(self, saved, name, field, value):
+        out, _ = saved
+        path = os.path.join(out, name + ".jsonl")
+        edit_json_line(path, 2, lambda rec: dict(rec, **{field: value}))
+        with pytest.raises(ValueError, match=r"%s line 2: malformed record"
+                           % re.escape(path)):
+            load_split(out)
+
+    @pytest.mark.parametrize("name", ["train", "valid", "test"])
     @pytest.mark.parametrize("user_index", [-3, "n_users", "3", 1.5, True])
     def test_user_index_must_name_a_user(self, saved, name, user_index):
         out, split = saved

@@ -25,7 +25,6 @@ from crossdiff.network import (
     causal_mask,
     denoise,
     embed_sequence,
-    encode_aug,
     encode_domain,
     fuse_guidance,
     guide_memory,
@@ -493,9 +492,17 @@ class TestReverseChainShortcuts:
         vx, vy = vocabs
         cfg = tiny_cfg(d=32, n_heads=n_heads, vocab_x_size=vx.size, vocab_y_size=vy.size)
         params = init_parameters(cfg, rng_seed=4)
-        tok = Tensor(np.random.default_rng(B).normal(size=(B, 1, cfg.d)))
-        one_key = network._block(params, "enc_c.0", tok, None, cfg)
-        softmax = network._block(params, "enc_c.0", tok, np.ones((B, 1, 1, 1)), cfg)
+        tok = Tensor(np.random.default_rng(B).normal(size=(B, cfg.d)))
+        prefix = "enc_c.0"
+
+        def softmax_context(a):
+            q, k, v = (network._heads(network._proj(params, prefix, w, a), B, 1, cfg)
+                       for w in "qkv")
+            return network._attend(q, k, v, np.ones((B, 1, 1, 1)), cfg)
+
+        one_key = network._block(params, prefix, tok,
+                                 lambda a: network._proj(params, prefix, "v", a))
+        softmax = network._block(params, prefix, tok, softmax_context)
         assert np.array_equal(one_key.data, softmax.data)
 
     def test_denoise_matches_reference(self, vocabs):
@@ -508,6 +515,25 @@ class TestReverseChainShortcuts:
         t = np.array([1, 2, 3, 4, 4])
         guide = Tensor(rng.normal(size=(5, 3, cfg.d)))
         valid = np.array([[1.0, 1, 1], [1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 0, 1]])
+        got = denoise(params, cfg, x_t, t, guide_memory(params, cfg, guide, valid))
+        want = reference_denoise(params, cfg, x_t, t, guide, valid)
+        assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_denoise_matches_reference_per_shape(self, vocabs, B, n_heads):
+        # the reference runs enc_c's token as a softmax over itself, so this
+        # pins that a one-key softmax is exactly 1, bit for bit
+        vx, vy = vocabs
+        cfg = tiny_cfg(d=16, n_heads=n_heads, enc_layers=2, dec_layers=2,
+                       vocab_x_size=vx.size, vocab_y_size=vy.size)
+        params = init_parameters(cfg, rng_seed=6)
+        rng = np.random.default_rng(6 + B)
+        x_t = Tensor(rng.normal(size=(B, cfg.d)))
+        t = rng.integers(1, cfg.T + 1, size=B)
+        guide = Tensor(rng.normal(size=(B, 3, cfg.d)))
+        valid = np.array([[1.0, 1, 1], [1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 0, 1],
+                          [0, 1, 0], [0, 1, 1]])[:B]
         got = denoise(params, cfg, x_t, t, guide_memory(params, cfg, guide, valid))
         want = reference_denoise(params, cfg, x_t, t, guide, valid)
         assert np.array_equal(got.data, want.data)
@@ -540,7 +566,8 @@ class TestReverseChainShortcuts:
             x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
             x_t = forward_diffuse(x0, t, eps, sched)
             x0_hat = reference_denoise(params, cfg, x_t, t, gb.guide, gb.guide_valid)
-            h_aug = encode_aug(params, cfg, batch.aug_idx, batch.aug_valid, batch.aug_last)
+            h = embed_sequence(params, cfg, batch.aug_idx)
+            h_aug = encode_domain(params, cfg, "enc_c", h, batch.aug_valid, last=batch.aug_last)
             return x0, x0_hat, gb, h_aug
 
         loss, grads = loss_and_grads(current)

@@ -6,11 +6,12 @@ runs the crossdiff package found in DIR/src, in child processes, and prints
 one SHA-256 for each of three sections:
 
 - library: `fit` over six small runs that between them cover all five
-  variants, d 8/12/16, 1-3 heads, 1-2 decoder layers, no gradient clip and
-  clips of 0.3/0.5/1/5, 0-2 warm-up epochs, validation every epoch and a
-  checkpoint every epoch. It digests the parameters, the Adam moments, the
-  history, every checkpoint file and the verbose output, then `evaluate` on
-  the test part at n_steps 1, 2 and T, each at batch sizes 64 and 5.
+  variants, d 8/12/16, 1-3 heads, 2 encoder layers with 1 decoder layer and
+  1 with 2, no gradient clip and clips of 0.3/0.5/1/5, 0-2 warm-up epochs,
+  validation every epoch and a checkpoint every epoch. It digests the
+  parameters, the Adam moments, the history, every checkpoint file and the
+  verbose output, then `evaluate` on the test part at n_steps 1, 2 and T,
+  each at batch sizes 64 and 5.
 - eval: the forward path alone, on seeded untrained parameters and no
   `fit`: `evaluate` on the test part for all five variants, at n_steps 1
   and T, each at batch sizes 64, 5 and 1. It digests the reports and the
@@ -43,14 +44,14 @@ import tempfile
 # digests do not depend on the machine's core count
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# (variant, d, n_heads, dec_layers, grad_clip, warmup_epochs)
+# (variant, d, n_heads, enc_layers, dec_layers, grad_clip, warmup_epochs)
 LIBRARY_RUNS = [
-    ("full", 8, 2, 1, None, 1),
-    ("diff", 12, 3, 2, 0.3, 2),
-    ("diff_de", 16, 1, 1, 0.5, 2),
-    ("diff_de_g", 8, 1, 2, 1.0, 0),
-    ("diff_de_tricl", 12, 2, 1, 5.0, 1),
-    ("full", 16, 2, 2, 0.3, 2),
+    ("full", 8, 2, 2, 1, None, 1),
+    ("diff", 12, 3, 1, 2, 0.3, 2),
+    ("diff_de", 16, 1, 2, 1, 0.5, 2),
+    ("diff_de_g", 8, 1, 1, 2, 1.0, 0),
+    ("diff_de_tricl", 12, 2, 2, 1, 5.0, 1),
+    ("full", 16, 2, 1, 2, 0.3, 2),
 ]
 
 # (variant, d, n_heads, dec_layers) for the eval section
@@ -104,8 +105,9 @@ def library_section(work: str) -> str:
     split = _split()
     sched = build_schedule(6)
     h = hashlib.sha256()
-    for i, (variant, d, heads, dec_layers, clip, warm) in enumerate(LIBRARY_RUNS):
-        model_cfg = ModelConfig(d=d, n_heads=heads, enc_layers=1, dec_layers=dec_layers,
+    for i, (variant, d, heads, enc_layers, dec_layers, clip, warm) in enumerate(LIBRARY_RUNS):
+        model_cfg = ModelConfig(d=d, n_heads=heads, enc_layers=enc_layers,
+                                dec_layers=dec_layers,
                                 max_seq_len=15, T=sched.T,
                                 vocab_x_size=split.vocab_x.size,
                                 vocab_y_size=split.vocab_y.size)
