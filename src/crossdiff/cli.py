@@ -23,7 +23,7 @@ from .data import (filter_and_split_with_stats, generate_synthetic, ingest_log,
                    SyntheticConfig)
 from .diffusion import build_schedule
 from .evaluation import (ablation_study, auto_negatives, evaluate,
-                         noise_robustness, overall_ndcg, step_sweep)
+                         noise_robustness, step_sweep)
 from .network import VARIANTS, ModelConfig
 from .objectives import LOSS_TERMS
 from .trainer import TrainConfig, fit, init_state, load_checkpoint

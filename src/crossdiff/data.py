@@ -276,22 +276,17 @@ def augment(seq: UserSequence, spec: AugmentationSpec, vocab_x: Vocab, vocab_y: 
         n_keep = math.ceil((1.0 - spec.rate) * L)
         start = int(rng.integers(0, L - n_keep + 1))
         items = items[start:start + n_keep]
-    elif spec.op == "mask":
-        pos = rng.choice(L, size=n, replace=False)
-        for p in pos:
+    elif spec.op in ("mask", "substitute"):
+        for p in rng.choice(L, size=n, replace=False):
             d = items[p][1]
-            items[p] = (vocabs[d].mask_index, d)
+            g = (vocabs[d].mask_index if spec.op == "mask"
+                 else int(rng.choice(vocabs[d].real_indices())))
+            items[p] = (g, d)
     elif spec.op == "reorder":
         start = int(rng.integers(0, L - n + 1))
         perm = rng.permutation(n)
         window = [items[start + k] for k in perm]
         items[start:start + n] = window
-    elif spec.op == "substitute":
-        pos = rng.choice(L, size=n, replace=False)
-        for p in pos:
-            d = items[p][1]
-            v = vocabs[d]
-            items[p] = (int(rng.choice(v.real_indices())), d)
     elif spec.op == "insert":
         for _ in range(n):
             anchor = int(rng.integers(0, len(items)))
@@ -325,7 +320,11 @@ class GroundTruth:
     specific_interest: dict[str, int | None]
     specific_domain: dict[str, str | None]
     cluster_items: dict[tuple[str, int], list[str]]   # (domain, cluster) -> item ids
-    item_cluster: dict[tuple[str, str], int]          # (domain, item id) -> cluster
+    item_cluster: dict[tuple[str, str], int] = field(init=False)  # (domain, item id) -> cluster
+
+    def __post_init__(self):
+        self.item_cluster = {(dom, it): c for (dom, c), ids in self.cluster_items.items()
+                             for it in ids}
 
 
 def generate_synthetic(cfg: SyntheticConfig):
@@ -354,15 +353,11 @@ def generate_synthetic(cfg: SyntheticConfig):
     item_ids = {DOMAIN_X: ["x%04d" % i for i in range(cfg.n_items_x)],
                 DOMAIN_Y: ["y%04d" % i for i in range(cfg.n_items_y)]}
     cluster_items: dict[tuple[str, int], list[str]] = {}
-    item_cluster: dict[tuple[str, str], int] = {}
     for dom in DOMAINS:
         ids = item_ids[dom]
         bounds = np.linspace(0, len(ids), n_clusters + 1).astype(int)
         for c in range(n_clusters):
-            block = ids[bounds[c]:bounds[c + 1]]
-            cluster_items[(dom, c)] = block
-            for it in block:
-                item_cluster[(dom, it)] = c
+            cluster_items[(dom, c)] = ids[bounds[c]:bounds[c + 1]]
 
     events: list[InteractionEvent] = []
     shared_of: dict[str, int] = {}
@@ -398,8 +393,7 @@ def generate_synthetic(cfg: SyntheticConfig):
             events.append(InteractionEvent(uid, item, dom, u * 1000 + pos))
 
     truth = GroundTruth(shared_interest=shared_of, specific_interest=specific_of,
-                        specific_domain=specific_dom, cluster_items=cluster_items,
-                        item_cluster=item_cluster)
+                        specific_domain=specific_dom, cluster_items=cluster_items)
     return events, truth
 
 
@@ -426,16 +420,13 @@ def load_ground_truth(path: str) -> GroundTruth:
     with open(path) as fh:
         doc = json.load(fh)
     cluster_items = {}
-    item_cluster = {}
     for key, ids in doc["cluster_items"].items():
         dom, c = key.split(":")
         cluster_items[(dom, int(c))] = list(ids)
-        for it in ids:
-            item_cluster[(dom, it)] = int(c)
     return GroundTruth(shared_interest=dict(doc["shared_interest"]),
                        specific_interest=dict(doc["specific_interest"]),
                        specific_domain=dict(doc["specific_domain"]),
-                       cluster_items=cluster_items, item_cluster=item_cluster)
+                       cluster_items=cluster_items)
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +464,29 @@ def save_split(split: DatasetSplit, out_dir: str) -> None:
 def load_split(in_dir: str) -> DatasetSplit:
     """Read a split that save_split wrote.
 
-    Raises ValueError unless the vocabularies are contiguous (x at base 0, y
-    where x ends) and, naming the file and line, unless every record is JSON
-    with items, user_index and (valid, test) target, each item and target a
-    real item of its tagged domain, and user_index an integer in [0, len(user_ids)).
+    Raises ValueError naming vocab.json unless it is JSON holding user_ids
+    and two contiguous vocabularies (x at base 0, y where x ends), and,
+    naming the file and line, unless every record is JSON with items,
+    user_index and (valid, test) target, each item and target a real item of
+    its tagged domain, and user_index an integer in [0, len(user_ids)).
     """
     vocab_path = os.path.join(in_dir, "vocab.json")
-    with open(vocab_path) as fh:
-        head = json.load(fh)
-    if head.get("format_version") != SPLIT_FORMAT_VERSION:
-        raise ValueError("unsupported split format version %r" % head.get("format_version"))
-    vocab_x = Vocab(DOMAIN_X, head["vocab_x"]["base"], list(head["vocab_x"]["items"]))
-    vocab_y = Vocab(DOMAIN_Y, head["vocab_y"]["base"], list(head["vocab_y"]["items"]))
+    try:
+        with open(vocab_path) as fh:
+            head = json.load(fh)
+        if head["format_version"] != SPLIT_FORMAT_VERSION:
+            raise ValueError("unsupported split format version %r" % head["format_version"])
+        vocab_x = Vocab(DOMAIN_X, head["vocab_x"]["base"], list(head["vocab_x"]["items"]))
+        vocab_y = Vocab(DOMAIN_Y, head["vocab_y"]["base"], list(head["vocab_y"]["items"]))
+        user_ids = list(head["user_ids"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError("%s: malformed vocabulary file (%s: %s)"
+                         % (vocab_path, type(e).__name__, e)) from None
     if (vocab_x.base, vocab_y.base) != (0, vocab_x.size):
         raise ValueError("%s: vocabulary bases %d (x) and %d (y) are not contiguous; "
                          "expected 0 and %d" % (vocab_path, vocab_x.base, vocab_y.base,
                                                 vocab_x.size))
     vocabs = {DOMAIN_X: vocab_x, DOMAIN_Y: vocab_y}
-    user_ids = list(head["user_ids"])
 
     def read_seqs(name: str, with_target: bool):
         out = []

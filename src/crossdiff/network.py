@@ -22,7 +22,6 @@ reverse chain.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,41 +113,32 @@ def param_specs(cfg: ModelConfig):
     return specs
 
 
-class ParameterSet:
-    """Named parameter tensors in a fixed order."""
-
-    def __init__(self, tensors: "OrderedDict[str, Tensor]"):
-        self._tensors = tensors
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
+class ParameterSet(dict):
+    """Named parameter tensors, in the order they were inserted."""
 
     def names(self):
-        return list(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
+        return list(self)
 
     def tensors(self):
-        return list(self._tensors.values())
+        return list(self.values())
 
     @property
     def n_params(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
+        return sum(t.data.size for t in self.values())
 
     def zero_grads(self) -> None:
-        for t in self._tensors.values():
+        for t in self.values():
             t.grad = None
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([t.data.ravel() for t in self._tensors.values()])
+        return np.concatenate([t.data.ravel() for t in self.values()])
 
     def from_vector(self, vec: np.ndarray) -> None:
         if vec.size != self.n_params:
             raise ValueError("vector length %d does not match parameter count %d"
                              % (vec.size, self.n_params))
         off = 0
-        for t in self._tensors.values():
+        for t in self.values():
             n = t.data.size
             t.data = vec[off:off + n].reshape(t.data.shape).copy()
             off += n
@@ -163,7 +153,7 @@ def init_parameters(cfg: ModelConfig, rng_seed: int = 0) -> ParameterSet:
     """
     cfg.validate()
     rng = np.random.default_rng(rng_seed)
-    tensors: OrderedDict[str, Tensor] = OrderedDict()
+    params = ParameterSet()
     for name, shape, kind in param_specs(cfg):
         if kind == "embed":
             data = rng.normal(0.0, 0.02, size=shape)
@@ -179,10 +169,10 @@ def init_parameters(cfg: ModelConfig, rng_seed: int = 0) -> ParameterSet:
             data = np.eye(shape[0])
         else:
             raise AssertionError(kind)
-        tensors[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
-    tensors["emb_x"].data[PAD_OFFSET] = 0.0
-    tensors["emb_y"].data[PAD_OFFSET] = 0.0
-    return ParameterSet(tensors)
+        params[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+    params["emb_x"].data[PAD_OFFSET] = 0.0
+    params["emb_y"].data[PAD_OFFSET] = 0.0
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +561,19 @@ class ForwardBundle:
 
 def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatch,
                      variant: VariantConfig, sched, t: np.ndarray | None,
-                     eps: np.ndarray | None, warmup: bool = False) -> ForwardBundle:
+                     eps: np.ndarray | None) -> ForwardBundle:
     """Produce every representation the objectives need for one batch.
 
-    During warm-up the diffusion and contrastive paths are skipped entirely,
-    so only the guidance encoders receive gradient.
+    With neither timesteps nor noise (the warm-up stage) the diffusion and
+    contrastive paths are skipped entirely, so only the guidance encoders
+    receive gradient.
     """
+    if (t is None) != (eps is None):
+        raise ValueError("pass both timesteps and noise (main stage) or neither (warm-up)")
     gb = guidance_forward(params, cfg, batch, variant)
     bundle = ForwardBundle(guidance=gb)
-    if warmup:
+    if t is None:
         return bundle
-    if t is None or eps is None:
-        raise ValueError("main-stage forward requires sampled timesteps and noise")
     x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
     x_t = forward_diffuse(x0, t, eps, sched)
     bundle.x0 = x0

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import shutil
-from collections import OrderedDict
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
@@ -76,16 +75,10 @@ class Adam:
                  beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-
-    @classmethod
-    def restored(cls, t: int, m: dict, v: dict, beta1: float, beta2: float,
-                 eps: float) -> "Adam":
-        """An optimizer resuming from saved step count and moments."""
-        opt = cls({}, beta1, beta2, eps)
-        opt.t, opt.m, opt.v = t, m, v
-        return opt
+        # np.zeros pages stay untouched until written, so the moments that
+        # load_checkpoint replaces cost nothing
+        self.m = {name: np.zeros(p.data.shape) for name, p in params.items()}
+        self.v = {name: np.zeros(p.data.shape) for name, p in params.items()}
 
     def step(self, params: ParameterSet, lr: float, grad_clip: float | None = None) -> None:
         """One update. A non-finite gradient norm raises FloatingPointError
@@ -169,7 +162,7 @@ def train_step(state: TrainState, batch: SequenceBatch, warmup: bool,
         t_arr = state.rng.integers(1, cfg.T + 1, size=B)
         eps = state.rng.standard_normal((B, cfg.d))
     bundle = training_forward(state.params, cfg, batch, state.variant, state.sched,
-                              t_arr, eps, warmup=warmup)
+                              t_arr, eps)
     gb = bundle.guidance
     l_diff = None if warmup else diffusion_loss(bundle.x0, bundle.x0_hat)
     l_rec = rec_loss(bundle.x0_hat, gb.gx_hat, gb.gy_hat,
@@ -386,33 +379,45 @@ def _split_blob(vec: np.ndarray, specs):
 
 
 def load_checkpoint(ckpt_dir: str) -> TrainState:
-    with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError("unsupported checkpoint format %r" % manifest.get("format_version"))
-    model_cfg = ModelConfig(**manifest["model_cfg"])
-    train_cfg = TrainConfig(**manifest["train_cfg"])
-    sched = build_schedule(**manifest["schedule"])
-    _check_run(model_cfg, train_cfg, sched, manifest["variant"])
-    specs = [(name, shape) for name, shape, _ in param_specs(model_cfg)]
-    if [[n, list(s)] for n, s in specs] != [[n, list(s)] for n, s in manifest["params"]]:
-        raise ValueError("checkpoint parameter manifest does not match the config")
+    """Restore what save_checkpoint wrote.
+
+    A manifest that is not JSON, lacks a field, or describes a run training
+    could not use raises ValueError naming `<ckpt_dir>/manifest.json`; a blob
+    of the wrong length raises ValueError naming the blob.
+    """
+    path = os.path.join(ckpt_dir, "manifest.json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        if manifest["format_version"] != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError("unsupported checkpoint format %r" % manifest["format_version"])
+        model_cfg = ModelConfig(**manifest["model_cfg"])
+        train_cfg = TrainConfig(**manifest["train_cfg"])
+        sched = build_schedule(**manifest["schedule"])
+        variant = manifest["variant"]
+        _check_run(model_cfg, train_cfg, sched, variant)
+        specs = [(name, shape) for name, shape, _ in param_specs(model_cfg)]
+        if [[n, list(s)] for n, s in specs] != [[n, list(s)] for n, s in manifest["params"]]:
+            raise ValueError("checkpoint parameter manifest does not match the config")
+        rng = np.random.default_rng()
+        rng.bit_generator.state = manifest["rng_state"]
+        adam_t, has_best = manifest["adam_t"], manifest["has_best"]
+        best_metric = manifest["best_metric"]
+        progress = {key: manifest[key] for key in PROGRESS_FIELDS}
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError("%s: malformed manifest (%s: %s)"
+                         % (path, type(e).__name__, e)) from None
     n_params = sum(math.prod(s) for _, s in specs)
-    params = ParameterSet(OrderedDict(
+    params = ParameterSet(
         (name, Tensor(arr, requires_grad=True))
-        for name, arr in _split_blob(_read_blob(ckpt_dir, "params.bin", n_params), specs)))
+        for name, arr in _split_blob(_read_blob(ckpt_dir, "params.bin", n_params), specs))
     m, v = np.split(_read_blob(ckpt_dir, "optimizer.bin", 2 * n_params), 2)
-    opt = Adam.restored(manifest["adam_t"], dict(_split_blob(m, specs)),
-                        dict(_split_blob(v, specs)), train_cfg.beta1,
-                        train_cfg.beta2, train_cfg.adam_eps)
-    rng = np.random.default_rng()
-    rng.bit_generator.state = manifest["rng_state"]
-    best_metric = manifest["best_metric"]
+    opt = Adam(params, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
+    opt.t, opt.m, opt.v = adam_t, dict(_split_blob(m, specs)), dict(_split_blob(v, specs))
     state = TrainState(params=params, model_cfg=model_cfg, train_cfg=train_cfg,
-                       sched=sched, variant_name=manifest["variant"], opt=opt,
-                       rng=rng,
+                       sched=sched, variant_name=variant, opt=opt, rng=rng,
                        best_metric=float("-inf") if best_metric is None else best_metric,
-                       **{key: manifest[key] for key in PROGRESS_FIELDS})
-    if manifest["has_best"]:
+                       **progress)
+    if has_best:
         state.best_params = _read_blob(ckpt_dir, "best.bin", n_params)
     return state

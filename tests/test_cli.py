@@ -476,6 +476,31 @@ class TestRejections:
         assert rc == 1
         assert "unknown variant 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda text: "{variant: full}",
+         "JSONDecodeError: Expecting property name enclosed in double quotes"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "variant"}), "KeyError: 'variant'"),
+        (lambda text: json.dumps({**json.loads(text), "model_cfg": {"width": 3}}),
+         "TypeError: ModelConfig.__init__() got an unexpected keyword argument 'width'"),
+    ], ids=["not_json", "no_variant", "unknown_model_key"])
+    def test_eval_of_malformed_manifest_is_one_error_line(self, pipeline, tmp_path,
+                                                          capsys, edit, cause):
+        ckpt, out = str(tmp_path / "latest"), str(tmp_path / "e")
+        shutil.copytree(os.path.join(pipeline["run"], "latest"), ckpt)
+        mp = os.path.join(ckpt, "manifest.json")
+        with open(mp) as fh:
+            text = fh.read()
+        with open(mp, "w") as fh:
+            fh.write(edit(text))
+        rc = main(["eval", "--checkpoint", ckpt, "--data", pipeline["split"], "--out", out,
+                   "--set", "n_negatives=12"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: %s: malformed manifest (%s" % (mp, cause))
+        assert len(err) == 1
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command,flag", [("sweep", ["--steps", "1,99"]),
                                               ("robust", ["--rates", "0,1.5"])])
     def test_bad_sweep_point_runs_nothing(self, pipeline, tmp_path, capsys,
@@ -557,6 +582,19 @@ class TestSplitChecks:
         assert ("error: %s line 2: malformed record (KeyError: 'target')" % path
                 in capsys.readouterr().err)
         assert not os.path.exists(str(tmp_path / "run"))
+
+    def test_vocabulary_file_that_is_not_json(self, pipeline, tmp_path, capsys):
+        split, run = str(tmp_path / "split"), str(tmp_path / "run")
+        shutil.copytree(pipeline["split"], split)
+        vp = os.path.join(split, "vocab.json")
+        with open(vp, "w") as fh:
+            fh.write("")
+        rc = main(["train", "--data", split, "--out", run] + TINY_MODEL)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: %s: malformed vocabulary file (JSONDecodeError: Expecting value: "
+            "line 1 column 1 (char 0))" % vp]
+        assert not os.path.exists(run)
 
     @pytest.mark.parametrize("user_index", [-3, 99999])
     def test_test_user_index_out_of_range(self, pipeline, tmp_path, capsys, user_index):

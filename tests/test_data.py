@@ -396,6 +396,29 @@ class TestAugment:
         out = augment(seq, AugmentationSpec("insert", 0.5, 4), vx, vy, max_seq_len=15)
         assert len(out) == 15
 
+    # every op's output for one sequence and seed: a change in what augment
+    # draws, or in what order, shows here
+    PINNED_SEQ = [(18, "x"), (25, "y"), (5, "x"), (28, "y"), (5, "x"), (40, "y"),
+                  (19, "x"), (35, "y"), (2, "x"), (25, "y")]
+    PINNED = {
+        "crop": [(28, "y"), (5, "x"), (40, "y"), (19, "x"), (35, "y"), (2, "x"), (25, "y")],
+        "mask": [(0, "x"), (22, "y"), (5, "x"), (28, "y"), (5, "x"), (40, "y"), (0, "x"),
+                 (35, "y"), (2, "x"), (25, "y")],
+        "reorder": [(18, "x"), (25, "y"), (5, "x"), (28, "y"), (5, "x"), (40, "y"),
+                    (2, "x"), (35, "y"), (19, "x"), (25, "y")],
+        "substitute": [(11, "x"), (31, "y"), (5, "x"), (28, "y"), (5, "x"), (40, "y"),
+                       (3, "x"), (35, "y"), (2, "x"), (25, "y")],
+        "insert": [(18, "x"), (25, "y"), (5, "x"), (33, "y"), (28, "y"), (5, "x"),
+                   (40, "y"), (19, "x"), (35, "y"), (5, "x"), (2, "x"), (25, "y")],
+    }
+
+    @pytest.mark.parametrize("op", AUGMENTATION_OPS)
+    def test_pinned_draws(self, aug_vocabs, op):
+        vx, vy = aug_vocabs
+        seq = UserSequence(0, list(self.PINNED_SEQ))
+        out = augment(seq, AugmentationSpec(op, 0.3, 2026), vx, vy, max_seq_len=12)
+        assert out.items == self.PINNED[op]
+
     def test_deterministic(self, aug_vocabs):
         vx, vy = aug_vocabs
         seq = mixed_seq(vx, vy, L=10)
@@ -626,6 +649,25 @@ class TestLoadSplitChecks:
         with open(vp, "w") as fh:
             json.dump(head, fh)
         with pytest.raises(ValueError, match="not contiguous"):
+            load_split(out)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda text: "", r"JSONDecodeError: Expecting value"),
+        (lambda text: "[]", r"TypeError: list indices"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "user_ids"}), r"KeyError: 'user_ids'"),
+        (lambda text: json.dumps({**json.loads(text), "vocab_x": {"items": []}}),
+         r"KeyError: 'base'"),
+    ], ids=["not_json", "not_an_object", "no_user_ids", "no_vocab_x_base"])
+    def test_malformed_vocabulary_file(self, saved, edit, error):
+        out, _ = saved
+        vp = os.path.join(out, "vocab.json")
+        with open(vp) as fh:
+            text = fh.read()
+        with open(vp, "w") as fh:
+            fh.write(edit(text))
+        with pytest.raises(ValueError, match=r"%s: malformed vocabulary file \(%s"
+                           % (re.escape(vp), error)):
             load_split(out)
 
     @pytest.mark.parametrize("name", ["train", "valid", "test"])

@@ -389,8 +389,7 @@ class TestForward:
         t = rng.integers(1, cfg.T + 1, size=B)
         eps = rng.normal(size=(B, cfg.d))
 
-        warm = training_forward(params, cfg, batch, VARIANTS["full"], sched,
-                                None, None, warmup=True)
+        warm = training_forward(params, cfg, batch, VARIANTS["full"], sched, None, None)
         assert warm.x0 is None and warm.x0_hat is None and warm.h_aug is None
         assert warm.guidance.gd_hat is not None
 
@@ -403,8 +402,9 @@ class TestForward:
         plain = training_forward(params, cfg, batch, VARIANTS["diff_de_g"], sched, t, eps)
         assert plain.h_aug is None
 
-        with pytest.raises(ValueError, match="requires sampled"):
-            training_forward(params, cfg, batch, VARIANTS["full"], sched, None, None)
+        for half in ((t, None), (None, eps)):
+            with pytest.raises(ValueError, match="both timesteps and noise"):
+                training_forward(params, cfg, batch, VARIANTS["full"], sched, *half)
 
     def test_forward_deterministic(self, vocabs):
         vx, vy = vocabs

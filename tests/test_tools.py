@@ -1,4 +1,4 @@
-"""tools/bench_record.py --run: alternating pairs in two trees, folded into one record."""
+"""tools/bench_record.py: alternating pairs in two trees, folded into one record."""
 
 import importlib.util
 import json
@@ -50,7 +50,7 @@ def test_run_alternates_and_folds_only_its_runs(tmp_path):
     (tmp_path / "parent" / "bench_results" / "wl_a-seed99-trace0.json").write_text(
         json.dumps({"workload": "wl_a", "seed": 99}))
     out = tmp_path / "BENCH.json"
-    load_bench_record().main(["--run", "--parent", str(tmp_path / "parent"),
+    load_bench_record().main(["--parent", str(tmp_path / "parent"),
                               "--change", str(tmp_path / "change"), "--workloads",
                               "wl_a,wl_b", "--seeds", "2-3", "--out", str(out)])
     calls = (tmp_path / "calls.log").read_text().splitlines()

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
@@ -607,6 +608,31 @@ class TestCheckpoints:
         with open(mp, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match="format"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda text: "{variant: full}", r"JSONDecodeError: Expecting property name"),
+        (lambda text: "[1, 2]", r"TypeError: list indices"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "variant"}), r"KeyError: 'variant'"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "rng_state"}), r"KeyError: 'rng_state'"),
+        (lambda text: json.dumps({**json.loads(text), "model_cfg": {"width": 3}}),
+         r"TypeError: .*unexpected keyword argument 'width'"),
+    ], ids=["not_json", "not_an_object", "no_variant", "no_rng_state",
+            "unknown_model_key"])
+    def test_malformed_manifest_names_the_file(self, small_split, small_sched, tmp_path,
+                                               edit, error):
+        state = self.trained_state(small_split, small_sched, epochs=1)
+        ckpt = str(tmp_path / "ckpt")
+        save_checkpoint(ckpt, state)
+        mp = os.path.join(ckpt, "manifest.json")
+        with open(mp) as fh:
+            text = fh.read()
+        with open(mp, "w") as fh:
+            fh.write(edit(text))
+        with pytest.raises(ValueError, match=r"%s: malformed manifest \(%s"
+                           % (re.escape(mp), error)):
             load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("blob,keep", [("params.bin", 7), ("optimizer.bin", -1),

@@ -1,29 +1,24 @@
-"""Fold perfbench results of a parent tree and a change into one BENCH record.
+"""Run perfbench in a parent tree and a change, and fold the runs into one BENCH record.
 
-    python3 tools/bench_record.py --parent P/bench_results --change C/bench_results \\
-        --out BENCH_<n>.json [--tier1 "443 passed in 240.56s"]
-    python3 tools/bench_record.py --run --parent P --change C \\
+    python3 tools/bench_record.py --parent P --change C \\
         --workloads train_small,train_wide,eval_chain --seeds 401-410 \\
-        --out BENCH_<n>.json [--tier1 "..."]
+        --out BENCH_<n>.json [--tier1 "443 passed in 240.56s"]
 
-Each directory holds the untraced results files
-(`<workload>-seed<n>-trace0.json`) that `perfbench/run.py --trace 0` wrote in
-that tree. With --run, --parent and --change are the roots of two checkouts:
-for each seed and workload the tool runs `perfbench/run.py --trace 0` once
-in each, one after the other (the parent first on even seeds, the change
-first on odd ones), so that each tree writes its own bench_results/, and
-then folds exactly the runs it made. Runs pair up by workload and seed; a
-seed present on one side only is an error. For each workload and end-to-end metric of BENCHMARK.json the
-record gives both sides' median and quartiles, the change's median over the
-parent's, and how many pairs the change won (ties count for neither side).
-It also keeps the machine block of the results files, every pair's values and
-whether every run passed its checks.
+P and C are the roots of two checkouts. For each seed and workload the tool
+runs `perfbench/run.py --trace 0` once in each, one after the other (the
+parent first on even seeds, the change first on odd ones), so that each tree
+writes its own bench_results/, and then folds exactly the runs it made
+(`<workload>-seed<n>-trace0.json`), paired by workload and seed. For each
+workload and end-to-end metric of BENCHMARK.json the record gives both
+sides' median and quartiles, the change's median over the parent's, and how
+many pairs the change won (ties count for neither side). It also keeps the
+machine block of the results files, every pair's values and whether every
+run passed its checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import statistics
@@ -33,20 +28,12 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load(results_dir, pairs=None):
-    """{(workload, seed): results} for the untraced runs in results_dir, or
-    for the (workload, seed) pairs given."""
-    if pairs is None:
-        paths = glob.glob(os.path.join(results_dir, "*-trace0.json"))
-    else:
-        paths = [os.path.join(results_dir, "%s-seed%d-trace0.json" % p) for p in sorted(pairs)]
+def _load(results_dir, pairs):
+    """{(workload, seed): results} for the untraced runs of the given pairs."""
     runs = {}
-    for path in paths:
-        with open(path) as fh:
-            r = json.load(fh)
-        runs[(r["workload"], r["seed"])] = r
-    if not runs:
-        raise SystemExit("bench_record: no untraced results in %s" % results_dir)
+    for pair in sorted(pairs):
+        with open(os.path.join(results_dir, "%s-seed%d-trace0.json" % pair)) as fh:
+            runs[pair] = json.load(fh)
     return runs
 
 
@@ -80,9 +67,6 @@ def _summary(values):
 
 
 def record(parent, change, metrics, tier1=None):
-    if parent.keys() != change.keys():
-        raise SystemExit("bench_record: the two sides ran different (workload, seed) "
-                         "pairs: %s" % sorted(parent.keys() ^ change.keys()))
     out = {"machine": next(iter(change.values()))["machine"],
            "seconds": sorted({r["seconds"] for r in change.values()}),
            "all_correct": all(r["correct"] for r in (*parent.values(), *change.values())),
@@ -108,31 +92,23 @@ def record(parent, change, metrics, tier1=None):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True,
-                    help="the parent tree's bench_results/, or with --run the tree")
-    ap.add_argument("--change", required=True,
-                    help="the change's bench_results/, or with --run the tree")
+    ap.add_argument("--parent", required=True, help="the parent tree")
+    ap.add_argument("--change", required=True, help="the change's tree")
+    ap.add_argument("--workloads", required=True, help="comma-separated workload names")
+    ap.add_argument("--seeds", required=True, type=_seeds, help="e.g. 401-410 or 1,3,5")
     ap.add_argument("--out", required=True)
     ap.add_argument("--tier1", help="the tier-1 suite's summary line, as pytest printed it")
-    ap.add_argument("--run", action="store_true",
-                    help="run the pairs in the two trees first, then fold them")
-    ap.add_argument("--workloads", help="with --run: comma-separated workload names")
-    ap.add_argument("--seeds", type=_seeds, help="with --run: e.g. 401-410 or 1,3,5")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
-    parent, change, pairs = args.parent, args.change, None
-    if args.run:
-        if not (args.workloads and args.seeds):
-            ap.error("--run needs --workloads and --seeds")
-        workloads = args.workloads.split(",")
-        for tree in (parent, change):
-            if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
-                ap.error("%s has no perfbench/run.py" % tree)
-        run_pairs((parent, change), workloads, args.seeds)
-        pairs = {(wl, s) for wl in workloads for s in args.seeds}
-        parent, change = (os.path.join(t, "bench_results") for t in (parent, change))
-    rec = record(_load(parent, pairs), _load(change, pairs), metrics, args.tier1)
+    trees, workloads = (args.parent, args.change), args.workloads.split(",")
+    for tree in trees:
+        if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
+            ap.error("%s has no perfbench/run.py" % tree)
+    run_pairs(trees, workloads, args.seeds)
+    pairs = {(wl, s) for wl in workloads for s in args.seeds}
+    rec = record(*(_load(os.path.join(t, "bench_results"), pairs) for t in trees),
+                 metrics, args.tier1)
     with open(args.out, "w") as fh:
         json.dump(rec, fh, indent=1, sort_keys=True)
         fh.write("\n")
