@@ -278,12 +278,9 @@ def sum_(a, axis=None, keepdims=False):
     return _op(a.data.sum(axis=axis, keepdims=keepdims), (a, rule))
 
 
-def mean(a, axis=None, keepdims=False):
-    if axis is None:
-        n = a.data.size
-    else:
-        n = int(np.prod([a.data.shape[ax] for ax in np.atleast_1d(axis)]))
-    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+def mean(a):
+    """The mean of every element, as a scalar."""
+    return mul(sum_(a), Tensor(1.0 / a.data.size))
 
 
 def reshape(a, shape):

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import shutil
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
@@ -68,8 +69,67 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> flo
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * progress))
 
 
+# Adam splits its per-parameter work over two threads from this many
+# parameters up (numpy releases the GIL on large arrays). Inside `fit`, a
+# split step was 6% slower at 0.39M parameters, level at 0.85M and 7% faster
+# at 1.48M; the threshold leaves a margin above that crossover.
+_POOL_MIN_PARAMS = 2 ** 21
+_pool: tuple[int, ThreadPoolExecutor] | None = None   # (pid that built it, executor)
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The one worker thread beside the caller's, built on first use and again
+    in a forked child, which inherits the parent's executor but not its thread."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="crossdiff-adam"))
+    return _pool[1]
+
+
+def _cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one (Linux), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _halves(items: list) -> tuple[list, list]:
+    """Two lists of about equal element count: largest parameter first, each to the lighter."""
+    halves, sizes = ([], []), [0, 0]
+    for item in sorted(items, key=lambda it: it[1].data.size, reverse=True):
+        i = int(sizes[1] < sizes[0])
+        halves[i].append(item)
+        sizes[i] += item[1].data.size
+    return halves
+
+
+def _each(fn, items: list, halves=None) -> list:
+    """[fn(*item) for item in items]. Given halves, the worker thread runs the
+    second half while this thread runs the first."""
+    if halves is None:
+        return [fn(*item) for item in items]
+
+    def run(half):
+        return {item[0]: fn(*item) for item in half}
+
+    second = _executor().submit(run, halves[1])
+    try:
+        done = run(halves[0])
+    finally:
+        wait([second])   # the worker never outlives an error raised here
+    done.update(second.result())
+    return [done[item[0]] for item in items]
+
+
 class Adam:
-    """Standard Adam with bias correction; moments decay even at zero gradient."""
+    """Standard Adam with bias correction; moments decay even at zero gradient.
+
+    With at least 2**21 parameters and two cores, a step splits its
+    per-parameter work between the calling thread and one worker thread.
+    Each parameter's arithmetic is the same and the gradient norm is still
+    summed in name order, so every bit matches the inline step.
+    """
 
     def __init__(self, params: ParameterSet, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -84,9 +144,13 @@ class Adam:
         """One update. A non-finite gradient norm raises FloatingPointError
         before the step count, the moments or any parameter change."""
         grads = [(name, p, 0.0 if p.grad is None else p.grad) for name, p in params.items()]
+        halves = None
+        if params.n_params >= _POOL_MIN_PARAMS and _cores() >= 2:
+            halves = _halves(grads)
         sq_norm = 0.0
-        for name, _, g in grads:
-            sq_norm += float(np.sum(g * g))
+        for (name, _, _), sq in zip(grads, _each(lambda name, p, g: float(np.sum(g * g)),
+                                                 grads, halves)):
+            sq_norm += sq
             if not math.isfinite(sq_norm):
                 raise FloatingPointError("gradient norm turns non-finite at %s" % name)
         norm = math.sqrt(sq_norm)
@@ -94,13 +158,16 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, p, g in grads:
+
+        def apply(name, p, g):
             if scale is not None:
                 g = g * scale
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
             p.data = p.data - lr * update
+
+        _each(apply, grads, halves)
 
 
 @dataclass

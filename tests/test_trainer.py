@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
@@ -41,6 +42,14 @@ def bare_params(shapes, seed=0):
     for name, shape in shapes:
         tensors[name] = Tensor(rng.normal(size=shape), requires_grad=True)
     return ParameterSet(tensors)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Adam on two threads for any model size, as on a two-core machine."""
+    monkeypatch.setattr(trainer_mod, "_pool", None)
+    monkeypatch.setattr(trainer_mod, "_POOL_MIN_PARAMS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 class TestTrainConfig:
@@ -190,9 +199,8 @@ class TestAdam:
         assert np.array_equal(moved_small, params2["a"].data)
         assert not np.array_equal(moved_small, before)
 
-    @pytest.mark.parametrize("grad_clip", [None, 5.0])
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_gradient_rejected_before_any_change(self, grad_clip, bad):
+    @staticmethod
+    def check_non_finite_rejected(grad_clip, bad):
         params = bare_params([("a", (3,)), ("b", (2,)), ("c", (2,))], seed=4)
         opt = Adam(params)
         for n in params.names():
@@ -209,6 +217,120 @@ class TestAdam:
             assert np.array_equal(params[n].data, p)
             assert np.array_equal(opt.m[n], m)
             assert np.array_equal(opt.v[n], v)
+
+    @pytest.mark.parametrize("grad_clip", [None, 5.0])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_rejected_before_any_change(self, grad_clip, bad):
+        self.check_non_finite_rejected(grad_clip, bad)
+
+    @pytest.mark.parametrize("grad_clip", [None, 5.0])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_rejected_on_two_threads(self, pooled, grad_clip, bad):
+        self.check_non_finite_rejected(grad_clip, bad)
+        assert trainer_mod._pool is not None
+
+    @staticmethod
+    def run_steps(n_steps=6):
+        """Several steps on mixed shapes; the clip fires from the second step
+        on, and "b" has no gradient in the fourth."""
+        shapes = [("a", (5, 4)), ("b", (4,)), ("c", (3, 7, 2)), ("d", (1,)), ("e", (6,))]
+        params = bare_params(shapes, seed=8)
+        opt = Adam(params, 0.9, 0.99)
+        rng = np.random.default_rng(9)
+        for step in range(n_steps):
+            for n, shape in shapes:
+                params[n].grad = rng.normal(size=shape) * (0.1 if step == 0 else 3.0)
+            if step == 3:
+                params["b"].grad = None
+            opt.step(params, 0.05, grad_clip=2.0)
+        return params, opt
+
+    def test_two_threads_match_inline_bit_for_bit(self, pooled, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+            p_inline, opt_inline = self.run_steps()
+        assert trainer_mod._pool is None           # below the threshold: inline
+        p_pooled, opt_pooled = self.run_steps()
+        assert trainer_mod._pool is not None
+        assert opt_pooled.t == opt_inline.t == 6
+        for n in p_inline.names():
+            assert np.array_equal(p_pooled[n].data, p_inline[n].data)
+            assert np.array_equal(opt_pooled.m[n], opt_inline.m[n])
+            assert np.array_equal(opt_pooled.v[n], opt_inline.v[n])
+
+    def test_two_threads_match_inline_under_frequent_switches(self, pooled, monkeypatch):
+        # many small parameters, so both threads write the moment dicts
+        # constantly, with the interpreter switching threads every microsecond
+        shapes = [("p%02d" % i, (1 + i % 5, 3)) for i in range(60)]
+        rng = np.random.default_rng(10)
+        grads = [{n: rng.normal(size=s) for n, s in shapes} for _ in range(3)]
+
+        def run():
+            params = bare_params(shapes, seed=11)
+            opt = Adam(params)
+            for g in grads:
+                for n, _ in shapes:
+                    params[n].grad = g[n]
+                opt.step(params, 0.01, grad_clip=1.0)
+            return params, opt
+
+        with monkeypatch.context() as mp:
+            mp.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+            p_inline, opt_inline = run()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            p_pooled, opt_pooled = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert trainer_mod._pool is not None
+        assert list(opt_pooled.m) == list(opt_inline.m) == [n for n, _ in shapes]
+        for n, _ in shapes:
+            assert np.array_equal(p_pooled[n].data, p_inline[n].data)
+            assert np.array_equal(opt_pooled.m[n], opt_inline.m[n])
+            assert np.array_equal(opt_pooled.v[n], opt_inline.v[n])
+
+    def test_halves_balance_element_counts(self):
+        params = bare_params([("a", (2,)), ("b", (9,)), ("c", (4,)), ("d", (5,)),
+                              ("e", (1,))])
+        halves = trainer_mod._halves([(n, p, None) for n, p in params.items()])
+        # largest first, each to the lighter half (the first on a tie): 11 and 10 elements
+        assert [[n for n, _, _ in half] for half in halves] == [["b", "a"], ["d", "c", "e"]]
+
+    def test_one_core_builds_no_executor(self, pooled, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self.run_steps()
+        assert trainer_mod._pool is None
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2])
+    def test_without_affinity_counts_the_machines_cpus(self, pooled, monkeypatch, cpus):
+        # macOS and Windows have no os.sched_getaffinity; os.cpu_count may be None
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        params, opt = self.run_steps()
+        assert (trainer_mod._pool is not None) == (cpus == 2)
+        monkeypatch.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+        p_inline, opt_inline = self.run_steps()
+        assert opt.t == opt_inline.t == 6
+        for n in p_inline.names():
+            assert np.array_equal(params[n].data, p_inline[n].data)
+            assert np.array_equal(opt.m[n], opt_inline.m[n])
+            assert np.array_equal(opt.v[n], opt_inline.v[n])
+
+    def test_forked_child_builds_its_own_executor(self, pooled, monkeypatch):
+        self.run_steps(2)
+        pid, first = trainer_mod._pool
+        assert pid == os.getpid()
+        self.run_steps(2)
+        assert trainer_mod._pool[1] is first
+        # a forked child sees the parent's executor, whose thread it lacks
+        monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+        p_child, opt_child = self.run_steps()
+        assert trainer_mod._pool[0] == pid + 1 and trainer_mod._pool[1] is not first
+        monkeypatch.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+        p_inline, opt_inline = self.run_steps()
+        for n in p_inline.names():
+            assert np.array_equal(p_child[n].data, p_inline[n].data)
 
 
 class TestStateSetup:

@@ -3,7 +3,7 @@
     python3 tools/output_identity.py --src DIR
 
 runs the crossdiff package found in DIR/src, in child processes, and prints
-one SHA-256 for each of three sections:
+one SHA-256 for each of four sections:
 
 - library: `fit` over six small runs that between them cover all five
   variants, d 8/12/16, 1-3 heads, 2 encoder layers with 1 decoder layer and
@@ -18,14 +18,18 @@ one SHA-256 for each of three sections:
   bytes of every `guidance_forward` and `sample_batch` result that
   `evaluate` computes, so a change that moves training bits can show that
   its forward path is unchanged.
+- wide: `fit` for one warm-up and two main epochs (grad clip 1.0) on a
+  seeded d=256 model of 3.3M parameters, above the 2**21 from which Adam
+  splits its updates over two threads on a machine with two cores. It
+  digests the parameters, the Adam moments and step count, and the history.
 - cli: synth, prepare, train (`full` with a gradient clip, and `diff`),
   eval (also `--use-best --part valid`), robust, sweep and ablate. It
   digests every file the commands write and their standard output, leaving
   out the run manifests' timestamps and output paths.
 
 Run it on two trees, say a parent commit and a change; equal lines mean
-equal bytes. The three sections together take about 15 seconds on a 2-core
-machine.
+equal bytes. The four sections together take about 10 seconds on a 2-core
+machine: library about 3, eval 1, wide 2 to 2.5 and cli the rest.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ EVAL_RUNS = [
     ("diff_de_tricl", 12, 3, 1),
     ("full", 64, 4, 2),
 ]
+
+# (d, n_heads, enc_layers, dec_layers) for the wide section
+WIDE_MODEL = (256, 2, 1, 1)
+WIDE_MIN_PARAMS = 2 ** 21
 
 CLI_SETTINGS = ["n_users=60", "n_items_x=30", "n_items_y=30", "min_interactions=5",
                 "d=8", "n_heads=2", "enc_layers=1", "diffusion_steps=6",
@@ -179,6 +187,34 @@ def eval_section() -> str:
     return h.hexdigest()
 
 
+def wide_section() -> str:
+    from crossdiff.diffusion import build_schedule
+    from crossdiff.network import ModelConfig
+    from crossdiff.trainer import TrainConfig, fit, init_state
+
+    split = _split()
+    sched = build_schedule(6)
+    d, heads, enc_layers, dec_layers = WIDE_MODEL
+    model_cfg = ModelConfig(d=d, n_heads=heads, enc_layers=enc_layers,
+                            dec_layers=dec_layers, max_seq_len=15, T=sched.T,
+                            vocab_x_size=split.vocab_x.size,
+                            vocab_y_size=split.vocab_y.size)
+    train_cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=3, warmup_epochs=1,
+                            grad_clip=1.0, seed=16)
+    state = init_state(model_cfg, train_cfg, sched, variant="full")
+    if state.params.n_params < WIDE_MIN_PARAMS:
+        raise SystemExit("wide model has %d parameters, fewer than %d"
+                         % (state.params.n_params, WIDE_MIN_PARAMS))
+    fit(state, split, eval_every=0)
+    h = hashlib.sha256()
+    h.update(state.params.to_vector().tobytes())
+    for name in state.params.names():
+        h.update(state.opt.m[name].tobytes() + state.opt.v[name].tobytes())
+    h.update(repr((state.opt.t, state.global_step)).encode())
+    h.update(json.dumps(state.history, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def cli_section(src: str, work: str) -> str:
     h = hashlib.sha256()
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **CHILD_ENV)
@@ -211,11 +247,15 @@ def cli_section(src: str, work: str) -> str:
     return h.hexdigest()
 
 
+# the sections that run in a child process of their own, in printing order
+CHILD_SECTIONS = ("library", "eval", "wide")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", required=True,
                     help="root of the crossdiff tree whose src/ is imported")
-    ap.add_argument("--child", choices=("library", "eval"), help=argparse.SUPPRESS)
+    ap.add_argument("--child", choices=CHILD_SECTIONS, help=argparse.SUPPRESS)
     args = ap.parse_args()
     src = os.path.join(os.path.abspath(args.src), "src")
     if not os.path.isdir(os.path.join(src, "crossdiff")):
@@ -226,10 +266,12 @@ def main() -> int:
             if not os.path.abspath(crossdiff.__file__).startswith(src + os.sep):
                 raise SystemExit("imported crossdiff from %s, not %s"
                                  % (crossdiff.__file__, src))
-            print(library_section(work) if args.child == "library" else eval_section())
+            section = {"library": lambda: library_section(work), "eval": eval_section,
+                       "wide": wide_section}[args.child]
+            print(section())
             return 0
         env = dict(os.environ, PYTHONPATH=src, **CHILD_ENV)
-        for child in ("library", "eval"):
+        for child in CHILD_SECTIONS:
             proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--src",
                                    args.src, "--child", child],
                                   env=env, capture_output=True, text=True)
