@@ -467,7 +467,7 @@ def main(argv=None) -> int:
         started = _now()
         inputs, outputs = args.func(args, cfg)
         _write_manifest(args.out, args.command, cfg, inputs, outputs, started)
-    except (ValueError, FileNotFoundError, RuntimeError) as e:
+    except (ValueError, OSError, RuntimeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     return 0

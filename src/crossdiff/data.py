@@ -279,8 +279,10 @@ def augment(seq: UserSequence, spec: AugmentationSpec, vocab_x: Vocab, vocab_y: 
     elif spec.op in ("mask", "substitute"):
         for p in rng.choice(L, size=n, replace=False):
             d = items[p][1]
-            g = (vocabs[d].mask_index if spec.op == "mask"
-                 else int(rng.choice(vocabs[d].real_indices())))
+            v = vocabs[d]
+            # the same draw, and stream position, as rng.choice(v.real_indices())
+            g = (v.mask_index if spec.op == "mask"
+                 else v.base + N_RESERVED + int(rng.integers(0, v.n_items)))
             items[p] = (g, d)
     elif spec.op == "reorder":
         start = int(rng.integers(0, L - n + 1))
@@ -292,7 +294,7 @@ def augment(seq: UserSequence, spec: AugmentationSpec, vocab_x: Vocab, vocab_y: 
             anchor = int(rng.integers(0, len(items)))
             d = items[anchor][1]
             v = vocabs[d]
-            new = (int(rng.choice(v.real_indices())), d)
+            new = (v.base + N_RESERVED + int(rng.integers(0, v.n_items)), d)
             items.insert(anchor, new)
         items = items[-max_seq_len:]
     return UserSequence(seq.user_index, items)

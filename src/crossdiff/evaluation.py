@@ -181,7 +181,7 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
     for lo in range(0, len(part), batch_size):
         chunk = part[lo:lo + batch_size]
         batch = pad_batch(make_eval_batch([s for s, _ in chunk], vocab_x, vocab_y),
-                          model_cfg.max_seq_len, vocab_x, vocab_y)
+                          model_cfg.max_seq_len, vocab_x.pad_index)
         with no_grad():
             gb = guidance_forward(params, model_cfg, batch, variant)
         x0_hat = sample_batch(params, model_cfg, sched, gb.guide, gb.guide_valid,

@@ -6,6 +6,11 @@ projection that re-interleaves the two domain encodings into guidance rows;
 and a denoiser that encodes the noisy target token and cross-attends over the
 guidance.
 
+A batch holds only the merged sequences. The per-domain encoders read each
+domain's view, which `domain_views` derives from the token indices (domain
+y's start at vocab_x_size): that domain's tokens in order, at the merged
+width, with the map that puts their encodings back in merged order.
+
 Every bank runs one pre-norm residual block over rows (N, d); the banks
 differ only in what attention reads. An encoder bank attends causally over
 its sequence: its rows are the packed real tokens, and only attention sees
@@ -29,7 +34,7 @@ import numpy as np
 from .autograd import (Tensor, concat, gather_concat, gather_rows, gelu,
                        layer_norm, masked_softmax, matmul, pack_rows, reshape,
                        slice_rows, swapaxes, take_rows, unpack_rows)
-from .data import DOMAIN_X, DOMAIN_Y, N_RESERVED, PAD_OFFSET, UserSequence, Vocab
+from .data import DOMAIN_X, N_RESERVED, PAD_OFFSET, UserSequence, Vocab
 from .diffusion import forward_diffuse
 
 
@@ -205,17 +210,10 @@ def build_training_examples(split) -> list[TrainingExample]:
 
 @dataclass
 class SequenceBatch:
+    """Merged sequences, right-padded; `domain_views` derives each domain's rows."""
     user_index: np.ndarray       # (B,)
-    merged_idx: np.ndarray       # (B, Lc) global indices, right-padded
-    merged_valid: np.ndarray     # (B, Lc) 0/1
-    merged_last: np.ndarray      # (B,) index of last real position
-    x_idx: np.ndarray            # (B, Lx)
-    x_valid: np.ndarray
-    x_last: np.ndarray
-    y_idx: np.ndarray
-    y_valid: np.ndarray
-    y_last: np.ndarray
-    inter_map: np.ndarray        # (B, Lc) rows into [x-rows; y-rows] concat
+    idx: np.ndarray              # (B, L) global indices
+    valid: np.ndarray            # (B, L) 0/1
     x0_idx: np.ndarray | None = None    # (B,) diffusion target indices
     tx: np.ndarray | None = None        # (B,) domain-x target row (real-item local)
     wx: np.ndarray | None = None        # (B,) target presence 0/1
@@ -223,49 +221,48 @@ class SequenceBatch:
     wy: np.ndarray | None = None
     aug_idx: np.ndarray | None = None
     aug_valid: np.ndarray | None = None
-    aug_last: np.ndarray | None = None
 
     @property
     def size(self) -> int:
-        return int(self.merged_idx.shape[0])
+        return int(self.idx.shape[0])
 
 
-def _pad_rows(rows: list[list[int]], pad_value: int):
-    L = max(1, max((len(r) for r in rows), default=0))
-    idx = np.full((len(rows), L), pad_value, dtype=np.int64)
-    valid = np.zeros((len(rows), L))
-    last = np.zeros(len(rows), dtype=np.int64)
-    for b, r in enumerate(rows):
-        if r:
-            idx[b, :len(r)] = r
-            valid[b, :len(r)] = 1.0
-            last[b] = len(r) - 1
-    return idx, valid, last
+def _pad_rows(seqs: list, pad_value: int):
+    """(idx, valid) of item sequences ((global index, domain), ...), right-padded."""
+    lengths = np.array([len(items) for items in seqs])
+    valid = np.arange(max(1, lengths.max())) < lengths[:, None]
+    idx = np.full(valid.shape, pad_value, dtype=np.int64)
+    idx[valid] = [g for items in seqs for g, _ in items]
+    return idx, valid.astype(np.float64)
 
 
-def _assemble(seqs: list, vocab_x: Vocab, vocab_y: Vocab):
-    merged, xs, ys = [], [], []
-    for items in seqs:
-        merged.append([g for g, _ in items])
-        xs.append([g for g, d in items if d == DOMAIN_X])
-        ys.append([g for g, d in items if d == DOMAIN_Y])
-    m_idx, m_valid, m_last = _pad_rows(merged, vocab_x.pad_index)
-    x_idx, x_valid, x_last = _pad_rows(xs, vocab_x.pad_index)
-    y_idx, y_valid, y_last = _pad_rows(ys, vocab_y.pad_index)
-    Lx = x_idx.shape[1]
-    inter = np.zeros(m_idx.shape, dtype=np.int64)
-    for b, items in enumerate(seqs):
-        rx = ry = 0
-        for i, (_, d) in enumerate(items):
-            if d == DOMAIN_X:
-                inter[b, i] = rx
-                rx += 1
-            else:
-                inter[b, i] = Lx + ry
-                ry += 1
-    return dict(merged_idx=m_idx, merged_valid=m_valid, merged_last=m_last,
-                x_idx=x_idx, x_valid=x_valid, x_last=x_last,
-                y_idx=y_idx, y_valid=y_valid, y_last=y_last, inter_map=inter)
+def last_positions(valid: np.ndarray) -> np.ndarray:
+    """(B,) index of each row's last real position, 0 for a row with none."""
+    return np.maximum(valid.sum(axis=1).astype(np.int64) - 1, 0)
+
+
+def domain_views(cfg: ModelConfig, idx: np.ndarray, valid: np.ndarray):
+    """Each domain's view of merged rows, and the map back to merged order.
+
+    A token belongs to domain y iff its index is at least vocab_x_size. A
+    domain's view keeps the merged width L and holds that domain's tokens in
+    order at the front, then the domain's pad index. Returns
+    ((x_idx, x_valid), (y_idx, y_valid), inter_map), where inter_map (B, L)
+    gives each real merged position's row in the concatenated [x; y] views
+    (x rows 0..L-1, y rows L..2L-1) and maps padded positions to row 0.
+    """
+    real = np.asarray(valid) > 0
+    in_y = idx >= cfg.vocab_x_size
+    views = []
+    for keep, pad in ((real & ~in_y, PAD_OFFSET), (real & in_y, cfg.vocab_x_size + PAD_OFFSET)):
+        order = np.argsort(~keep, axis=1, kind="stable")
+        view_valid = np.take_along_axis(keep, order, axis=1)
+        views.append((np.where(view_valid, np.take_along_axis(idx, order, axis=1), pad),
+                      view_valid.astype(np.float64)))
+    rank_x = np.cumsum(real & ~in_y, axis=1) - 1
+    rank_y = np.cumsum(real & in_y, axis=1) - 1 + idx.shape[1]
+    inter_map = np.where(real, np.where(in_y, rank_y, rank_x), 0)
+    return views[0], views[1], inter_map
 
 
 def _target_row(g: int, domain: str, vocab_x: Vocab, vocab_y: Vocab) -> int:
@@ -280,7 +277,7 @@ def make_train_batch(examples: list[TrainingExample], vocab_x: Vocab, vocab_y: V
                      augmented: list | None = None) -> SequenceBatch:
     if not examples:
         raise ValueError("empty batch")
-    core = _assemble([ex.items for ex in examples], vocab_x, vocab_y)
+    idx, valid = _pad_rows([ex.items for ex in examples], vocab_x.pad_index)
     B = len(examples)
     x0_idx = np.zeros(B, dtype=np.int64)
     tx = np.zeros(B, dtype=np.int64)
@@ -298,37 +295,30 @@ def make_train_batch(examples: list[TrainingExample], vocab_x: Vocab, vocab_y: V
             else:
                 ty[b], wy[b] = row, 1.0
     batch = SequenceBatch(user_index=np.array([ex.user_index for ex in examples]),
-                          x0_idx=x0_idx, tx=tx, wx=wx, ty=ty, wy=wy, **core)
+                          idx=idx, valid=valid, x0_idx=x0_idx, tx=tx, wx=wx, ty=ty, wy=wy)
     if augmented is not None:
-        rows = [[g for g, _ in items] for items in augmented]
-        batch.aug_idx, batch.aug_valid, batch.aug_last = _pad_rows(rows, vocab_x.pad_index)
+        batch.aug_idx, batch.aug_valid = _pad_rows(augmented, vocab_x.pad_index)
     return batch
 
 
 def make_eval_batch(sequences: list[UserSequence], vocab_x: Vocab, vocab_y: Vocab) -> SequenceBatch:
     if not sequences:
         raise ValueError("empty batch")
-    core = _assemble([list(s.items) for s in sequences], vocab_x, vocab_y)
-    return SequenceBatch(user_index=np.array([s.user_index for s in sequences]), **core)
+    idx, valid = _pad_rows([s.items for s in sequences], vocab_x.pad_index)
+    return SequenceBatch(user_index=np.array([s.user_index for s in sequences]),
+                         idx=idx, valid=valid)
 
 
-def pad_batch(batch: SequenceBatch, L: int, vocab_x: Vocab, vocab_y: Vocab) -> SequenceBatch:
-    """The batch with its merged, x and y arrays right-padded to length L.
+def pad_batch(batch: SequenceBatch, L: int, pad_index: int) -> SequenceBatch:
+    """The batch with its rows right-padded with pad_index to length L.
 
     `evaluate` pads every batch to the model's max_seq_len, so that each
-    attention row sums over the same keys whoever shares the batch; an
-    encoder pays for the padded rows in attention only.
+    attention row, in every view, sums over the same keys whoever shares the
+    batch; an encoder pays for the padded rows in attention only.
     """
-    def pad(a, value):
-        return np.pad(a, ((0, 0), (0, L - a.shape[1])), constant_values=value)
-
-    Lx = batch.x_idx.shape[1]
-    inter = np.where(batch.inter_map < Lx, batch.inter_map, batch.inter_map + (L - Lx))
-    return replace(batch, merged_idx=pad(batch.merged_idx, vocab_x.pad_index),
-                   merged_valid=pad(batch.merged_valid, 0.0),
-                   x_idx=pad(batch.x_idx, vocab_x.pad_index), x_valid=pad(batch.x_valid, 0.0),
-                   y_idx=pad(batch.y_idx, vocab_y.pad_index), y_valid=pad(batch.y_valid, 0.0),
-                   inter_map=pad(inter, 0))
+    width = ((0, 0), (0, L - batch.idx.shape[1]))
+    return replace(batch, idx=np.pad(batch.idx, width, constant_values=pad_index),
+                   valid=np.pad(batch.valid, width))
 
 
 # ---------------------------------------------------------------------------
@@ -527,26 +517,27 @@ def guidance_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     variant.validate()
     gx_hat = gy_hat = gd_hat = None
     fused = None
+    last = last_positions(batch.valid)
     if variant.use_de:
-        hx = embed_sequence(params, cfg, batch.x_idx)
-        gx_rows = encode_domain(params, cfg, "enc_x", hx, batch.x_valid)
-        hy = embed_sequence(params, cfg, batch.y_idx)
-        gy_rows = encode_domain(params, cfg, "enc_y", hy, batch.y_valid)
-        fused = fuse_guidance(params, gx_rows, gy_rows, batch.inter_map)
-        gx_hat = pool_last(gx_rows, batch.x_last)
-        gy_hat = pool_last(gy_rows, batch.y_last)
-        gd_hat = pool_last(fused, batch.merged_last)
+        (x_idx, x_valid), (y_idx, y_valid), inter_map = domain_views(cfg, batch.idx, batch.valid)
+        hx = embed_sequence(params, cfg, x_idx)
+        gx_rows = encode_domain(params, cfg, "enc_x", hx, x_valid)
+        hy = embed_sequence(params, cfg, y_idx)
+        gy_rows = encode_domain(params, cfg, "enc_y", hy, y_valid)
+        fused = fuse_guidance(params, gx_rows, gy_rows, inter_map)
+        gx_hat = pool_last(gx_rows, last_positions(x_valid))
+        gy_hat = pool_last(gy_rows, last_positions(y_valid))
+        gd_hat = pool_last(fused, last)
     if variant.use_guidance:
-        guide, guide_valid = fused, batch.merged_valid
+        guide, guide_valid = fused, batch.valid
     else:
-        hm = embed_sequence(params, cfg, batch.merged_idx)
+        hm = embed_sequence(params, cfg, batch.idx)
         if variant.use_de:
-            pooled = encode_domain(params, cfg, "enc_c", hm, batch.merged_valid,
-                                   last=batch.merged_last)
+            pooled = encode_domain(params, cfg, "enc_c", hm, batch.valid, last=last)
             guide, guide_valid = reshape(pooled, (batch.size, 1, cfg.d)), np.ones((batch.size, 1))
         else:
-            guide = encode_domain(params, cfg, "enc_c", hm, batch.merged_valid)
-            guide_valid = batch.merged_valid
+            guide = encode_domain(params, cfg, "enc_c", hm, batch.valid)
+            guide_valid = batch.valid
     return GuidanceBundle(guide=guide, guide_valid=guide_valid,
                           gx_hat=gx_hat, gy_hat=gy_hat, gd_hat=gd_hat)
 
@@ -582,5 +573,5 @@ def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     if variant.use_tricl and batch.aug_idx is not None:
         h_aug = embed_sequence(params, cfg, batch.aug_idx)
         bundle.h_aug = encode_domain(params, cfg, "enc_c", h_aug, batch.aug_valid,
-                                     last=batch.aug_last)
+                                     last=last_positions(batch.aug_valid))
     return bundle

@@ -195,6 +195,11 @@ class TestPrepare:
         assert rc == 1
         assert "nope.tsv" in capsys.readouterr().err
 
+    def test_input_that_is_a_directory(self, tmp_path, capsys):
+        rc = main(["prepare", "--input", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTrain:
     def test_run_artifacts(self, pipeline):
@@ -272,6 +277,13 @@ class TestEvalReports:
                    "--data", pipeline["split"], "--out", str(tmp_path / "o")])
         assert rc == 1
         capsys.readouterr()
+
+    def test_data_that_is_a_file(self, pipeline, tmp_path, capsys):
+        rc = main(["eval", "--checkpoint", os.path.join(pipeline["run"], "latest"),
+                   "--data", os.path.join(pipeline["data"], "events.tsv"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRobustSweepAblate:

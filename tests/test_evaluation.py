@@ -266,7 +266,7 @@ class TestSampleBatch:
 
             def per_user(users, variant):
                 batch = pad_batch(make_eval_batch(users, split.vocab_x, split.vocab_y),
-                                  cfg.max_seq_len, split.vocab_x, split.vocab_y)
+                                  cfg.max_seq_len, split.vocab_x.pad_index)
                 with no_grad():
                     gb = guidance_forward(params, cfg, batch, VARIANTS[variant])
                 x0 = sample_batch(params, cfg, sched, gb.guide, gb.guide_valid,

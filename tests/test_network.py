@@ -24,12 +24,14 @@ from crossdiff.network import (
     build_training_examples,
     causal_mask,
     denoise,
+    domain_views,
     embed_sequence,
     encode_domain,
     fuse_guidance,
     guide_memory,
     guidance_forward,
     init_parameters,
+    last_positions,
     make_eval_batch,
     make_train_batch,
     pad_batch,
@@ -173,7 +175,61 @@ class TestTrainingExamples:
         assert len(exs) == sum(len(s) - 1 for s in small_split.train)
 
 
+def reference_assemble(seqs, vocab_x, vocab_y):
+    """Batch assembly before domain_views, item by item: merged, x and y rows,
+    each padded to its own widest row, their last positions, and the map of
+    each merged position into the concatenated [x; y] rows."""
+    def pad_rows(rows, pad_value):
+        L = max(1, max(len(r) for r in rows))
+        idx = np.full((len(rows), L), pad_value, dtype=np.int64)
+        valid = np.zeros((len(rows), L))
+        last = np.zeros(len(rows), dtype=np.int64)
+        for b, r in enumerate(rows):
+            if r:
+                idx[b, :len(r)] = r
+                valid[b, :len(r)] = 1.0
+                last[b] = len(r) - 1
+        return idx, valid, last
+
+    out = {}
+    out["merged"] = pad_rows([[g for g, _ in items] for items in seqs], vocab_x.pad_index)
+    out["x"] = pad_rows([[g for g, d in items if d == DOMAIN_X] for items in seqs],
+                        vocab_x.pad_index)
+    out["y"] = pad_rows([[g for g, d in items if d == DOMAIN_Y] for items in seqs],
+                        vocab_y.pad_index)
+    Lx = out["x"][0].shape[1]
+    inter = np.zeros(out["merged"][0].shape, dtype=np.int64)
+    for b, items in enumerate(seqs):
+        rx = ry = 0
+        for i, (_, d) in enumerate(items):
+            if d == DOMAIN_X:
+                inter[b, i] = rx
+                rx += 1
+            else:
+                inter[b, i] = Lx + ry
+                ry += 1
+    out["inter_map"] = inter
+    return out
+
+
+def reference_pad(ref, L, vocab_x, vocab_y):
+    """reference_assemble's layouts right-padded to length L, with the map's
+    y rows moved behind the padded x rows."""
+    def pad(a, value):
+        return np.pad(a, ((0, 0), (0, L - a.shape[1])), constant_values=value)
+
+    Lx = ref["x"][0].shape[1]
+    out = {name: (pad(ref[name][0], v.pad_index), pad(ref[name][1], 0.0), ref[name][2])
+           for name, v in (("merged", vocab_x), ("x", vocab_x), ("y", vocab_y))}
+    inter = ref["inter_map"]
+    out["inter_map"] = pad(np.where(inter < Lx, inter, inter + (L - Lx)), 0)
+    return out
+
+
 class TestBatchAssembly:
+    def view_cfg(self, vx, vy):
+        return tiny_cfg(vocab_x_size=vx.size, vocab_y_size=vy.size)
+
     def test_interleave_map_recovers_merged(self, vocabs):
         vx, vy = vocabs
         seqs = [UserSequence(0, [(vx.index_of("a0"), DOMAIN_X),
@@ -182,11 +238,13 @@ class TestBatchAssembly:
                 UserSequence(1, [(vy.index_of("b1"), DOMAIN_Y),
                                  (vy.index_of("b2"), DOMAIN_Y)])]
         batch = make_eval_batch(seqs, vx, vy)
-        cat = np.concatenate([batch.x_idx, batch.y_idx], axis=1)
+        (x_idx, _), (y_idx, _), inter = domain_views(self.view_cfg(vx, vy),
+                                                     batch.idx, batch.valid)
+        cat = np.concatenate([x_idx, y_idx], axis=1)
         for b in range(batch.size):
-            for i in range(batch.merged_idx.shape[1]):
-                if batch.merged_valid[b, i]:
-                    assert cat[b, batch.inter_map[b, i]] == batch.merged_idx[b, i]
+            for i in range(batch.idx.shape[1]):
+                if batch.valid[b, i]:
+                    assert cat[b, inter[b, i]] == batch.idx[b, i]
 
     def test_pad_batch(self, vocabs):
         vx, vy = vocabs
@@ -194,26 +252,31 @@ class TestBatchAssembly:
                                  (vy.index_of("b0"), DOMAIN_Y),
                                  (vx.index_of("a1"), DOMAIN_X)]),
                 UserSequence(1, [(vy.index_of("b1"), DOMAIN_Y)])]
+        cfg = self.view_cfg(vx, vy)
         batch = make_eval_batch(seqs, vx, vy)
-        padded = pad_batch(batch, 6, vx, vy)
-        for name in ("merged", "x", "y"):
-            idx, valid = getattr(padded, name + "_idx"), getattr(padded, name + "_valid")
-            L = getattr(batch, name + "_idx").shape[1]
-            assert idx.shape == valid.shape == (2, 6), name
-            assert np.array_equal(idx[:, :L], getattr(batch, name + "_idx")), name
-            assert np.array_equal(valid[:, :L], getattr(batch, name + "_valid")), name
-            assert not np.any(valid[:, L:]), name
-        assert np.all(padded.x_idx[:, 2:] == vx.pad_index)
-        assert np.all(padded.y_idx[:, 1:] == vy.pad_index)
-        assert np.all(padded.merged_idx[:, 3:] == vx.pad_index)
-        for last in ("merged_last", "x_last", "y_last"):
-            assert np.array_equal(getattr(padded, last), getattr(batch, last))
-        cat = np.concatenate([padded.x_idx, padded.y_idx], axis=1)
+        padded = pad_batch(batch, 6, vx.pad_index)
+        assert padded.idx.shape == padded.valid.shape == (2, 6)
+        assert np.array_equal(padded.idx[:, :3], batch.idx)
+        assert np.array_equal(padded.valid[:, :3], batch.valid)
+        assert not np.any(padded.valid[:, 3:])
+        assert np.all(padded.idx[:, 3:] == vx.pad_index)
+        views = domain_views(cfg, batch.idx, batch.valid)
+        padded_views = domain_views(cfg, padded.idx, padded.valid)
+        for (idx, valid), (p_idx, p_valid) in zip(views[:2], padded_views[:2]):
+            assert p_idx.shape == p_valid.shape == (2, 6)
+            assert np.array_equal(p_idx[:, :3], idx)
+            assert np.array_equal(p_valid[:, :3], valid)
+            assert not np.any(p_valid[:, 3:])
+            assert np.array_equal(last_positions(p_valid), last_positions(valid))
+        assert np.array_equal(last_positions(padded.valid), last_positions(batch.valid))
+        (x_idx, _), (y_idx, _), inter = padded_views
+        assert np.all(x_idx[:, 2:] == vx.pad_index)
+        assert np.all(y_idx[:, 1:] == vy.pad_index)
+        cat = np.concatenate([x_idx, y_idx], axis=1)
         for b in range(2):
-            real = padded.merged_valid[b] > 0
-            assert np.array_equal(cat[b, padded.inter_map[b, real]],
-                                  padded.merged_idx[b, real])
-        assert padded.inter_map.tolist() == [[0, 6, 1, 0, 0, 0], [6, 0, 0, 0, 0, 0]]
+            real = padded.valid[b] > 0
+            assert np.array_equal(cat[b, inter[b, real]], padded.idx[b, real])
+        assert inter.tolist() == [[0, 6, 1, 0, 0, 0], [6, 0, 0, 0, 0, 0]]
 
     def test_padding_and_last(self, vocabs):
         vx, vy = vocabs
@@ -222,14 +285,57 @@ class TestBatchAssembly:
                                  (vy.index_of("b1"), DOMAIN_Y),
                                  (vx.index_of("a1"), DOMAIN_X)])]
         batch = make_eval_batch(seqs, vx, vy)
-        assert batch.merged_idx.shape == (2, 3)
-        assert batch.merged_valid[0].tolist() == [1, 0, 0]
-        assert batch.merged_last.tolist() == [0, 2]
-        assert batch.merged_idx[0, 1] == vx.pad_index
-        # domain-x stream of user 1 holds one item; user 0's y stream is empty
-        assert batch.x_last.tolist() == [0, 0]
-        assert batch.y_valid[0].sum() == 0
-        assert batch.y_idx[0, 0] == vy.pad_index
+        assert batch.idx.shape == (2, 3)
+        assert batch.valid[0].tolist() == [1, 0, 0]
+        assert last_positions(batch.valid).tolist() == [0, 2]
+        assert batch.idx[0, 1] == vx.pad_index
+        # domain-x view of user 1 holds one item; user 0's y view is empty
+        (_, x_valid), (y_idx, y_valid), _ = domain_views(self.view_cfg(vx, vy),
+                                                         batch.idx, batch.valid)
+        assert last_positions(x_valid).tolist() == [0, 0]
+        assert y_valid[0].sum() == 0
+        assert y_idx[0, 0] == vy.pad_index
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_views_match_reference_assembly(self, vocabs, seed):
+        # rows 0 and 3 have no y token, rows 1 and 4 no x token; domain masks count
+        vx, vy = vocabs
+        cfg = self.view_cfg(vx, vy)
+        rng = np.random.default_rng(seed)
+        tokens = {d: [v.mask_index] + v.real_indices().tolist()
+                  for d, v in ((DOMAIN_X, vx), (DOMAIN_Y, vy))}
+        seqs = []
+        for b in range(6):
+            p_y = (0.0, 1.0, 0.5)[b % 3]
+            domains = [DOMAIN_Y if rng.random() < p_y else DOMAIN_X
+                       for _ in range(rng.integers(1, cfg.max_seq_len + 1))]
+            seqs.append(UserSequence(b, [(int(rng.choice(tokens[d])), d) for d in domains]))
+        batch = make_eval_batch(seqs, vx, vy)
+        ref = reference_assemble([s.items for s in seqs], vx, vy)
+        L = batch.idx.shape[1]
+        for padded in (False, True):
+            if padded:
+                batch = pad_batch(batch, cfg.max_seq_len, vx.pad_index)
+                ref = reference_pad(ref, cfg.max_seq_len, vx, vy)
+                L = cfg.max_seq_len
+            assert np.array_equal(batch.idx, ref["merged"][0])
+            assert np.array_equal(batch.valid, ref["merged"][1])
+            assert np.array_equal(last_positions(batch.valid), ref["merged"][2])
+            x_view, y_view, inter = domain_views(cfg, batch.idx, batch.valid)
+            for name, (idx, valid), pad in (("x", x_view, vx.pad_index),
+                                            ("y", y_view, vy.pad_index)):
+                r_idx, r_valid, r_last = ref[name]
+                w = r_idx.shape[1]
+                assert idx.shape == valid.shape == (len(seqs), L), (name, padded)
+                assert np.array_equal(idx[:, :w], r_idx), (name, padded)
+                assert np.array_equal(valid[:, :w], r_valid), (name, padded)
+                assert np.all(idx[:, w:] == pad) and not np.any(valid[:, w:]), (name, padded)
+                assert np.array_equal(last_positions(valid), r_last), (name, padded)
+            # the views keep width L, so y rows start at L, not at the widest x row
+            Lx = ref["x"][0].shape[1]
+            r_inter = np.where(ref["inter_map"] < Lx, ref["inter_map"],
+                               ref["inter_map"] - Lx + L) * (batch.valid > 0)
+            assert np.array_equal(inter, r_inter), padded
 
     def test_train_batch_targets(self, vocabs):
         vx, vy = vocabs
@@ -256,7 +362,7 @@ class TestBatchAssembly:
                                                  (vx.index_of("a0"), DOMAIN_X)]]
         batch = make_train_batch(exs, vx, vy, augmented=aug)
         assert batch.aug_idx.shape == (2, 2)
-        assert batch.aug_last.tolist() == [0, 1]
+        assert last_positions(batch.aug_valid).tolist() == [0, 1]
         assert batch.aug_valid[0].tolist() == [1, 0]
 
     def test_empty_batch_rejected(self, vocabs):
@@ -352,12 +458,12 @@ class TestForward:
         cfg = tiny_cfg(vocab_x_size=vx.size, vocab_y_size=vy.size)
         params = init_parameters(cfg, rng_seed=1)
         batch = self.make_batch(vx, vy)
-        B, Lc = batch.merged_idx.shape
+        B, Lc = batch.idx.shape
         for name, variant in VARIANTS.items():
             gb = guidance_forward(params, cfg, batch, variant)
             if variant.use_guidance:
                 assert gb.guide.data.shape == (B, Lc, cfg.d), name
-                assert np.array_equal(gb.guide_valid, batch.merged_valid)
+                assert np.array_equal(gb.guide_valid, batch.valid)
             elif variant.use_de:
                 assert gb.guide.data.shape == (B, 1, cfg.d), name
                 assert gb.guide_valid.shape == (B, 1)
@@ -567,7 +673,8 @@ class TestReverseChainShortcuts:
             x_t = forward_diffuse(x0, t, eps, sched)
             x0_hat = reference_denoise(params, cfg, x_t, t, gb.guide, gb.guide_valid)
             h = embed_sequence(params, cfg, batch.aug_idx)
-            h_aug = encode_domain(params, cfg, "enc_c", h, batch.aug_valid, last=batch.aug_last)
+            h_aug = encode_domain(params, cfg, "enc_c", h, batch.aug_valid,
+                                 last=last_positions(batch.aug_valid))
             return x0, x0_hat, gb, h_aug
 
         loss, grads = loss_and_grads(current)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,27 +39,42 @@ def load_bench_record():
     return module
 
 
-def test_run_alternates_and_folds_only_its_runs(tmp_path):
+def run_bench_record(tmp_path, monkeypatch):
+    """main() over two fake trees, with the tier-1 suite stubbed; returns the
+    record and the (cwd, OPENBLAS_NUM_THREADS) of each tier-1 run."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = [m["name"] for m in json.load(fh)["end_to_end"]]
     for tree in ("parent", "change"):
         os.makedirs(tmp_path / tree / "perfbench")
         (tmp_path / tree / "perfbench" / "run.py").write_text(
             "METRICS = %r\n" % metrics + FAKE_RUN)
+    module = load_bench_record()
+    tier1_runs, real_run = [], subprocess.run
+
+    def fake_run(cmd, **kw):
+        if cmd != module.TIER1:
+            return real_run(cmd, **kw)
+        tier1_runs.append((kw["cwd"], kw["env"]["OPENBLAS_NUM_THREADS"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout="....\n\n4 passed in 0.25s\n")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    module.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                 "--workloads", "wl_a,wl_b", "--seeds", "2-3", "--out", str(out)])
+    return json.loads(out.read_text()), tier1_runs
+
+
+def test_run_alternates_and_folds_only_its_runs(tmp_path, monkeypatch):
     # a stale result on one side only must not reach the record
     os.makedirs(tmp_path / "parent" / "bench_results")
     (tmp_path / "parent" / "bench_results" / "wl_a-seed99-trace0.json").write_text(
         json.dumps({"workload": "wl_a", "seed": 99}))
-    out = tmp_path / "BENCH.json"
-    load_bench_record().main(["--parent", str(tmp_path / "parent"),
-                              "--change", str(tmp_path / "change"), "--workloads",
-                              "wl_a,wl_b", "--seeds", "2-3", "--out", str(out)])
+    rec, _ = run_bench_record(tmp_path, monkeypatch)
     calls = (tmp_path / "calls.log").read_text().splitlines()
     # no --seconds is passed, so each tree's run.py keeps its own default
     assert calls == ["parent wl_a 2 10", "change wl_a 2 10", "parent wl_b 2 10",
                      "change wl_b 2 10", "change wl_a 3 10", "parent wl_a 3 10",
                      "change wl_b 3 10", "parent wl_b 3 10"]
-    rec = json.loads(out.read_text())
     assert sorted(rec["workloads"]) == ["wl_a", "wl_b"]
     assert rec["seconds"] == [10] and rec["all_correct"]
     for wl in ("wl_a", "wl_b"):
@@ -68,6 +84,13 @@ def test_run_alternates_and_folds_only_its_runs(tmp_path):
         assert rows["train_step_ms"]["change_wins"] == 2
         assert rows["eval_users_per_s"]["change_wins"] == 0
         assert rows["train_step_ms"]["change_over_parent"] == 0.5
+
+
+def test_records_tier1_of_the_change(tmp_path, monkeypatch):
+    rec, tier1_runs = run_bench_record(tmp_path, monkeypatch)
+    assert tier1_runs == [(str(tmp_path / "change"), "1")]
+    assert rec["tier1"]["summary"] == "4 passed in 0.25s"
+    assert isinstance(rec["tier1"]["wall_s"], float) and rec["tier1"]["wall_s"] >= 0
 
 
 def test_seed_ranges():

@@ -2,7 +2,7 @@
 
     python3 tools/bench_record.py --parent P --change C \\
         --workloads train_small,train_wide,eval_chain --seeds 401-410 \\
-        --out BENCH_<n>.json [--tier1 "443 passed in 240.56s"]
+        --out BENCH_<n>.json
 
 P and C are the roots of two checkouts. For each seed and workload the tool
 runs `perfbench/run.py --trace 0` once in each, one after the other (the
@@ -13,7 +13,8 @@ workload and end-to-end metric of BENCHMARK.json the record gives both
 sides' median and quartiles, the change's median over the parent's, and how
 many pairs the change won (ties count for neither side). It also keeps the
 machine block of the results files, every pair's values and whether every
-run passed its checks.
+run passed its checks. After the pairs it runs the tier-1 suite in C with one
+BLAS thread, and records pytest's summary line and the suite's wall time.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def _load(results_dir, pairs):
@@ -61,18 +64,27 @@ def run_pairs(trees, workloads, seeds):
                                      % (" ".join(cmd[1:]), proc.returncode, tree))
 
 
+def run_tier1(tree):
+    """Run the tier-1 suite in tree: {"summary": pytest's last line, "wall_s": seconds}."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    print("%s: tier-1" % tree, file=sys.stderr, flush=True)
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"summary": lines[-1] if lines else "", "wall_s": round(time.perf_counter() - start, 2)}
+
+
 def _summary(values):
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def record(parent, change, metrics, tier1=None):
+def record(parent, change, metrics):
     out = {"machine": next(iter(change.values()))["machine"],
            "seconds": sorted({r["seconds"] for r in change.values()}),
            "all_correct": all(r["correct"] for r in (*parent.values(), *change.values())),
            "workloads": {}}
-    if tier1:
-        out["tier1"] = tier1
     for wl in sorted({w for w, _ in change}):
         seeds = sorted(s for w, s in change if w == wl)
         rows = {}
@@ -97,7 +109,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
     ap.add_argument("--seeds", required=True, type=_seeds, help="e.g. 401-410 or 1,3,5")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--tier1", help="the tier-1 suite's summary line, as pytest printed it")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
@@ -108,7 +119,8 @@ def main(argv=None) -> int:
     run_pairs(trees, workloads, args.seeds)
     pairs = {(wl, s) for wl in workloads for s in args.seeds}
     rec = record(*(_load(os.path.join(t, "bench_results"), pairs) for t in trees),
-                 metrics, args.tier1)
+                 metrics)
+    rec["tier1"] = run_tier1(args.change)
     with open(args.out, "w") as fh:
         json.dump(rec, fh, indent=1, sort_keys=True)
         fh.write("\n")
