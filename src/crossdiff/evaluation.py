@@ -5,11 +5,18 @@ vector, the logits of the true next item and k sampled negatives are
 compared, and the 1-based rank of the true item (pessimistic under ties)
 feeds hit rate, NDCG, and reciprocal-rank metrics per domain. Robustness,
 step-count sweeps, and the ablation grid reuse the same pipeline.
+
+On a machine with two usable CPUs, `evaluate` forks one worker per call,
+which ranks the second half of every batch while the caller ranks the first.
+A user's bits do not depend on who shares the batch, so every report is the
+one a single process gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import multiprocessing
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,6 +159,85 @@ def sample_batch(params: ParameterSet, cfg: ModelConfig, sched: DiffusionSchedul
     return x0_hat
 
 
+def _rows(batch, rows: slice):
+    """The evaluation batch's rows in the slice."""
+    return replace(batch, user_index=batch.user_index[rows], idx=batch.idx[rows],
+                   valid=batch.valid[rows])
+
+
+def _rank_worker(conn, callers_end, rank) -> None:
+    """The forked worker: rank each (lo, hi, batch) it receives until end-of-file,
+    and send back the ranks or the exception they raised."""
+    callers_end.close()   # inherited through fork; left open, the caller's close sends no EOF
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (rank(*job), None)
+        except Exception as exc:   # the caller raises it
+            reply = (None, exc)
+        try:
+            conn.send(reply)
+        except ConnectionError:   # the caller's own half raised, and it stopped listening
+            return
+
+
+def _worker_died(proc) -> RuntimeError:
+    proc.join()
+    return RuntimeError("the evaluation worker exited with code %s" % proc.exitcode)
+
+
+@contextlib.contextmanager
+def _on_two_cores(rank, largest_batch: int):
+    """Yield rank(lo, hi, batch), or a function giving the same ranks that hands
+    the second half of each batch to one worker forked for the block.
+
+    The worker runs when the process may use two CPUs, `fork` exists, the
+    caller is not a daemonic process (which may start none) and a batch can
+    hold two users. It is forked, not spawned, because it needs the caller's
+    model and users and a spawned one would spend longer starting than a pass
+    takes; it runs only forward numpy code and its pipe, never the thread
+    that Adam may keep. It is joined whether the block returns or raises.
+    """
+    from .trainer import _cores
+
+    if (largest_batch < 2 or _cores() < 2
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        yield rank
+        return
+    fork = multiprocessing.get_context("fork")
+    ours, theirs = fork.Pipe()
+    proc = fork.Process(target=_rank_worker, args=(theirs, ours, rank), daemon=True)
+    proc.start()
+    theirs.close()
+
+    def rank_batch(lo, hi, batch):
+        h = (hi - lo) // 2
+        if h == 0:
+            return rank(lo, hi, batch)
+        try:
+            ours.send((lo + h, hi, _rows(batch, slice(h, None))))
+        except ConnectionError:
+            raise _worker_died(proc) from None
+        mine = rank(lo, lo + h, _rows(batch, slice(0, h)))
+        try:
+            worker_ranks, exc = ours.recv()
+        except EOFError:
+            raise _worker_died(proc) from None
+        if exc is not None:
+            raise exc
+        return mine + worker_ranks
+
+    try:
+        yield rank_batch
+    finally:
+        ours.close()
+        proc.join()
+
+
 def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
              sched: DiffusionSchedule, variant_name: str, vocab_x: Vocab,
              vocab_y: Vocab, *, seed: int = 0, n_steps: int | None = None,
@@ -177,11 +263,9 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
     variant = VARIANTS[variant_name]
     steps = sched.T if n_steps is None else n_steps
     strided_steps(sched.T, steps)
-    ranks = {d: [] for d in DOMAINS}
-    for lo in range(0, len(part), batch_size):
-        chunk = part[lo:lo + batch_size]
-        batch = pad_batch(make_eval_batch([s for s, _ in chunk], vocab_x, vocab_y),
-                          model_cfg.max_seq_len, vocab_x.pad_index)
+
+    def rank(lo, hi, batch):
+        """1-based ranks of the users part[lo:hi], whose padded rows batch holds."""
         with no_grad():
             gb = guidance_forward(params, model_cfg, batch, variant)
         x0_hat = sample_batch(params, model_cfg, sched, gb.guide, gb.guide_valid,
@@ -189,7 +273,8 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
         # domain -> (vocab, embedding table, pooled encodings or None)
         heads = {DOMAIN_X: (vocab_x, params["emb_x"].data, gb.gx_hat),
                  DOMAIN_Y: (vocab_y, params["emb_y"].data, gb.gy_hat)}
-        for b, (seq, (tg, td)) in enumerate(chunk):
+        out = []
+        for b, (seq, (tg, td)) in enumerate(part[lo:hi]):
             vocab, emb, g = heads[td]
             logits = score_items(x0_hat[b], None if g is None else g.data[b], emb)
             history = (exclude_seqs[lo + b] if exclude_seqs is not None else seq).indices
@@ -197,7 +282,17 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
             negs = sample_negatives(rng_neg, vocab, set(history) | {tg},
                                     n_negatives)
             cand = np.concatenate([[tg], negs]) - vocab.base
-            ranks[td].append(rank_of_positive(logits[cand]))
+            out.append(rank_of_positive(logits[cand]))
+        return out
+
+    ranks = {d: [] for d in DOMAINS}
+    with _on_two_cores(rank, min(batch_size, len(part))) as rank_batch:
+        for lo in range(0, len(part), batch_size):
+            chunk = part[lo:lo + batch_size]
+            batch = pad_batch(make_eval_batch([s for s, _ in chunk], vocab_x, vocab_y),
+                              model_cfg.max_seq_len, vocab_x.pad_index)
+            for (_, (_, td)), r in zip(chunk, rank_batch(lo, lo + len(chunk), batch)):
+                ranks[td].append(r)
     per_domain = {d: compute_metrics(rs) for d, rs in ranks.items() if rs}
     n_users = sum(mv.n_users for mv in per_domain.values())
     fingerprint = {"seed": seed, "n_steps": steps, "n_negatives": n_negatives,

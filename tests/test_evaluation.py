@@ -1,6 +1,8 @@
 """Ranking metrics against brute-force oracles plus harness-level properties."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -484,6 +486,16 @@ class TestEvaluate:
                      split.vocab_y, seed=3, n_negatives=15, batch_size=3)
         assert a.per_domain == b.per_domain
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_whole_report_batch_size_invariant_for_every_variant(self, eval_setup,
+                                                                 variant):
+        # a forked worker ranks half of each batch, which relies on this
+        split, cfg, params, sched = eval_setup
+        a, b, c = (evaluate(split.test, params, cfg, sched, variant, split.vocab_x,
+                            split.vocab_y, seed=3, n_negatives=15, batch_size=bs)
+                   for bs in (64, 5, 1))
+        assert a == b == c
+
     def test_fingerprint_fields(self, eval_setup):
         split, cfg, params, sched = eval_setup
         rep = evaluate(split.test, params, cfg, sched, "diff", split.vocab_x,
@@ -547,6 +559,202 @@ class TestEvaluate:
                            % (vx.size, vy.size, cfg.vocab_x_size, cfg.vocab_y_size)):
             evaluate(split.test, params, cfg, sched, "full", vx, vy, n_negatives=5)
         assert calls == []
+
+
+def _with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes forked while the test runs, counted at os.fork."""
+    calls, real = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+class TestTwoCores:
+    """evaluate ranks the second half of each batch in a forked worker when the
+    process may use two CPUs; every report equals the one-CPU report."""
+
+    @staticmethod
+    def _evaluate(eval_setup, **kw):
+        split, cfg, params, sched = eval_setup
+        return evaluate(split.test, params, cfg, sched, "full", split.vocab_x,
+                        split.vocab_y, **{"seed": 3, "n_negatives": 15, **kw})
+
+    @pytest.mark.parametrize("n_steps", [1, None])
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_reports_equal_one_cpu(self, eval_setup, monkeypatch, forks, batch_size,
+                                   n_steps):
+        _with_cpus(monkeypatch, 1)
+        one = self._evaluate(eval_setup, batch_size=batch_size, n_steps=n_steps)
+        assert forks == []
+        _with_cpus(monkeypatch, 2)
+        two = self._evaluate(eval_setup, batch_size=batch_size, n_steps=n_steps)
+        assert two == one
+        # a batch of one user has no second half
+        assert len(forks) == (0 if batch_size == 1 else 1)
+        assert multiprocessing.active_children() == []
+
+    def test_noise_robustness_equal_one_cpu(self, eval_setup, monkeypatch, forks):
+        split, cfg, params, sched = eval_setup
+
+        def rows():
+            return noise_robustness(split.test, params, cfg, sched, "full",
+                                    split.vocab_x, split.vocab_y, [0.0, 0.3],
+                                    seed=3, n_negatives=15, batch_size=5)
+
+        _with_cpus(monkeypatch, 1)
+        one = rows()
+        _with_cpus(monkeypatch, 2)
+        assert rows() == one
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_live_adam_executor_untouched(self, eval_setup, monkeypatch):
+        # the worker is forked while Adam's thread may be live; the thread
+        # does not exist in the child, which must never wait on it
+        import crossdiff.trainer as trainer_mod
+
+        _with_cpus(monkeypatch, 1)
+        one = self._evaluate(eval_setup, batch_size=4)
+        monkeypatch.setattr(trainer_mod, "_pool", None)
+        executor = trainer_mod._executor()
+        try:
+            assert executor.submit(lambda: 5).result(timeout=10) == 5
+            _with_cpus(monkeypatch, 2)
+            assert self._evaluate(eval_setup, batch_size=4) == one
+            assert executor.submit(lambda: 6).result(timeout=10) == 6
+        finally:
+            executor.shutdown()
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _poison(eval_setup, monkeypatch, victim: int) -> None:
+        """Make the last denoised vector of test user number victim non-finite."""
+        split, sched = eval_setup[0], eval_setup[3]
+        bad_user = split.test[victim][0].user_index
+        last = strided_steps(sched.T, sched.T)[-1]
+        users = []
+        real_sample, real_denoise = evaluation.sample_batch, evaluation.denoise
+
+        def sample(*args):
+            users[:] = list(args[5])
+            return real_sample(*args)
+
+        def denoise(*args):
+            out = real_denoise(*args)
+            if args[3][0] == last:
+                out.data[np.asarray(users) == bad_user] = np.nan
+            return out
+
+        monkeypatch.setattr(evaluation, "sample_batch", sample)
+        monkeypatch.setattr(evaluation, "denoise", denoise)
+
+    # batch_size 4: the second batch is rows 4-7, the caller ranks 4-5 and the worker 6-7
+    @pytest.mark.parametrize("victim", [4, 7])
+    def test_non_finite_sample_raises_in_caller(self, eval_setup, monkeypatch, forks,
+                                                victim):
+        self._poison(eval_setup, monkeypatch, victim)
+        for cpus in (1, 2):
+            _with_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError) as err:
+                self._evaluate(eval_setup, batch_size=4)
+            assert str(err.value) == "non-finite sample at the end of the reverse chain"
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("victim", [4, 7])
+    def test_negative_shortage_raises_same_message(self, eval_setup, monkeypatch, forks,
+                                                   victim):
+        split = eval_setup[0]
+        seq, (_, td) = split.test[victim]
+        vocab = split.vocab_of(td)
+        exclude = [s for s, _ in split.test]
+        exclude[victim] = UserSequence(seq.user_index,
+                                       [(int(g), td) for g in vocab.real_indices()])
+        want = "domain %s has 0 eligible negatives, need 15" % td
+        for cpus in (1, 2):
+            _with_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError) as err:
+                self._evaluate(eval_setup, batch_size=4, exclude_seqs=exclude)
+            assert str(err.value) == want
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_an_error(self, eval_setup, monkeypatch, forks):
+        caller = os.getpid()
+        real = evaluation.sample_batch
+
+        def sample(*args):
+            if os.getpid() != caller:
+                os._exit(7)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "sample_batch", sample)
+        _with_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="evaluation worker exited with code 7"):
+            self._evaluate(eval_setup, batch_size=4)
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_worker_killed_between_batches_is_an_error(self, eval_setup, monkeypatch):
+        import signal
+
+        real, calls = evaluation.make_eval_batch, []
+
+        def build(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                (worker,) = multiprocessing.active_children()
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.join(60)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "make_eval_batch", build)
+        _with_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="evaluation worker exited with code -9"):
+            self._evaluate(eval_setup, batch_size=4)
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_or_no_fork_starts_no_process(self, eval_setup, monkeypatch, forks):
+        _with_cpus(monkeypatch, 1)
+        want = self._evaluate(eval_setup, batch_size=4)
+        _with_cpus(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert self._evaluate(eval_setup, batch_size=4) == want
+        assert forks == []
+
+    def test_daemonic_caller_starts_no_process(self, eval_setup, monkeypatch):
+        # a daemonic process may start no children: multiprocessing would raise
+        _with_cpus(monkeypatch, 1)
+        want = self._evaluate(eval_setup, batch_size=4)
+        _with_cpus(monkeypatch, 2)
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+
+        def child():
+            try:
+                theirs.send(self._evaluate(eval_setup, batch_size=4))
+            except Exception as exc:
+                theirs.send(repr(exc))
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        try:
+            assert ours.poll(60)
+            got = ours.recv()
+        finally:
+            proc.join(60)
+        assert not proc.is_alive() and proc.exitcode == 0
+        assert got == want
 
 
 class TestRobustness:

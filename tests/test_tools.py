@@ -41,7 +41,8 @@ def load_bench_record():
 
 def run_bench_record(tmp_path, monkeypatch):
     """main() over two fake trees, with the tier-1 suite stubbed; returns the
-    record and the (cwd, OPENBLAS_NUM_THREADS) of each tier-1 run."""
+    record, the (cwd, OPENBLAS_NUM_THREADS) of each tier-1 run and the kind
+    of every command run ("calibration", "run" or "tier1"), in order."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = [m["name"] for m in json.load(fh)["end_to_end"]]
     for tree in ("parent", "change"):
@@ -49,11 +50,13 @@ def run_bench_record(tmp_path, monkeypatch):
         (tmp_path / tree / "perfbench" / "run.py").write_text(
             "METRICS = %r\n" % metrics + FAKE_RUN)
     module = load_bench_record()
-    tier1_runs, real_run = [], subprocess.run
+    tier1_runs, kinds, real_run = [], [], subprocess.run
 
     def fake_run(cmd, **kw):
         if cmd != module.TIER1:
+            kinds.append("calibration" if cmd[1] == "-c" else "run")
             return real_run(cmd, **kw)
+        kinds.append("tier1")
         tier1_runs.append((kw["cwd"], kw["env"]["OPENBLAS_NUM_THREADS"]))
         return subprocess.CompletedProcess(cmd, 0, stdout="....\n\n4 passed in 0.25s\n")
 
@@ -61,7 +64,7 @@ def run_bench_record(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     module.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                  "--workloads", "wl_a,wl_b", "--seeds", "2-3", "--out", str(out)])
-    return json.loads(out.read_text()), tier1_runs
+    return json.loads(out.read_text()), tier1_runs, kinds
 
 
 def test_run_alternates_and_folds_only_its_runs(tmp_path, monkeypatch):
@@ -69,7 +72,7 @@ def test_run_alternates_and_folds_only_its_runs(tmp_path, monkeypatch):
     os.makedirs(tmp_path / "parent" / "bench_results")
     (tmp_path / "parent" / "bench_results" / "wl_a-seed99-trace0.json").write_text(
         json.dumps({"workload": "wl_a", "seed": 99}))
-    rec, _ = run_bench_record(tmp_path, monkeypatch)
+    rec, _, _ = run_bench_record(tmp_path, monkeypatch)
     calls = (tmp_path / "calls.log").read_text().splitlines()
     # no --seconds is passed, so each tree's run.py keeps its own default
     assert calls == ["parent wl_a 2 10", "change wl_a 2 10", "parent wl_b 2 10",
@@ -87,10 +90,19 @@ def test_run_alternates_and_folds_only_its_runs(tmp_path, monkeypatch):
 
 
 def test_records_tier1_of_the_change(tmp_path, monkeypatch):
-    rec, tier1_runs = run_bench_record(tmp_path, monkeypatch)
+    rec, tier1_runs, _ = run_bench_record(tmp_path, monkeypatch)
     assert tier1_runs == [(str(tmp_path / "change"), "1")]
     assert rec["tier1"]["summary"] == "4 passed in 0.25s"
     assert isinstance(rec["tier1"]["wall_s"], float) and rec["tier1"]["wall_s"] >= 0
+
+
+def test_records_calibration_before_and_after_the_pairs(tmp_path, monkeypatch):
+    rec, _, kinds = run_bench_record(tmp_path, monkeypatch)
+    assert kinds == ["calibration"] + ["run"] * 8 + ["calibration", "tier1"]
+    assert sorted(rec["calibration"]) == ["after", "before"]
+    for timing in rec["calibration"].values():
+        assert sorted(timing) == ["gemm_ms", "loop_ms"]
+        assert all(isinstance(v, float) and v > 0 for v in timing.values())
 
 
 def test_seed_ranges():

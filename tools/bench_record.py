@@ -15,6 +15,11 @@ many pairs the change won (ties count for neither side). It also keeps the
 machine block of the results files, every pair's values and whether every
 run passed its checks. After the pairs it runs the tier-1 suite in C with one
 BLAS thread, and records pytest's summary line and the suite's wall time.
+
+Timings drift from day to day on a shared machine, so the record also times
+one fixed calibration kernel, a GEMM and a Python loop with one BLAS thread,
+before and after the pairs (`calibration`, each a median of 5 runs): two BENCH
+files compare only as far as their calibrations agree.
 """
 
 from __future__ import annotations
@@ -29,6 +34,30 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+# the calibration kernel: medians of 5 timings, after one untimed call, of a
+# fixed (384, 384) GEMM and of a fixed 300,000-step Python loop
+CALIBRATION = """
+import json, statistics, time
+import numpy as np
+a = np.random.default_rng(0).standard_normal((384, 384))
+
+def loop():
+    s = 0
+    for i in range(300000):
+        s += i * i
+
+def median_ms(fn):
+    fn()
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(times)
+
+print(json.dumps({"gemm_ms": median_ms(lambda: a @ a), "loop_ms": median_ms(loop)}))
+"""
 
 
 def _load(results_dir, pairs):
@@ -62,6 +91,14 @@ def run_pairs(trees, workloads, seeds):
                 if proc.returncode != 0:
                     raise SystemExit("bench_record: %s exited with %d in %s"
                                      % (" ".join(cmd[1:]), proc.returncode, tree))
+
+
+def calibrate():
+    """{"gemm_ms", "loop_ms"}: the calibration kernel, timed in a child with one BLAS thread."""
+    proc = subprocess.run([sys.executable, "-c", CALIBRATION],
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def run_tier1(tree):
@@ -116,10 +153,13 @@ def main(argv=None) -> int:
     for tree in trees:
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             ap.error("%s has no perfbench/run.py" % tree)
+    before = calibrate()
     run_pairs(trees, workloads, args.seeds)
+    calibration = {"before": before, "after": calibrate()}
     pairs = {(wl, s) for wl in workloads for s in args.seeds}
     rec = record(*(_load(os.path.join(t, "bench_results"), pairs) for t in trees),
                  metrics)
+    rec["calibration"] = calibration
     rec["tier1"] = run_tier1(args.change)
     with open(args.out, "w") as fh:
         json.dump(rec, fh, indent=1, sort_keys=True)
@@ -129,6 +169,8 @@ def main(argv=None) -> int:
             print("%-12s %-22s parent %10.4g  change %10.4g  x%.3f  wins %d/%d"
                   % (wl, name, r["parent"]["median"], r["change"]["median"],
                      r["change_over_parent"], r["change_wins"], len(w["seeds"])))
+    for when, c in calibration.items():
+        print("calibration %-6s gemm %.3f ms  loop %.3f ms" % (when, c["gemm_ms"], c["loop_ms"]))
     return 0
 
 

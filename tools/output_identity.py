@@ -17,7 +17,11 @@ one SHA-256 for each of four sections:
   and T, each at batch sizes 64, 5 and 1. It digests the reports and the
   bytes of every `guidance_forward` and `sample_batch` result that
   `evaluate` computes, so a change that moves training bits can show that
-  its forward path is unchanged.
+  its forward path is unchanged. The section's process pins itself to one
+  CPU for these calls, because with two `evaluate` ranks half of each batch
+  in a forked worker whose arrays no hook here sees. It then makes the same
+  calls on all the CPUs it was given and fails unless every report equals
+  the one-CPU report (on a one-CPU machine that comparison is trivial).
 - wide: `fit` for one warm-up and two main epochs (grad clip 1.0) on a
   seeded d=256 model of 3.3M parameters, above the 2**21 from which Adam
   splits its updates over two threads on a machine with two cores. It
@@ -165,25 +169,43 @@ def eval_section() -> str:
     def hats(t):
         return None if t is None else t.data
 
+    def reports(each=lambda rep: None):
+        out = []
+        for i, (variant, d, heads, dec_layers) in enumerate(EVAL_RUNS):
+            model_cfg = ModelConfig(d=d, n_heads=heads, enc_layers=2, dec_layers=dec_layers,
+                                    max_seq_len=15, T=sched.T,
+                                    vocab_x_size=split.vocab_x.size,
+                                    vocab_y_size=split.vocab_y.size)
+            params = init_parameters(model_cfg, rng_seed=i)
+            for n_steps in (1, sched.T):
+                for batch_size in (64, 5, 1):
+                    out.append(evaluation.evaluate(
+                        split.test, params, model_cfg, sched, variant, split.vocab_x,
+                        split.vocab_y, seed=3, n_steps=n_steps, n_negatives=10,
+                        batch_size=batch_size))
+                    each(out[-1])
+        return out
+
+    def digest_report(rep):
+        h.update(repr(sorted(rep.per_domain.items())).encode())
+        h.update(json.dumps(rep.fingerprint, sort_keys=True).encode())
+
+    # On one CPU `evaluate` ranks every user in this process, where the hooks
+    # see every array; on more it hands half of each batch to a worker.
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    unhooked = evaluation.guidance_forward, evaluation.sample_batch
     evaluation.guidance_forward = digesting(
         evaluation.guidance_forward,
         lambda gb: (gb.guide.data[gb.guide_valid > 0], gb.guide_valid, hats(gb.gx_hat),
                     hats(gb.gy_hat), hats(gb.gd_hat)))
     evaluation.sample_batch = digesting(evaluation.sample_batch, lambda x0_hat: (x0_hat,))
-    for i, (variant, d, heads, dec_layers) in enumerate(EVAL_RUNS):
-        model_cfg = ModelConfig(d=d, n_heads=heads, enc_layers=2, dec_layers=dec_layers,
-                                max_seq_len=15, T=sched.T,
-                                vocab_x_size=split.vocab_x.size,
-                                vocab_y_size=split.vocab_y.size)
-        params = init_parameters(model_cfg, rng_seed=i)
-        for n_steps in (1, sched.T):
-            for batch_size in (64, 5, 1):
-                rep = evaluation.evaluate(split.test, params, model_cfg, sched, variant,
-                                          split.vocab_x, split.vocab_y, seed=3,
-                                          n_steps=n_steps, n_negatives=10,
-                                          batch_size=batch_size)
-                h.update(repr(sorted(rep.per_domain.items())).encode())
-                h.update(json.dumps(rep.fingerprint, sort_keys=True).encode())
+    one_cpu = reports(digest_report)
+    evaluation.guidance_forward, evaluation.sample_batch = unhooked
+    os.sched_setaffinity(0, cpus)
+    if reports() != one_cpu:
+        raise SystemExit("evaluate's reports on %d CPUs differ from those on one"
+                         % len(cpus))
     return h.hexdigest()
 
 
