@@ -15,6 +15,17 @@ it, so after the pass only leaves keep `.grad`; the rules, and the
 activations they hold, live until the graph is dropped. A bias is part of its
 product's node (`matmul(a, W, bias)`), not a separate addition.
 
+Given a pool (a one-worker executor), `backward` hands the weight gradient
+of each product whose right operand is a 2-D leaf, one GEMM, to the worker
+and walks on: nothing in the walk reads a leaf's gradient, and no rule
+writes into the arrays the GEMM reads. From a leaf's first deferred GEMM
+on, every gradient it receives waits in a queue in arrival order. After the
+walk, and also when the walk raises, `backward` waits for every GEMM and
+folds each queue into its leaf in order. Each GEMM is the same call on the
+same arrays and each leaf sums in the same order, so the bits are those of
+the walk without a pool. Other right operands, such as a transposed
+embedding table or a stack, stay in the walk.
+
 Each primitive is one `_op(value, (parent, rule), ...)` call: its forward
 value, and for each input a rule from the output's gradient to that input's.
 `_op` alone skips inputs that need no gradient, sums each gradient down to its
@@ -33,6 +44,7 @@ rests on this, and a guard test pins it for the BLAS in use.
 from __future__ import annotations
 
 import contextlib
+from concurrent.futures import Future, wait
 
 import numpy as np
 from scipy.special import erf
@@ -77,7 +89,7 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    def backward(self):
+    def backward(self, pool=None):
         if self.data.shape != ():
             raise ValueError("backward() requires a scalar tensor, got shape %r" % (self.shape,))
         # iterative postorder; training graphs get deep enough to trip the
@@ -96,11 +108,16 @@ class Tensor:
             stack.append((node, True))
             for p, _ in node._parents:
                 stack.append((p, False))
+        handover = None if pool is None else _Handover(pool)
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-                node.grad = None
+        try:
+            for node in reversed(topo):
+                if node._backward is not None:
+                    node._backward(node.grad, handover)
+                    node.grad = None
+        finally:
+            if handover is not None:
+                handover.drain()
 
     # operator sugar; constants are promoted on the fly
     def __add__(self, other):
@@ -152,6 +169,50 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+class _WeightGrad:
+    """matmul's rule for a 2-D right operand: a's rows, transposed, times g's
+    rows as one GEMM."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    def __call__(self, g):
+        a = self.a.data
+        return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+class _Handover:
+    """Where a backward walk given a pool puts each input's gradient: a leaf's
+    `_WeightGrad` onto the pool, and from then on every gradient of that leaf
+    into its queue, until `drain`; any other gradient into its input."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.queues = {}   # id(leaf) -> (leaf, [array or Future, ...])
+
+    def give(self, p, rule, g):
+        queue = self.queues.get(id(p))
+        if type(rule) is _WeightGrad and p._backward is None:
+            if queue is None:
+                queue = self.queues[id(p)] = (p, [])
+            queue[1].append(self.pool.submit(rule, g))
+        elif queue is None:
+            p._accumulate(_unbroadcast(rule(g), p.data.shape))
+        else:
+            queue[1].append(_unbroadcast(rule(g), p.data.shape))
+
+    def drain(self):
+        """Wait for every deferred GEMM, then fold each queue in order; an error
+        raised by a GEMM is raised here."""
+        wait([x for _, queue in self.queues.values() for x in queue
+              if isinstance(x, Future)])
+        for p, queue in self.queues.values():
+            for x in queue:
+                p._accumulate(x.result() if isinstance(x, Future) else x)
+
+
 def _op(value, *edges):
     """The output Tensor of one primitive call.
 
@@ -167,10 +228,14 @@ def _op(value, *edges):
         else:
             return out
 
-        def backward(g):
+        def backward(g, handover=None):
             for p, rule in edges:
-                if p.requires_grad:
+                if not p.requires_grad:
+                    continue
+                if handover is None:
                     p._accumulate(_unbroadcast(rule(g), p.data.shape))
+                else:
+                    handover.give(p, rule, g)
 
         out.requires_grad = True
         out._parents = edges
@@ -218,10 +283,10 @@ def matmul(a, b, bias=None):
         # a matrix or a stack times one matrix: the forward and each gradient
         # are one GEMM over a's flattened rows, not per-example products. The
         # forward's padding keeps a row's bits independent of the row count.
-        k, m = b.data.shape
+        m = b.data.shape[1]
         out = _rows_times_matrix(a.data, b.data)
         edges = [(a, lambda g: (g.reshape(-1, m) @ b.data.T).reshape(a.data.shape)),
-                 (b, lambda g: a.data.reshape(-1, k).T @ g.reshape(-1, m))]
+                 (b, _WeightGrad(a))]
         if bias is not None:
             out += bias.data
             edges.append((bias, lambda g: g))

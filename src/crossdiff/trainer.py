@@ -69,11 +69,13 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> flo
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * progress))
 
 
-# Adam splits its per-parameter work over two threads from this many
-# parameters up (numpy releases the GIL on large arrays). Inside `fit`, a
-# split step was 6% slower at 0.39M parameters, level at 0.85M and 7% faster
-# at 1.48M; the threshold leaves a margin above that crossover.
-_POOL_MIN_PARAMS = 2 ** 21
+# Adam splits its per-parameter work over two threads, and backward hands its
+# weight-gradient GEMMs to the worker, from this many parameters up (numpy
+# releases the GIL on large arrays). Inside `fit` at `train_wide`'s shapes with
+# d overridden, a step with both on against both off was 7% slower at 0.39M
+# parameters, 6% faster at 0.85M and 16% faster at 1.48M; the threshold leaves
+# a margin above that crossover.
+_POOL_MIN_PARAMS = 2 ** 20
 _pool: tuple[int, ThreadPoolExecutor] | None = None   # (pid that built it, executor)
 
 
@@ -82,7 +84,7 @@ def _executor() -> ThreadPoolExecutor:
     in a forked child, which inherits the parent's executor but not its thread."""
     global _pool
     if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="crossdiff-adam"))
+        _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="crossdiff-worker"))
     return _pool[1]
 
 
@@ -92,6 +94,12 @@ def _cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _two_threads(params: ParameterSet) -> bool:
+    """Whether a step on params uses the worker thread: Adam's split and
+    backward's deferred weight gradients."""
+    return params.n_params >= _POOL_MIN_PARAMS and _cores() >= 2
 
 
 def _halves(items: list) -> tuple[list, list]:
@@ -125,7 +133,7 @@ def _each(fn, items: list, halves=None) -> list:
 class Adam:
     """Standard Adam with bias correction; moments decay even at zero gradient.
 
-    With at least 2**21 parameters and two cores, a step splits its
+    With at least 2**20 parameters and two cores, a step splits its
     per-parameter work between the calling thread and one worker thread.
     Each parameter's arithmetic is the same and the gradient norm is still
     summed in name order, so every bit matches the inline step.
@@ -144,9 +152,7 @@ class Adam:
         """One update. A non-finite gradient norm raises FloatingPointError
         before the step count, the moments or any parameter change."""
         grads = [(name, p, 0.0 if p.grad is None else p.grad) for name, p in params.items()]
-        halves = None
-        if params.n_params >= _POOL_MIN_PARAMS and _cores() >= 2:
-            halves = _halves(grads)
+        halves = _halves(grads) if _two_threads(params) else None
         sq_norm = 0.0
         for (name, _, _), sq in zip(grads, _each(lambda name, p, g: float(np.sum(g * g)),
                                                  grads, halves)):
@@ -240,7 +246,10 @@ def train_step(state: TrainState, batch: SequenceBatch, warmup: bool,
         l_cl = tri_view_cl_loss(bundle.x0_hat, gb.gd_hat, bundle.h_aug)
     total, breakdown = total_loss(l_diff, l_rec, l_cl)
     state.params.zero_grads()
-    total.backward()
+    if _two_threads(state.params):
+        total.backward(pool=_executor())
+    else:
+        total.backward()
     state.opt.step(state.params, lr, state.train_cfg.grad_clip)
     state.global_step += 1
     return breakdown

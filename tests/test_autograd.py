@@ -6,7 +6,10 @@ differences with step 1e-6 give roughly 1e-10 accuracy on these scales, so a
 """
 
 import gc
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -486,6 +489,102 @@ def test_grad_accumulates_over_reuse():
     out = ag.sum_(t * 3.0) + ag.sum_(t * t)
     out.backward()
     assert np.allclose(t.grad, 3.0 + 2.0 * t.data)
+
+
+class RecordingPool:
+    """A real one-worker executor that keeps every future it hands out; wrap
+    may replace each submitted call."""
+
+    def __init__(self, executor, wrap=lambda fn: fn):
+        self.executor, self.wrap, self.futures = executor, wrap, []
+
+    def submit(self, fn, *args):
+        self.futures.append(self.executor.submit(self.wrap(fn), *args))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def worker():
+    executor = ThreadPoolExecutor(1)
+    yield executor
+    executor.shutdown()
+
+
+def _weight_graph(rule=None):
+    """Leaves x, s, W, bias, E and a scalar loss in which W is the right
+    operand of three products, x @ W, a stack s' @ W and h @ W + bias, which
+    backward walks in reverse order, and between the first and second also
+    gets the synchronous gradient of mul(W, c). swapaxes(E) is a right
+    operand that is not a leaf. rule, when given, is the rule of a node
+    between the second and third product."""
+    x = Tensor(rand(12, 8, seed=60), requires_grad=True)
+    s = Tensor(rand(2, 3, 8, seed=61), requires_grad=True)
+    w = Tensor(rand(8, 8, seed=62), requires_grad=True)
+    bias = Tensor(rand(8, seed=63), requires_grad=True)
+    e = Tensor(rand(5, 8, seed=64), requires_grad=True)
+    p1 = ag.matmul(x, w)                                     # (12, 8)
+    c = ag.sum_(p1, axis=0)                                  # depends on p1
+    h = ag.gelu(ag.mul(w, c))                                # W's synchronous gradient
+    stack = ag.concat([ag.reshape(h, (2, 4, 8)), s], axis=1)   # (2, 7, 8)
+    p2 = ag.matmul(stack, w)                                 # (2, 7, 8)
+    if rule is not None:
+        p2 = ag._op(p2.data.copy(), (p2, rule))
+    p3 = ag.matmul(ag.reshape(p2, (14, 8)), w, bias)         # (14, 8)
+    out = ag.matmul(p3, ag.swapaxes(e, 0, 1))                # (14, 5)
+    loss = ag.sum_(out * rand(14, 5, seed=65)) + ag.sum_(w * rand(8, 8, seed=66))
+    return loss, {"x": x, "s": s, "w": w, "bias": bias, "e": e}
+
+
+def test_backward_with_a_pool_matches_the_walk_without_one(worker):
+    loss, leaves = _weight_graph()
+    loss.backward()
+    want = {n: t.grad.tobytes() for n, t in leaves.items()}
+    interval = sys.getswitchinterval()
+    for switch in (interval, 1e-6):
+        sys.setswitchinterval(switch)
+        try:
+            loss, leaves = _weight_graph()
+            pool = RecordingPool(worker)
+            loss.backward(pool=pool)
+        finally:
+            sys.setswitchinterval(interval)
+        # W's three products go to the worker; swapaxes(E) is no leaf
+        assert len(pool.futures) == 3
+        assert {n: t.grad.tobytes() for n, t in leaves.items()} == want
+
+
+def test_backward_waits_for_the_worker_when_a_rule_raises(worker):
+    def boom(g):
+        raise RuntimeError("rule failed")
+
+    def slow(fn):
+        def call(*args):
+            time.sleep(0.05)
+            return fn(*args)
+        return call
+
+    loss, leaves = _weight_graph(boom)
+    pool = RecordingPool(worker, slow)
+    with pytest.raises(RuntimeError, match="rule failed"):
+        loss.backward(pool=pool)
+    # the product after the failing node was handed over, and folded into W
+    assert len(pool.futures) == 1
+    assert all(f.done() for f in pool.futures)
+    assert leaves["w"].grad is not None
+
+
+def test_backward_raises_the_error_of_a_deferred_gemm(worker):
+    def fail_second(fn):
+        def call(*args):
+            raise FloatingPointError("gemm failed")
+        return call if len(pool.futures) == 1 else fn
+
+    loss, _ = _weight_graph()
+    pool = RecordingPool(worker, fail_second)
+    with pytest.raises(FloatingPointError, match="gemm failed"):
+        loss.backward(pool=pool)
+    assert len(pool.futures) == 3
+    assert all(f.done() for f in pool.futures)
 
 
 # one call of every public primitive and composite, on leaves x (2, 3) and

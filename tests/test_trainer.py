@@ -46,7 +46,7 @@ def bare_params(shapes, seed=0):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Adam on two threads for any model size, as on a two-core machine."""
+    """Adam and backward on two threads for any model size, as on a two-core machine."""
     monkeypatch.setattr(trainer_mod, "_pool", None)
     monkeypatch.setattr(trainer_mod, "_POOL_MIN_PARAMS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -331,6 +331,77 @@ class TestAdam:
         p_inline, opt_inline = self.run_steps()
         for n in p_inline.names():
             assert np.array_equal(p_child[n].data, p_inline[n].data)
+
+    @staticmethod
+    def train_steps(split, sched):
+        """A warm-up step, in which the denoiser gets no gradient, then two main
+        steps with the clip firing, on the small model; the LossBreakdowns."""
+        state = init_state(tiny_model_cfg(split),
+                           TrainConfig(batch_size=32, epochs=2, warmup_epochs=1,
+                                       grad_clip=0.5, seed=7),
+                           sched, "full")
+        exs = build_training_examples(split)[:8]
+        aug = [augment(UserSequence(e.user_index, list(e.items)),
+                       AugmentationSpec("mask", 0.3, i), split.vocab_x,
+                       split.vocab_y).items for i, e in enumerate(exs)]
+        warm = make_train_batch(exs, split.vocab_x, split.vocab_y)
+        main = make_train_batch(exs, split.vocab_x, split.vocab_y, aug)
+        bds = [train_step(state, warm, True, 1e-2), train_step(state, main, False, 1e-3),
+               train_step(state, main, False, 1e-3)]
+        return state, bds
+
+    @staticmethod
+    def spy_backward(monkeypatch):
+        """For each Tensor.backward call, the pool it got and how many calls it
+        submitted there."""
+        seen, real = [], Tensor.backward
+
+        class Counting:
+            def __init__(self, pool):
+                self.pool, self.n = pool, 0
+
+            def submit(self, fn, *args):
+                self.n += 1
+                return self.pool.submit(fn, *args)
+
+        def spy(self, pool=None):
+            counting = None if pool is None else Counting(pool)
+            try:
+                real(self, pool=counting)
+            finally:
+                seen.append((pool, counting and counting.n))
+
+        monkeypatch.setattr(Tensor, "backward", spy)
+        return seen
+
+    def test_backward_on_two_threads_matches_inline(self, pooled, monkeypatch,
+                                                     small_split, small_sched):
+        with monkeypatch.context() as mp:
+            mp.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+            inline, bds_inline = self.train_steps(small_split, small_sched)
+        seen = self.spy_backward(monkeypatch)
+        state, bds = self.train_steps(small_split, small_sched)
+        assert len(seen) == 3
+        for pool, n in seen:
+            assert pool is trainer_mod._pool[1] and n > 0
+        assert bds == bds_inline and bds[0].l_diff == 0.0
+        assert state.opt.t == inline.opt.t == 3
+        for n in inline.params.names():
+            assert state.params[n].data.tobytes() == inline.params[n].data.tobytes(), n
+            assert state.opt.m[n].tobytes() == inline.opt.m[n].tobytes(), n
+            assert state.opt.v[n].tobytes() == inline.opt.v[n].tobytes(), n
+
+    @pytest.mark.parametrize("setting", ["one core", "large threshold"])
+    def test_backward_gets_no_pool_inline(self, pooled, monkeypatch, small_split,
+                                          small_sched, setting):
+        if setting == "one core":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+        seen = self.spy_backward(monkeypatch)
+        self.train_steps(small_split, small_sched)
+        assert seen == [(None, None)] * 3
+        assert trainer_mod._pool is None
 
 
 class TestStateSetup:

@@ -23,9 +23,12 @@ one SHA-256 for each of four sections:
   calls on all the CPUs it was given and fails unless every report equals
   the one-CPU report (on a one-CPU machine that comparison is trivial).
 - wide: `fit` for one warm-up and two main epochs (grad clip 1.0) on a
-  seeded d=256 model of 3.3M parameters, above the 2**21 from which Adam
-  splits its updates over two threads on a machine with two cores. It
-  digests the parameters, the Adam moments and step count, and the history.
+  seeded d=256 model of 3.3M parameters, large enough that, on a machine
+  with two cores, Adam splits its updates over two threads and backward
+  hands its weight-gradient GEMMs to the worker. It digests the parameters,
+  the Adam moments and step count, and the history. It fails unless each of
+  the 36 steps (12 warm-up, 24 main) handed at least one GEMM to the worker,
+  so it needs two CPUs.
 - cli: synth, prepare, train (`full` with a gradient clip, and `diff`),
   eval (also `--use-best --part valid`), robust, sweep and ablate. It
   digests every file the commands write and their standard output, leaving
@@ -73,7 +76,6 @@ EVAL_RUNS = [
 
 # (d, n_heads, enc_layers, dec_layers) for the wide section
 WIDE_MODEL = (256, 2, 1, 1)
-WIDE_MIN_PARAMS = 2 ** 21
 
 CLI_SETTINGS = ["n_users=60", "n_items_x=30", "n_items_y=30", "min_interactions=5",
                 "d=8", "n_heads=2", "enc_layers=1", "diffusion_steps=6",
@@ -209,7 +211,19 @@ def eval_section() -> str:
     return h.hexdigest()
 
 
+class _Counting:
+    """An executor that counts the calls submitted to it."""
+
+    def __init__(self, pool):
+        self.pool, self.n = pool, 0
+
+    def submit(self, fn, *args):
+        self.n += 1
+        return self.pool.submit(fn, *args)
+
+
 def wide_section() -> str:
+    from crossdiff.autograd import Tensor
     from crossdiff.diffusion import build_schedule
     from crossdiff.network import ModelConfig
     from crossdiff.trainer import TrainConfig, fit, init_state
@@ -224,10 +238,24 @@ def wide_section() -> str:
     train_cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=3, warmup_epochs=1,
                             grad_clip=1.0, seed=16)
     state = init_state(model_cfg, train_cfg, sched, variant="full")
-    if state.params.n_params < WIDE_MIN_PARAMS:
-        raise SystemExit("wide model has %d parameters, fewer than %d"
-                         % (state.params.n_params, WIDE_MIN_PARAMS))
+    # for each step, how many GEMMs its backward handed to the worker
+    submitted, real_backward = [], Tensor.backward
+
+    def backward(self, pool=None):
+        if pool is None:
+            submitted.append(0)
+            return real_backward(self)
+        counting = _Counting(pool)
+        real_backward(self, pool=counting)
+        submitted.append(counting.n)
+
+    Tensor.backward = backward
     fit(state, split, eval_every=0)
+    Tensor.backward = real_backward
+    if len(submitted) != state.global_step or 0 in submitted:
+        raise SystemExit("%d of %d steps handed no GEMM to the worker (%d CPUs)"
+                         % (submitted.count(0), len(submitted),
+                            len(os.sched_getaffinity(0))))
     h = hashlib.sha256()
     h.update(state.params.to_vector().tobytes())
     for name in state.params.names():
