@@ -21,9 +21,11 @@ and walks on: nothing in the walk reads a leaf's gradient, and no rule
 writes into the arrays the GEMM reads. From a leaf's first deferred GEMM
 on, every gradient it receives waits in a queue in arrival order. After the
 walk, and also when the walk raises, `backward` waits for every GEMM and
-folds each queue into its leaf in order. Each GEMM is the same call on the
-same arrays and each leaf sums in the same order, so the bits are those of
-the walk without a pool. Other right operands, such as a transposed
+folds each queue into its leaf in order; when both the walk and a GEMM
+raise, the walk's error is the one raised, as without a pool. Each GEMM is
+the same call on the same arrays and each leaf sums in the same order, so
+the bits are those of the walk without a pool, in which every gradient goes
+straight into its input. Other right operands, such as a transposed
 embedding table or a stack, stay in the walk.
 
 Each primitive is one `_op(value, (parent, rule), ...)` call: its forward
@@ -108,16 +110,19 @@ class Tensor:
             stack.append((node, True))
             for p, _ in node._parents:
                 stack.append((p, False))
-        handover = None if pool is None else _Handover(pool)
+        handover = _Handover(pool)
         self._accumulate(np.ones_like(self.data))
         try:
             for node in reversed(topo):
                 if node._backward is not None:
                     node._backward(node.grad, handover)
                     node.grad = None
-        finally:
-            if handover is not None:
+        except BaseException:
+            # the worker finishes either way, and the walk's error is the one raised
+            with contextlib.suppress(Exception):
                 handover.drain()
+            raise
+        handover.drain()
 
     # operator sugar; constants are promoted on the fly
     def __add__(self, other):
@@ -184,17 +189,17 @@ class _WeightGrad:
 
 
 class _Handover:
-    """Where a backward walk given a pool puts each input's gradient: a leaf's
-    `_WeightGrad` onto the pool, and from then on every gradient of that leaf
-    into its queue, until `drain`; any other gradient into its input."""
+    """Where a backward walk puts each input's gradient. Given a pool, a leaf's
+    `_WeightGrad` goes onto the pool, and from then on every gradient of that
+    leaf into its queue, until `drain`; any other gradient into its input."""
 
-    def __init__(self, pool):
+    def __init__(self, pool=None):
         self.pool = pool
         self.queues = {}   # id(leaf) -> (leaf, [array or Future, ...])
 
     def give(self, p, rule, g):
         queue = self.queues.get(id(p))
-        if type(rule) is _WeightGrad and p._backward is None:
+        if self.pool is not None and type(rule) is _WeightGrad and p._backward is None:
             if queue is None:
                 queue = self.queues[id(p)] = (p, [])
             queue[1].append(self.pool.submit(rule, g))
@@ -228,13 +233,9 @@ def _op(value, *edges):
         else:
             return out
 
-        def backward(g, handover=None):
+        def backward(g, handover):
             for p, rule in edges:
-                if not p.requires_grad:
-                    continue
-                if handover is None:
-                    p._accumulate(_unbroadcast(rule(g), p.data.shape))
-                else:
+                if p.requires_grad:
                     handover.give(p, rule, g)
 
         out.requires_grad = True

@@ -8,6 +8,8 @@ and generator state).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import os
@@ -96,10 +98,39 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas_threads_getter():
+    """The thread-count getter of the OpenBLAS that numpy loaded, or None where
+    none can be found (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """How many threads numpy's OpenBLAS uses now, or None if unknown."""
+    fn = _openblas_threads_getter()
+    return None if fn is None else int(fn())
+
+
 def _two_threads(params: ParameterSet) -> bool:
     """Whether a step on params uses the worker thread: Adam's split and
-    backward's deferred weight gradients."""
-    return params.n_params >= _POOL_MIN_PARAMS and _cores() >= 2
+    backward's deferred weight gradients. Only with one BLAS thread: with two
+    on two cores, a `train_wide` step with the worker measured 10-17% slower
+    than without, and Adam's split alone level."""
+    return (params.n_params >= _POOL_MIN_PARAMS and _cores() >= 2
+            and _blas_threads() == 1)
 
 
 def _halves(items: list) -> tuple[list, list]:
@@ -133,8 +164,8 @@ def _each(fn, items: list, halves=None) -> list:
 class Adam:
     """Standard Adam with bias correction; moments decay even at zero gradient.
 
-    With at least 2**20 parameters and two cores, a step splits its
-    per-parameter work between the calling thread and one worker thread.
+    With at least 2**20 parameters, two cores and one BLAS thread, a step
+    splits its per-parameter work between the calling thread and one worker thread.
     Each parameter's arithmetic is the same and the gradient norm is still
     summed in name order, so every bit matches the inline step.
     """

@@ -553,24 +553,29 @@ def test_backward_with_a_pool_matches_the_walk_without_one(worker):
         assert {n: t.grad.tobytes() for n, t in leaves.items()} == want
 
 
-def test_backward_waits_for_the_worker_when_a_rule_raises(worker):
+@pytest.mark.parametrize("gemm_fails", [False, True])
+def test_backward_waits_for_the_worker_when_a_rule_raises(worker, gemm_fails):
     def boom(g):
         raise RuntimeError("rule failed")
 
     def slow(fn):
         def call(*args):
             time.sleep(0.05)
+            if gemm_fails:
+                raise FloatingPointError("gemm failed")
             return fn(*args)
         return call
 
     loss, leaves = _weight_graph(boom)
     pool = RecordingPool(worker, slow)
+    # the rule's error, not the GEMM's, as in the walk without a pool
     with pytest.raises(RuntimeError, match="rule failed"):
         loss.backward(pool=pool)
     # the product after the failing node was handed over, and folded into W
+    # when its GEMM succeeded
     assert len(pool.futures) == 1
     assert all(f.done() for f in pool.futures)
-    assert leaves["w"].grad is not None
+    assert (leaves["w"].grad is None) == gemm_fails
 
 
 def test_backward_raises_the_error_of_a_deferred_gemm(worker):

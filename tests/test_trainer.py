@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import OrderedDict
@@ -46,9 +47,11 @@ def bare_params(shapes, seed=0):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Adam and backward on two threads for any model size, as on a two-core machine."""
+    """Adam and backward on two threads for any model size, as on a two-core
+    machine with one BLAS thread."""
     monkeypatch.setattr(trainer_mod, "_pool", None)
     monkeypatch.setattr(trainer_mod, "_POOL_MIN_PARAMS", 0)
+    monkeypatch.setattr(trainer_mod, "_blas_threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
@@ -391,17 +394,33 @@ class TestAdam:
             assert state.opt.m[n].tobytes() == inline.opt.m[n].tobytes(), n
             assert state.opt.v[n].tobytes() == inline.opt.v[n].tobytes(), n
 
-    @pytest.mark.parametrize("setting", ["one core", "large threshold"])
+    @pytest.mark.parametrize("setting", ["one core", "large threshold", "two BLAS threads",
+                                         "unknown BLAS"])
     def test_backward_gets_no_pool_inline(self, pooled, monkeypatch, small_split,
                                           small_sched, setting):
         if setting == "one core":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        else:
+        elif setting == "large threshold":
             monkeypatch.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+        else:
+            threads = 2 if setting == "two BLAS threads" else None
+            monkeypatch.setattr(trainer_mod, "_blas_threads", lambda: threads)
         seen = self.spy_backward(monkeypatch)
         self.train_steps(small_split, small_sched)
         assert seen == [(None, None)] * 3
         assert trainer_mod._pool is None
+
+    @pytest.mark.skipif(trainer_mod._blas_threads() is None,
+                        reason="numpy's BLAS is not an OpenBLAS whose thread count can be read")
+    def test_blas_threads_reads_the_runtime(self):
+        code = "from crossdiff import trainer; print(trainer._blas_threads())"
+        # OpenBLAS uses no more threads than the machine has cores
+        for threads in ("1", "2")[:trainer_mod._cores()]:
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            assert out.strip() == threads
 
 
 class TestStateSetup:

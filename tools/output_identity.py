@@ -28,7 +28,8 @@ one SHA-256 for each of four sections:
   hands its weight-gradient GEMMs to the worker. It digests the parameters,
   the Adam moments and step count, and the history. It fails unless each of
   the 36 steps (12 warm-up, 24 main) handed at least one GEMM to the worker,
-  so it needs two CPUs.
+  so it needs two CPUs; it counts them at the worker's executor, so it
+  digests a tree from before that hand-over too, without the check.
 - cli: synth, prepare, train (`full` with a gradient clip, and `diff`),
   eval (also `--use-best --part valid`), robust, sweep and ablate. It
   digests every file the commands write and their standard output, leaving
@@ -211,19 +212,8 @@ def eval_section() -> str:
     return h.hexdigest()
 
 
-class _Counting:
-    """An executor that counts the calls submitted to it."""
-
-    def __init__(self, pool):
-        self.pool, self.n = pool, 0
-
-    def submit(self, fn, *args):
-        self.n += 1
-        return self.pool.submit(fn, *args)
-
-
 def wide_section() -> str:
-    from crossdiff.autograd import Tensor
+    from crossdiff import autograd, trainer
     from crossdiff.diffusion import build_schedule
     from crossdiff.network import ModelConfig
     from crossdiff.trainer import TrainConfig, fit, init_state
@@ -238,21 +228,28 @@ def wide_section() -> str:
     train_cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=3, warmup_epochs=1,
                             grad_clip=1.0, seed=16)
     state = init_state(model_cfg, train_cfg, sched, variant="full")
-    # for each step, how many GEMMs its backward handed to the worker
-    submitted, real_backward = [], Tensor.backward
+    # for each step, how many weight-gradient GEMMs went to the worker
+    submitted, pool, real_step = [], trainer._executor(), trainer.train_step
+    real_submit = pool.submit
 
-    def backward(self, pool=None):
-        if pool is None:
-            submitted.append(0)
-            return real_backward(self)
-        counting = _Counting(pool)
-        real_backward(self, pool=counting)
-        submitted.append(counting.n)
+    def submit(fn, *args):
+        if type(fn).__name__ == "_WeightGrad":
+            submitted[-1] += 1
+        return real_submit(fn, *args)
 
-    Tensor.backward = backward
-    fit(state, split, eval_every=0)
-    Tensor.backward = real_backward
-    if len(submitted) != state.global_step or 0 in submitted:
+    def train_step(*args, **kwargs):
+        submitted.append(0)
+        return real_step(*args, **kwargs)
+
+    pool.submit, trainer.train_step = submit, train_step
+    try:
+        fit(state, split, eval_every=0)
+    finally:
+        del pool.submit
+        trainer.train_step = real_step
+    # a tree from before backward handed GEMMs to the worker has no _WeightGrad
+    if hasattr(autograd, "_WeightGrad") and (len(submitted) != state.global_step
+                                             or 0 in submitted):
         raise SystemExit("%d of %d steps handed no GEMM to the worker (%d CPUs)"
                          % (submitted.count(0), len(submitted),
                             len(os.sched_getaffinity(0))))
