@@ -22,11 +22,22 @@ alone. The denoiser's token is one row per example: in enc_c it attends
 only to itself, so its attention is v(x); in dec it attends over the guide,
 whose keys and values `guide_memory` projects once per batch for a whole
 reverse chain.
+
+Within one training step, enc_x, enc_y and the augmented view's enc_c read
+none of each other's outputs. Given a pool (a one-worker executor, which
+only training passes), the worker runs enc_y while the caller runs enc_x,
+and the augmented view's enc_c while the caller runs the denoiser. Every op
+is the same call on the same arrays, and backward's walk order follows
+only the graph's edges, not the order in which nodes were built, so every
+bit is that of the forward without a pool.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -439,6 +450,15 @@ def encode_domain(params: ParameterSet, cfg: ModelConfig, bank: str, h: Tensor,
     return x if last is not None else unpack_rows(x, rows, (B, L, d))
 
 
+def encode_sequence(params: ParameterSet, cfg: ModelConfig, bank: str, idx: np.ndarray,
+                    valid: np.ndarray, last_only: bool = False) -> Tensor:
+    """embed_sequence, then encode_domain; with last_only, only each
+    sequence's row at last_positions(valid), as a (B, d) stack."""
+    h = embed_sequence(params, cfg, idx)
+    return encode_domain(params, cfg, bank, h, valid,
+                         last=last_positions(valid) if last_only else None)
+
+
 def fuse_guidance(params: ParameterSet, gx_rows: Tensor, gy_rows: Tensor,
                   inter_map: np.ndarray) -> Tensor:
     """Re-interleave domain encodings to original order, then project."""
@@ -502,6 +522,33 @@ def denoise(params: ParameterSet, cfg: ModelConfig, x_t: Tensor, t: np.ndarray,
 # ---------------------------------------------------------------------------
 # model-level forward
 
+@contextlib.contextmanager
+def _branches(pool=None):
+    """Forward branches that read no other branch's output.
+
+    Inside the block, start(fn, *args, **kwargs) returns a function that
+    gives fn(*args, **kwargs). Given a pool (a one-worker executor), fn goes
+    to the worker at once; without one, it runs where its result is taken,
+    so the order of work and of errors is that of the inline code. Leaving
+    the block, also by an error, waits for every submitted branch, so none
+    outlives the forward (nor runs while `autograd.no_grad` flips the grad
+    switch every op reads), and when both threads raise, this thread's error
+    is raised.
+    """
+    submitted = []
+
+    def start(fn, *args, **kwargs):
+        if pool is None:
+            return functools.partial(fn, *args, **kwargs)
+        submitted.append(pool.submit(fn, *args, **kwargs))
+        return submitted[-1].result
+
+    try:
+        yield start
+    finally:
+        wait(submitted)
+
+
 @dataclass
 class GuidanceBundle:
     guide: Tensor
@@ -512,32 +559,34 @@ class GuidanceBundle:
 
 
 def guidance_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatch,
-                     variant: VariantConfig) -> GuidanceBundle:
-    """Everything upstream of the denoiser for one batch of sequences."""
+                     variant: VariantConfig, pool=None) -> GuidanceBundle:
+    """Everything upstream of the denoiser for one batch of sequences.
+
+    Given a pool (a one-worker executor), the worker encodes domain y while
+    this thread encodes domain x.
+    """
     variant.validate()
     gx_hat = gy_hat = gd_hat = None
     fused = None
     last = last_positions(batch.valid)
     if variant.use_de:
         (x_idx, x_valid), (y_idx, y_valid), inter_map = domain_views(cfg, batch.idx, batch.valid)
-        hx = embed_sequence(params, cfg, x_idx)
-        gx_rows = encode_domain(params, cfg, "enc_x", hx, x_valid)
-        hy = embed_sequence(params, cfg, y_idx)
-        gy_rows = encode_domain(params, cfg, "enc_y", hy, y_valid)
+        with _branches(pool) as start:
+            gy_rows = start(encode_sequence, params, cfg, "enc_y", y_idx, y_valid)
+            gx_rows = encode_sequence(params, cfg, "enc_x", x_idx, x_valid)
+            gy_rows = gy_rows()
         fused = fuse_guidance(params, gx_rows, gy_rows, inter_map)
         gx_hat = pool_last(gx_rows, last_positions(x_valid))
         gy_hat = pool_last(gy_rows, last_positions(y_valid))
         gd_hat = pool_last(fused, last)
     if variant.use_guidance:
         guide, guide_valid = fused, batch.valid
+    elif variant.use_de:
+        pooled = encode_sequence(params, cfg, "enc_c", batch.idx, batch.valid, last_only=True)
+        guide, guide_valid = reshape(pooled, (batch.size, 1, cfg.d)), np.ones((batch.size, 1))
     else:
-        hm = embed_sequence(params, cfg, batch.idx)
-        if variant.use_de:
-            pooled = encode_domain(params, cfg, "enc_c", hm, batch.valid, last=last)
-            guide, guide_valid = reshape(pooled, (batch.size, 1, cfg.d)), np.ones((batch.size, 1))
-        else:
-            guide = encode_domain(params, cfg, "enc_c", hm, batch.valid)
-            guide_valid = batch.valid
+        guide = encode_sequence(params, cfg, "enc_c", batch.idx, batch.valid)
+        guide_valid = batch.valid
     return GuidanceBundle(guide=guide, guide_valid=guide_valid,
                           gx_hat=gx_hat, gy_hat=gy_hat, gd_hat=gd_hat)
 
@@ -552,26 +601,37 @@ class ForwardBundle:
 
 def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatch,
                      variant: VariantConfig, sched, t: np.ndarray | None,
-                     eps: np.ndarray | None) -> ForwardBundle:
+                     eps: np.ndarray | None, pool=None) -> ForwardBundle:
     """Produce every representation the objectives need for one batch.
 
     With neither timesteps nor noise (the warm-up stage) the diffusion and
     contrastive paths are skipped entirely, so only the guidance encoders
     receive gradient.
+
+    Given a pool (a one-worker executor), two encoder passes that read no
+    other pass's output run on the worker: enc_y, while this thread runs
+    enc_x, and the augmented view's enc_c, while this thread runs the
+    denoiser. enc_y is submitted first, since the worker runs its queue in
+    order. Each op is the same call on the same arrays, and backward's walk
+    order follows only the graph's edges, so every bit is that of the run
+    without a pool.
     """
     if (t is None) != (eps is None):
         raise ValueError("pass both timesteps and noise (main stage) or neither (warm-up)")
-    gb = guidance_forward(params, cfg, batch, variant)
+    gb = guidance_forward(params, cfg, batch, variant, pool)
     bundle = ForwardBundle(guidance=gb)
     if t is None:
         return bundle
-    x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
-    x_t = forward_diffuse(x0, t, eps, sched)
-    bundle.x0 = x0
-    memory = guide_memory(params, cfg, gb.guide, gb.guide_valid)
-    bundle.x0_hat = denoise(params, cfg, x_t, t, memory)
-    if variant.use_tricl and batch.aug_idx is not None:
-        h_aug = embed_sequence(params, cfg, batch.aug_idx)
-        bundle.h_aug = encode_domain(params, cfg, "enc_c", h_aug, batch.aug_valid,
-                                     last=last_positions(batch.aug_valid))
+    with _branches(pool) as start:
+        h_aug = None
+        if variant.use_tricl and batch.aug_idx is not None:
+            h_aug = start(encode_sequence, params, cfg, "enc_c", batch.aug_idx,
+                          batch.aug_valid, last_only=True)
+        x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
+        x_t = forward_diffuse(x0, t, eps, sched)
+        bundle.x0 = x0
+        memory = guide_memory(params, cfg, gb.guide, gb.guide_valid)
+        bundle.x0_hat = denoise(params, cfg, x_t, t, memory)
+        if h_aug is not None:
+            bundle.h_aug = h_aug()
     return bundle

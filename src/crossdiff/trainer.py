@@ -71,13 +71,13 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> flo
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * progress))
 
 
-# Adam splits its per-parameter work over two threads, and backward hands its
-# weight-gradient GEMMs to the worker, from this many parameters up (numpy
-# releases the GIL on large arrays). Inside `fit` at `train_wide`'s shapes with
-# d overridden, a step with both on against both off was 7% slower at 0.39M
-# parameters, 6% faster at 0.85M and 16% faster at 1.48M; the threshold leaves
-# a margin above that crossover.
-_POOL_MIN_PARAMS = 2 ** 20
+# The forward runs two encoder passes on the worker, backward hands it its
+# weight-gradient GEMMs and Adam splits its per-parameter work with it, from
+# this many parameters up (numpy releases the GIL on large arrays). Inside
+# `fit` at `train_wide`'s shapes with d overridden, a step with all three on
+# against all off was 5% slower at 0.39M parameters, 3% faster at 0.49M, 7%
+# at 0.60M and 14% at 0.85M; the threshold lies between 0.49M and 0.60M.
+_POOL_MIN_PARAMS = 2 ** 19
 _pool: tuple[int, ThreadPoolExecutor] | None = None   # (pid that built it, executor)
 
 
@@ -125,10 +125,10 @@ def _blas_threads() -> int | None:
 
 
 def _two_threads(params: ParameterSet) -> bool:
-    """Whether a step on params uses the worker thread: Adam's split and
-    backward's deferred weight gradients. Only with one BLAS thread: with two
-    on two cores, a `train_wide` step with the worker measured 10-17% slower
-    than without, and Adam's split alone level."""
+    """Whether a step on params uses the worker thread: the forward's encoder
+    branches, backward's deferred weight gradients and Adam's split. Only with
+    one BLAS thread: with two on two cores, a `train_wide` step with the
+    worker measured 10-17% slower than without, and Adam's split alone level."""
     return (params.n_params >= _POOL_MIN_PARAMS and _cores() >= 2
             and _blas_threads() == 1)
 
@@ -164,7 +164,7 @@ def _each(fn, items: list, halves=None) -> list:
 class Adam:
     """Standard Adam with bias correction; moments decay even at zero gradient.
 
-    With at least 2**20 parameters, two cores and one BLAS thread, a step
+    With at least 2**19 parameters, two cores and one BLAS thread, a step
     splits its per-parameter work between the calling thread and one worker thread.
     Each parameter's arithmetic is the same and the gradient norm is still
     summed in name order, so every bit matches the inline step.
@@ -265,8 +265,9 @@ def train_step(state: TrainState, batch: SequenceBatch, warmup: bool,
     else:
         t_arr = state.rng.integers(1, cfg.T + 1, size=B)
         eps = state.rng.standard_normal((B, cfg.d))
+    pool = _executor() if _two_threads(state.params) else None
     bundle = training_forward(state.params, cfg, batch, state.variant, state.sched,
-                              t_arr, eps)
+                              t_arr, eps, pool)
     gb = bundle.guidance
     l_diff = None if warmup else diffusion_loss(bundle.x0, bundle.x0_hat)
     l_rec = rec_loss(bundle.x0_hat, gb.gx_hat, gb.gy_hat,
@@ -277,10 +278,10 @@ def train_step(state: TrainState, batch: SequenceBatch, warmup: bool,
         l_cl = tri_view_cl_loss(bundle.x0_hat, gb.gd_hat, bundle.h_aug)
     total, breakdown = total_loss(l_diff, l_rec, l_cl)
     state.params.zero_grads()
-    if _two_threads(state.params):
-        total.backward(pool=_executor())
-    else:
+    if pool is None:
         total.backward()
+    else:
+        total.backward(pool=pool)
     state.opt.step(state.params, lr, state.train_cfg.grad_clip)
     state.global_step += 1
     return breakdown

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
@@ -13,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import crossdiff.network as network_mod
 import crossdiff.trainer as trainer_mod
 from crossdiff.autograd import Tensor
 from crossdiff.data import (AugmentationSpec, SyntheticConfig, UserSequence, augment,
@@ -43,6 +45,17 @@ def bare_params(shapes, seed=0):
     for name, shape in shapes:
         tensors[name] = Tensor(rng.normal(size=shape), requires_grad=True)
     return ParameterSet(tensors)
+
+
+def small_batches(split):
+    """A warm-up batch of eight prefix examples, and the same examples as a
+    main-stage batch with masked augmented views."""
+    exs = build_training_examples(split)[:8]
+    aug = [augment(UserSequence(e.user_index, list(e.items)),
+                   AugmentationSpec("mask", 0.3, i), split.vocab_x,
+                   split.vocab_y).items for i, e in enumerate(exs)]
+    return (make_train_batch(exs, split.vocab_x, split.vocab_y),
+            make_train_batch(exs, split.vocab_x, split.vocab_y, aug))
 
 
 @pytest.fixture
@@ -336,21 +349,21 @@ class TestAdam:
             assert np.array_equal(p_child[n].data, p_inline[n].data)
 
     @staticmethod
-    def train_steps(split, sched):
-        """A warm-up step, in which the denoiser gets no gradient, then two main
-        steps with the clip firing, on the small model; the LossBreakdowns."""
+    def train_steps(split, sched, variant="full", each=lambda: None):
+        """A warm-up step, in which the denoiser gets no gradient (none for a
+        variant without the domain encoders, which skips warm-up), then two main
+        steps with the clip firing, on the small model; the LossBreakdowns.
+        each is called after every step."""
         state = init_state(tiny_model_cfg(split),
                            TrainConfig(batch_size=32, epochs=2, warmup_epochs=1,
                                        grad_clip=0.5, seed=7),
-                           sched, "full")
-        exs = build_training_examples(split)[:8]
-        aug = [augment(UserSequence(e.user_index, list(e.items)),
-                       AugmentationSpec("mask", 0.3, i), split.vocab_x,
-                       split.vocab_y).items for i, e in enumerate(exs)]
-        warm = make_train_batch(exs, split.vocab_x, split.vocab_y)
-        main = make_train_batch(exs, split.vocab_x, split.vocab_y, aug)
-        bds = [train_step(state, warm, True, 1e-2), train_step(state, main, False, 1e-3),
-               train_step(state, main, False, 1e-3)]
+                           sched, variant)
+        warm, main = small_batches(split)
+        steps = [(warm, True, 1e-2)] if effective_warmup_epochs(state) else []
+        bds = []
+        for batch, warmup, lr in steps + [(main, False, 1e-3)] * 2:
+            bds.append(train_step(state, batch, warmup, lr))
+            each()
         return state, bds
 
     @staticmethod
@@ -421,6 +434,129 @@ class TestAdam:
             out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                  capture_output=True, text=True).stdout
             assert out.strip() == threads
+
+
+class TestForwardBranches:
+    """The forward's enc_y and augmented-view enc_c on the worker thread."""
+
+    # forward branches per main step: enc_y with the domain encoders, and the
+    # augmented view with the contrastive term
+    MAIN_BRANCHES = {"full": 2, "diff_de_g": 1, "diff_de_tricl": 2, "diff_de": 1, "diff": 0}
+
+    @staticmethod
+    def spy_branches(monkeypatch):
+        """The futures of the forward branches submitted to the executor, in order."""
+        pool, futures = trainer_mod._executor(), []
+        real = pool.submit
+
+        def submit(fn, *args, **kwargs):
+            fut = real(fn, *args, **kwargs)
+            if fn is network_mod.encode_sequence:
+                futures.append(fut)
+            return fut
+
+        monkeypatch.setattr(pool, "submit", submit)
+        return futures
+
+    def run_counted(self, monkeypatch, split, sched, variant):
+        """TestAdam.train_steps on two threads, and the branches each step submitted."""
+        futures, counts = self.spy_branches(monkeypatch), []
+
+        def each():
+            counts.append(len(futures) - sum(counts))
+            assert all(f.done() for f in futures)
+
+        state, bds = TestAdam.train_steps(split, sched, variant, each)
+        return state, bds, counts
+
+    # the last case runs the two threads with the interpreter switching
+    # between them every microsecond
+    @pytest.mark.parametrize("variant,switch", [(v, None) for v in MAIN_BRANCHES]
+                             + [("full", 1e-6)])
+    def test_two_threads_match_inline(self, pooled, monkeypatch, small_split, small_sched,
+                                      variant, switch):
+        with monkeypatch.context() as mp:
+            mp.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+            inline, bds_inline = TestAdam.train_steps(small_split, small_sched, variant)
+        assert trainer_mod._pool is None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(switch or interval)
+        try:
+            state, bds, counts = self.run_counted(monkeypatch, small_split, small_sched,
+                                                  variant)
+        finally:
+            sys.setswitchinterval(interval)
+        main = self.MAIN_BRANCHES[variant]
+        assert counts == ([1] if variant != "diff" else []) + [main, main]
+        assert bds == bds_inline
+        assert state.opt.t == inline.opt.t
+        for n in inline.params.names():
+            assert state.params[n].data.tobytes() == inline.params[n].data.tobytes(), n
+            assert state.opt.m[n].tobytes() == inline.opt.m[n].tobytes(), n
+            assert state.opt.v[n].tobytes() == inline.opt.v[n].tobytes(), n
+
+    @staticmethod
+    def failing(monkeypatch, name, bank, error, delay=0.0):
+        """network.<name> raises error, delay seconds into a call: into each
+        call with a bank of None, else into those for that encoder bank."""
+        real = getattr(network_mod, name)
+
+        def fn(*args, **kwargs):
+            if bank is None or args[2] == bank:
+                time.sleep(delay)
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network_mod, name, fn)
+
+    @pytest.mark.parametrize("bank", ["enc_y", "enc_c"])
+    def test_worker_error_raised_before_any_change(self, pooled, monkeypatch, small_split,
+                                                   small_sched, bank):
+        state = init_state(tiny_model_cfg(small_split), TrainConfig(seed=3), small_sched,
+                           "full")
+        _, batch = small_batches(small_split)
+        train_step(state, batch, False, 1e-3)
+        before = (state.params.to_vector(), state.opt.t, state.global_step,
+                  {n: (state.opt.m[n].copy(), state.opt.v[n].copy())
+                   for n in state.params.names()})
+        futures = self.spy_branches(monkeypatch)
+        self.failing(monkeypatch, "encode_domain", bank, RuntimeError("worker " + bank))
+        with pytest.raises(RuntimeError, match="worker " + bank):
+            train_step(state, batch, False, 1e-3)
+        assert len(futures) == (1 if bank == "enc_y" else 2)
+        assert all(f.done() for f in futures)
+        assert isinstance(futures[-1].exception(), RuntimeError)
+        assert np.array_equal(state.params.to_vector(), before[0])
+        assert (state.opt.t, state.global_step) == before[1:3]
+        for n, (m, v) in before[3].items():
+            assert np.array_equal(state.opt.m[n], m) and np.array_equal(state.opt.v[n], v)
+
+    # for each branch, the (function, bank) that fails on the worker and on
+    # the caller while the branch runs
+    BOTH_FAIL = {"enc_y": (("encode_domain", "enc_y"), ("encode_domain", "enc_x")),
+                 "enc_c": (("encode_domain", "enc_c"), ("denoise", None))}
+
+    @pytest.mark.parametrize("branch", sorted(BOTH_FAIL))
+    @pytest.mark.parametrize("worker_first", [False, True])
+    def test_caller_error_wins_and_no_branch_outlives_the_forward(
+            self, pooled, monkeypatch, small_split, small_sched, branch, worker_first):
+        cfg = tiny_model_cfg(small_split)
+        state = init_state(cfg, TrainConfig(seed=3), small_sched, "full")
+        _, batch = small_batches(small_split)
+        t = np.full(batch.size, 2)
+        eps = np.random.default_rng(0).standard_normal((batch.size, cfg.d))
+        futures = self.spy_branches(monkeypatch)
+        on_worker, on_caller = self.BOTH_FAIL[branch]
+        # one thread raises 0.1 s after the other
+        self.failing(monkeypatch, *on_worker, KeyError("worker"), 0.0 if worker_first else 0.1)
+        self.failing(monkeypatch, *on_caller, ValueError("caller"), 0.1 if worker_first else 0.0)
+        for pool in (None, trainer_mod._executor()):
+            with pytest.raises(ValueError, match="caller"):
+                network_mod.training_forward(state.params, cfg, batch, state.variant,
+                                             small_sched, t, eps, pool)
+            assert all(f.done() for f in futures)
+        assert len(futures) == (1 if branch == "enc_y" else 2)
+        assert isinstance(futures[-1].exception(), KeyError)
 
 
 class TestStateSetup:

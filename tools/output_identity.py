@@ -25,11 +25,13 @@ one SHA-256 for each of four sections:
 - wide: `fit` for one warm-up and two main epochs (grad clip 1.0) on a
   seeded d=256 model of 3.3M parameters, large enough that, on a machine
   with two cores, Adam splits its updates over two threads and backward
-  hands its weight-gradient GEMMs to the worker. It digests the parameters,
-  the Adam moments and step count, and the history. It fails unless each of
-  the 36 steps (12 warm-up, 24 main) handed at least one GEMM to the worker,
-  so it needs two CPUs; it counts them at the worker's executor, so it
-  digests a tree from before that hand-over too, without the check.
+  hands its weight-gradient GEMMs to the worker, and the forward runs enc_y
+  and the augmented view's enc_c there. It digests the parameters, the Adam
+  moments and step count, and the history. It fails unless each of the 36
+  steps (12 warm-up, 24 main) handed at least one GEMM to the worker, and
+  each warm-up step one forward branch and each main step two, so it needs
+  two CPUs; it counts both at the worker's executor, so it digests a tree
+  from before either hand-over too, without that check.
 - cli: synth, prepare, train (`full` with a gradient clip, and `diff`),
   eval (also `--use-best --part valid`), robust, sweep and ablate. It
   digests every file the commands write and their standard output, leaving
@@ -213,7 +215,7 @@ def eval_section() -> str:
 
 
 def wide_section() -> str:
-    from crossdiff import autograd, trainer
+    from crossdiff import autograd, network, trainer
     from crossdiff.diffusion import build_schedule
     from crossdiff.network import ModelConfig
     from crossdiff.trainer import TrainConfig, fit, init_state
@@ -228,18 +230,21 @@ def wide_section() -> str:
     train_cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=3, warmup_epochs=1,
                             grad_clip=1.0, seed=16)
     state = init_state(model_cfg, train_cfg, sched, variant="full")
-    # for each step, how many weight-gradient GEMMs went to the worker
-    submitted, pool, real_step = [], trainer._executor(), trainer.train_step
+    # for each step: whether it is a warm-up step, how many weight-gradient
+    # GEMMs and how many forward branches went to the worker
+    steps, pool, real_step = [], trainer._executor(), trainer.train_step
     real_submit = pool.submit
 
-    def submit(fn, *args):
+    def submit(fn, *args, **kwargs):
         if type(fn).__name__ == "_WeightGrad":
-            submitted[-1] += 1
-        return real_submit(fn, *args)
+            steps[-1][1] += 1
+        elif fn is getattr(network, "encode_sequence", None):
+            steps[-1][2] += 1
+        return real_submit(fn, *args, **kwargs)
 
-    def train_step(*args, **kwargs):
-        submitted.append(0)
-        return real_step(*args, **kwargs)
+    def train_step(state, batch, warmup, lr):
+        steps.append([warmup, 0, 0])
+        return real_step(state, batch, warmup, lr)
 
     pool.submit, trainer.train_step = submit, train_step
     try:
@@ -247,12 +252,17 @@ def wide_section() -> str:
     finally:
         del pool.submit
         trainer.train_step = real_step
+    cpus = len(os.sched_getaffinity(0))
     # a tree from before backward handed GEMMs to the worker has no _WeightGrad
-    if hasattr(autograd, "_WeightGrad") and (len(submitted) != state.global_step
-                                             or 0 in submitted):
+    if hasattr(autograd, "_WeightGrad") and (len(steps) != state.global_step
+                                             or any(n == 0 for _, n, _ in steps)):
         raise SystemExit("%d of %d steps handed no GEMM to the worker (%d CPUs)"
-                         % (submitted.count(0), len(submitted),
-                            len(os.sched_getaffinity(0))))
+                         % (sum(n == 0 for _, n, _ in steps), len(steps), cpus))
+    # a tree from before the forward ran branches on the worker has no _branches
+    wrong = [n != (1 if warm else 2) for warm, _, n in steps]
+    if hasattr(network, "_branches") and any(wrong):
+        raise SystemExit("%d of %d steps did not hand the worker one forward branch "
+                         "(warm-up) or two (main) (%d CPUs)" % (sum(wrong), len(steps), cpus))
     h = hashlib.sha256()
     h.update(state.params.to_vector().tobytes())
     for name in state.params.names():
