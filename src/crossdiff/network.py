@@ -130,7 +130,22 @@ def param_specs(cfg: ModelConfig):
 
 
 class ParameterSet(dict):
-    """Named parameter tensors, in the order they were inserted."""
+    """Named parameter tensors, in the order of `shapes`, stored in one
+    contiguous float64 vector: each tensor's `.data` is a view of its slot of
+    `store`, so whatever writes the store in place (Adam, `from_vector`)
+    writes every tensor, and `store` is what a checkpoint saves. Rebinding a
+    tensor's `.data` detaches it from the store; `Adam.step` refuses that."""
+
+    def __init__(self, store: np.ndarray, shapes):
+        super().__init__()
+        off = 0
+        for name, shape in shapes:
+            n = math.prod(shape)
+            self[name] = Tensor(store[off:off + n].reshape(shape), requires_grad=True)
+            off += n
+        if off != store.size:
+            raise ValueError("store holds %d values, the shapes %d" % (store.size, off))
+        self.store = store
 
     def names(self):
         return list(self)
@@ -140,28 +155,25 @@ class ParameterSet(dict):
 
     @property
     def n_params(self) -> int:
-        return sum(t.data.size for t in self.values())
+        return self.store.size
 
     def zero_grads(self) -> None:
         for t in self.values():
             t.grad = None
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([t.data.ravel() for t in self.values()])
+        """A copy of the store, unchanged by later steps."""
+        return self.store.copy()
 
     def from_vector(self, vec: np.ndarray) -> None:
         if vec.size != self.n_params:
             raise ValueError("vector length %d does not match parameter count %d"
                              % (vec.size, self.n_params))
-        off = 0
-        for t in self.values():
-            n = t.data.size
-            t.data = vec[off:off + n].reshape(t.data.shape).copy()
-            off += n
+        self.store[:] = vec
 
 
 def init_parameters(cfg: ModelConfig, rng_seed: int = 0) -> ParameterSet:
-    """Deterministic initialization.
+    """Deterministic initialization, drawn straight into the store's slots.
 
     Embedding-style tables are small-scale normal draws with the padding rows
     zeroed; projection matrices are scaled-uniform with fan-based bounds; norms
@@ -169,8 +181,10 @@ def init_parameters(cfg: ModelConfig, rng_seed: int = 0) -> ParameterSet:
     """
     cfg.validate()
     rng = np.random.default_rng(rng_seed)
-    params = ParameterSet()
-    for name, shape, kind in param_specs(cfg):
+    specs = param_specs(cfg)
+    params = ParameterSet(np.empty(sum(math.prod(shape) for _, shape, _ in specs)),
+                          [(name, shape) for name, shape, _ in specs])
+    for name, shape, kind in specs:
         if kind == "embed":
             data = rng.normal(0.0, 0.02, size=shape)
         elif kind == "linear":
@@ -178,14 +192,14 @@ def init_parameters(cfg: ModelConfig, rng_seed: int = 0) -> ParameterSet:
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             data = rng.uniform(-bound, bound, size=shape)
         elif kind == "zero":
-            data = np.zeros(shape)
+            data = 0.0
         elif kind == "one":
-            data = np.ones(shape)
+            data = 1.0
         elif kind == "identity":
             data = np.eye(shape[0])
         else:
             raise AssertionError(kind)
-        params[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+        params[name].data[...] = data
     params["emb_x"].data[PAD_OFFSET] = 0.0
     params["emb_y"].data[PAD_OFFSET] = 0.0
     return params

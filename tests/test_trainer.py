@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -41,10 +40,8 @@ from conftest import tiny_model_cfg
 
 def bare_params(shapes, seed=0):
     rng = np.random.default_rng(seed)
-    tensors = OrderedDict()
-    for name, shape in shapes:
-        tensors[name] = Tensor(rng.normal(size=shape), requires_grad=True)
-    return ParameterSet(tensors)
+    store = np.concatenate([rng.normal(size=shape).ravel() for _, shape in shapes])
+    return ParameterSet(store, shapes)
 
 
 def small_batches(split):
@@ -275,7 +272,7 @@ class TestAdam:
             assert np.array_equal(opt_pooled.v[n], opt_inline.v[n])
 
     def test_two_threads_match_inline_under_frequent_switches(self, pooled, monkeypatch):
-        # many small parameters, so both threads write the moment dicts
+        # many small parameters, so both threads move from tensor to tensor
         # constantly, with the interpreter switching threads every microsecond
         shapes = [("p%02d" % i, (1 + i % 5, 3)) for i in range(60)]
         rng = np.random.default_rng(10)
@@ -306,13 +303,6 @@ class TestAdam:
             assert np.array_equal(opt_pooled.m[n], opt_inline.m[n])
             assert np.array_equal(opt_pooled.v[n], opt_inline.v[n])
 
-    def test_halves_balance_element_counts(self):
-        params = bare_params([("a", (2,)), ("b", (9,)), ("c", (4,)), ("d", (5,)),
-                              ("e", (1,))])
-        halves = trainer_mod._halves([(n, p, None) for n, p in params.items()])
-        # largest first, each to the lighter half (the first on a tie): 11 and 10 elements
-        assert [[n for n, _, _ in half] for half in halves] == [["b", "a"], ["d", "c", "e"]]
-
     def test_one_core_builds_no_executor(self, pooled, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         self.run_steps()
@@ -332,6 +322,82 @@ class TestAdam:
             assert np.array_equal(params[n].data, p_inline[n].data)
             assert np.array_equal(opt.m[n], opt_inline.m[n])
             assert np.array_equal(opt.v[n], opt_inline.v[n])
+
+    @staticmethod
+    def blocked_run(shapes, clip):
+        """Four steps on bare_params(shapes): small gradients in the first,
+        none for the first tensor in the third. The params, the optimizer and
+        the gradients each step got (None where there was none)."""
+        params = bare_params(shapes, seed=12)
+        opt = Adam(params, 0.9, 0.99)
+        rng = np.random.default_rng(13)
+        given = []
+        for step in range(4):
+            grads = {n: rng.normal(size=s) * (0.1 if step == 0 else 3.0) for n, s in shapes}
+            if step == 2:
+                grads[shapes[0][0]] = None
+            for n, g in grads.items():
+                params[n].grad = g
+            opt.step(params, 0.05, grad_clip=clip)
+            given.append(grads)
+        return params, opt, given
+
+    # clip 2.0 fires in the steps with large gradients, 1e6 never
+    @pytest.mark.parametrize("clip", [None, 2.0, 1e6])
+    @pytest.mark.parametrize("shapes", [[("a", (7, 5))],
+                                        [("a", (5, 4)), ("b", (4,)), ("c", (3, 7, 2)),
+                                         ("d", (1,)), ("e", (6,))]],
+                             ids=["one tensor", "five tensors"])
+    def test_blocks_and_cut_inside_tensors_match_inline(self, pooled, monkeypatch,
+                                                        shapes, clip):
+        sizes = [math.prod(s) for _, s in shapes]
+        n = sum(sizes)
+        assert n // 2 not in np.cumsum([0] + sizes)     # the cut falls inside a tensor
+        runs = {}
+        for block, two in ((trainer_mod._BLOCK, False), (3, False), (3, True),
+                           (trainer_mod._BLOCK, True)):
+            with monkeypatch.context() as mp:
+                mp.setattr(trainer_mod, "_BLOCK", block)
+                if not two:
+                    mp.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+                runs[block, two] = self.blocked_run(shapes, clip)
+            assert (trainer_mod._pool is not None) == two
+        params, opt, given = runs.pop((trainer_mod._BLOCK, False))
+        for p_other, opt_other, _ in runs.values():
+            assert opt_other.t == opt.t == 4
+            assert p_other.store.tobytes() == params.store.tobytes()
+            assert opt_other.moments.tobytes() == opt.moments.tobytes()
+
+        fired = []
+        for grads in given:
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()
+                                 if g is not None))
+            fired.append(clip is not None and norm > clip)
+            for name, g in grads.items():
+                grads[name] = (np.zeros(dict(shapes)[name]) if g is None
+                               else g * (clip / norm) if fired[-1] else g)
+        assert any(fired) == (clip == 2.0)
+        p0 = bare_params(shapes, seed=12)
+        for name, _ in shapes:
+            want = reference_adam_run([grads[name] for grads in given], p0[name].data,
+                                      0.05, 0.9, 0.99, 1e-8)
+            assert np.max(np.abs(params[name].data - want)) < 1e-12
+
+    @pytest.mark.parametrize("detach", [np.copy, np.transpose], ids=["copy", "transpose"])
+    def test_detached_parameter_rejected_before_any_change(self, detach):
+        params = bare_params([("a", (3,)), ("b", (2, 3)), ("c", (2,))], seed=5)
+        opt = Adam(params)
+        for n in params.names():
+            params[n].grad = np.ones(params[n].data.shape)
+        opt.step(params, 0.01)
+        before = (params.to_vector(), opt.moments.copy())
+        params["b"].data = detach(params["b"].data)
+        params["b"].grad = np.ones(params["b"].data.shape)
+        with pytest.raises(ValueError, match="parameter b is no longer a view"):
+            opt.step(params, 0.01)
+        assert opt.t == 1
+        assert np.array_equal(params.store, before[0])
+        assert np.array_equal(opt.moments, before[1])
 
     def test_forked_child_builds_its_own_executor(self, pooled, monkeypatch):
         self.run_steps(2)
@@ -828,6 +894,51 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match="n_negatives"):
             fit(state, small_split, eval_negatives=0)
         assert state.global_step == 0
+
+
+class TestParameterStore:
+    @staticmethod
+    def assert_views(state):
+        for name, p in state.params.items():
+            assert np.shares_memory(p.data, state.params.store), name
+            for moment in (state.opt.m, state.opt.v):
+                assert np.shares_memory(moment[name], state.opt.moments), name
+
+    def test_every_tensor_stays_a_view(self, small_split, small_sched, tmp_path):
+        state = init_state(tiny_model_cfg(small_split), TrainConfig(seed=2), small_sched,
+                           "full")
+        vec = state.params.to_vector()
+        assert not np.shares_memory(vec, state.params.store)
+        self.assert_views(state)
+        state.params.from_vector(vec + 1.0)
+        assert np.array_equal(np.concatenate([p.data.ravel() for p in state.params.values()]),
+                              vec + 1.0)
+        self.assert_views(state)
+        _, batch = small_batches(small_split)
+        train_step(state, batch, False, 1e-3)
+        self.assert_views(state)
+        ckpt = str(tmp_path / "ckpt")
+        save_checkpoint(ckpt, state)
+        back = load_checkpoint(ckpt)
+        self.assert_views(back)
+        train_step(back, batch, False, 1e-3)
+        train_step(state, batch, False, 1e-3)
+        assert back.params.store.tobytes() == state.params.store.tobytes()
+
+    def test_best_params_unchanged_by_later_epochs(self, small_split, small_sched,
+                                                   monkeypatch):
+        from crossdiff import evaluation
+        metrics = iter([0.5, 0.1, 0.2])   # the first epoch is the best
+        monkeypatch.setattr(evaluation, "overall_ndcg", lambda report, k: next(metrics))
+        state = init_state(tiny_model_cfg(small_split),
+                           TrainConfig(batch_size=64, epochs=3, warmup_epochs=0, seed=9),
+                           small_sched, "full")
+        fit(state, small_split, eval_every=1, eval_negatives=10, max_epochs=1)
+        first = state.params.to_vector()
+        fit(state, small_split, eval_every=1, eval_negatives=10)
+        assert state.best_epoch == 1 and state.epoch == 3
+        assert np.array_equal(state.best_params, first)
+        assert not np.array_equal(state.params.store, first)
 
 
 class TestCheckpoints:
