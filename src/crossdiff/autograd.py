@@ -15,18 +15,16 @@ it, so after the pass only leaves keep `.grad`; the rules, and the
 activations they hold, live until the graph is dropped. A bias is part of its
 product's node (`matmul(a, W, bias)`), not a separate addition.
 
-Given a pool (a one-worker executor), `backward` hands the weight gradient
-of each product whose right operand is a 2-D leaf, one GEMM, to the worker
-and walks on: nothing in the walk reads a leaf's gradient, and no rule
-writes into the arrays the GEMM reads. From a leaf's first deferred GEMM
-on, every gradient it receives waits in a queue in arrival order. After the
-walk, and also when the walk raises, `backward` waits for every GEMM and
-folds each queue into its leaf in order; when both the walk and a GEMM
-raise, the walk's error is the one raised, as without a pool. Each GEMM is
-the same call on the same arrays and each leaf sums in the same order, so
-the bits are those of the walk without a pool, in which every gradient goes
-straight into its input. Other right operands, such as a transposed
-embedding table or a stack, stay in the walk.
+Given a pool (a one-worker executor), `backward` hands every gradient into
+a leaf to the worker, which computes it and folds it into the leaf, and walks
+on: nothing in the walk reads a leaf's gradient, and no rule writes into the
+arrays another rule reads. The worker runs its queue in order, so each leaf
+sums the same arrays in the walk's order, and during the walk only the
+worker writes a leaf's `.grad`. After the walk, and also when the walk
+raises, `backward` waits for the worker; when both raise, the walk's error
+is the one raised, as without a pool. Each gradient is the same call on the
+same arrays, so the bits are those of the walk without a pool, in which
+every gradient goes straight into its input.
 
 Each primitive is one `_op(value, (parent, rule), ...)` call: its forward
 value, and for each input a rule from the output's gradient to that input's.
@@ -46,7 +44,7 @@ rests on this, and a guard test pins it for the BLAS in use.
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import Future, wait
+from concurrent.futures import wait
 
 import numpy as np
 from scipy.special import erf
@@ -188,34 +186,30 @@ class _WeightGrad:
         return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
+def _fold(p, rule, g):
+    """Add rule(g), summed down to p's shape, into p's gradient."""
+    p._accumulate(_unbroadcast(rule(g), p.data.shape))
+
+
 class _Handover:
-    """Where a backward walk puts each input's gradient. Given a pool, a leaf's
-    `_WeightGrad` goes onto the pool, and from then on every gradient of that
-    leaf into its queue, until `drain`; any other gradient into its input."""
+    """Where a backward walk puts each input's gradient. Given a pool, every
+    gradient into a leaf goes to the pool; any other into its input at once."""
 
     def __init__(self, pool=None):
         self.pool = pool
-        self.queues = {}   # id(leaf) -> (leaf, [array or Future, ...])
+        self.futures = []
 
     def give(self, p, rule, g):
-        queue = self.queues.get(id(p))
-        if self.pool is not None and type(rule) is _WeightGrad and p._backward is None:
-            if queue is None:
-                queue = self.queues[id(p)] = (p, [])
-            queue[1].append(self.pool.submit(rule, g))
-        elif queue is None:
-            p._accumulate(_unbroadcast(rule(g), p.data.shape))
+        if self.pool is not None and p._backward is None:
+            self.futures.append(self.pool.submit(_fold, p, rule, g))
         else:
-            queue[1].append(_unbroadcast(rule(g), p.data.shape))
+            _fold(p, rule, g)
 
     def drain(self):
-        """Wait for every deferred GEMM, then fold each queue in order; an error
-        raised by a GEMM is raised here."""
-        wait([x for _, queue in self.queues.values() for x in queue
-              if isinstance(x, Future)])
-        for p, queue in self.queues.values():
-            for x in queue:
-                p._accumulate(x.result() if isinstance(x, Future) else x)
+        """Wait for the worker; the first error it raised is raised here."""
+        wait(self.futures)
+        for f in self.futures:
+            f.result()
 
 
 def _op(value, *edges):

@@ -198,8 +198,9 @@ def _on_two_cores(rank, largest_batch: int):
     caller is not a daemonic process (which may start none) and a batch can
     hold two users. It is forked, not spawned, because it needs the caller's
     model and users and a spawned one would spend longer starting than a pass
-    takes; it runs only forward numpy code and its pipe, never the thread
-    that Adam may keep. It is joined whether the block returns or raises.
+    takes; it runs only forward numpy code and its pipe, never the worker
+    thread that training's forward, backward and Adam share. It is joined
+    whether the block returns or raises.
     """
     from .trainer import _cores
 

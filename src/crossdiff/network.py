@@ -25,11 +25,12 @@ reverse chain.
 
 Within one training step, enc_x, enc_y and the augmented view's enc_c read
 none of each other's outputs. Given a pool (a one-worker executor, which
-only training passes), the worker runs enc_y while the caller runs enc_x,
-and the augmented view's enc_c while the caller runs the denoiser. Every op
-is the same call on the same arrays, and backward's walk order follows
-only the graph's edges, not the order in which nodes were built, so every
-bit is that of the forward without a pool.
+only training passes), the worker's queue holds enc_y and then the
+augmented view's enc_c, both started before the caller runs enc_x; the
+caller goes on to the denoiser, and takes the augmented view only when the
+contrastive term needs it. Every op is the same call on the same arrays,
+and backward's walk order follows only the graph's edges, not the order in
+which nodes were built, so every bit is that of the forward without a pool.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+from collections.abc import Callable
 from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
@@ -542,12 +544,13 @@ def _branches(pool=None):
 
     Inside the block, start(fn, *args, **kwargs) returns a function that
     gives fn(*args, **kwargs). Given a pool (a one-worker executor), fn goes
-    to the worker at once; without one, it runs where its result is taken,
-    so the order of work and of errors is that of the inline code. Leaving
-    the block, also by an error, waits for every submitted branch, so none
-    outlives the forward (nor runs while `autograd.no_grad` flips the grad
-    switch every op reads), and when both threads raise, this thread's error
-    is raised.
+    to the worker at once, which runs branches in the order they started;
+    without one, it runs where its result is taken, so the order of work and
+    of errors is that of the inline code. Leaving the block by an error
+    waits for every branch it started, so none outlives the forward (nor
+    runs while `autograd.no_grad` flips the grad switch every op reads), and
+    this thread's error is raised. A branch whose result the block does not
+    take runs on until its result is taken.
     """
     submitted = []
 
@@ -559,8 +562,9 @@ def _branches(pool=None):
 
     try:
         yield start
-    finally:
+    except BaseException:
         wait(submitted)
+        raise
 
 
 @dataclass
@@ -570,25 +574,33 @@ class GuidanceBundle:
     gx_hat: Tensor | None = None
     gy_hat: Tensor | None = None
     gd_hat: Tensor | None = None
+    take_aug: Callable[[], Tensor] | None = None   # gives the augmented view's encoding
 
 
 def guidance_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatch,
-                     variant: VariantConfig, pool=None) -> GuidanceBundle:
+                     variant: VariantConfig, start=functools.partial,
+                     aug: bool = False) -> GuidanceBundle:
     """Everything upstream of the denoiser for one batch of sequences.
 
-    Given a pool (a one-worker executor), the worker encodes domain y while
-    this thread encodes domain x.
+    start is a `_branches` starter; by default each branch runs where its
+    result is taken. Training's starter hands enc_y to the worker while this
+    thread encodes domain x. With aug, the batch's augmented view goes
+    through enc_c (pooled) as a branch started right behind enc_y, and the
+    bundle's take_aug takes it.
     """
     variant.validate()
     gx_hat = gy_hat = gd_hat = None
-    fused = None
+    fused = take_aug = None
     last = last_positions(batch.valid)
     if variant.use_de:
         (x_idx, x_valid), (y_idx, y_valid), inter_map = domain_views(cfg, batch.idx, batch.valid)
-        with _branches(pool) as start:
-            gy_rows = start(encode_sequence, params, cfg, "enc_y", y_idx, y_valid)
-            gx_rows = encode_sequence(params, cfg, "enc_x", x_idx, x_valid)
-            gy_rows = gy_rows()
+        gy_rows = start(encode_sequence, params, cfg, "enc_y", y_idx, y_valid)
+    if aug:
+        take_aug = start(encode_sequence, params, cfg, "enc_c", batch.aug_idx,
+                         batch.aug_valid, last_only=True)
+    if variant.use_de:
+        gx_rows = encode_sequence(params, cfg, "enc_x", x_idx, x_valid)
+        gy_rows = gy_rows()
         fused = fuse_guidance(params, gx_rows, gy_rows, inter_map)
         gx_hat = pool_last(gx_rows, last_positions(x_valid))
         gy_hat = pool_last(gy_rows, last_positions(y_valid))
@@ -601,8 +613,8 @@ def guidance_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     else:
         guide = encode_sequence(params, cfg, "enc_c", batch.idx, batch.valid)
         guide_valid = batch.valid
-    return GuidanceBundle(guide=guide, guide_valid=guide_valid,
-                          gx_hat=gx_hat, gy_hat=gy_hat, gd_hat=gd_hat)
+    return GuidanceBundle(guide=guide, guide_valid=guide_valid, gx_hat=gx_hat,
+                          gy_hat=gy_hat, gd_hat=gd_hat, take_aug=take_aug)
 
 
 @dataclass
@@ -610,7 +622,14 @@ class ForwardBundle:
     guidance: GuidanceBundle
     x0: Tensor | None = None
     x0_hat: Tensor | None = None
-    h_aug: Tensor | None = None
+
+    @functools.cached_property
+    def h_aug(self) -> Tensor | None:
+        """The augmented view's pooled encoding, which only the contrastive
+        term reads: taking it waits for its branch on the worker, or runs it
+        without a pool."""
+        take = self.guidance.take_aug
+        return None if take is None else take()
 
 
 def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatch,
@@ -623,29 +642,23 @@ def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     receive gradient.
 
     Given a pool (a one-worker executor), two encoder passes that read no
-    other pass's output run on the worker: enc_y, while this thread runs
-    enc_x, and the augmented view's enc_c, while this thread runs the
-    denoiser. enc_y is submitted first, since the worker runs its queue in
-    order. Each op is the same call on the same arrays, and backward's walk
-    order follows only the graph's edges, so every bit is that of the run
-    without a pool.
+    other pass's output run on the worker, queued in this order before this
+    thread starts enc_x: enc_y, and the augmented view's enc_c. This thread
+    runs enc_x and the denoiser, and returns without waiting for the
+    augmented view: the bundle's h_aug takes it, so a caller can build the
+    terms that do not read it first. Each op is the same call on the same
+    arrays, and backward's walk order follows only the graph's edges, so
+    every bit is that of the run without a pool.
     """
     if (t is None) != (eps is None):
         raise ValueError("pass both timesteps and noise (main stage) or neither (warm-up)")
-    gb = guidance_forward(params, cfg, batch, variant, pool)
-    bundle = ForwardBundle(guidance=gb)
-    if t is None:
-        return bundle
     with _branches(pool) as start:
-        h_aug = None
-        if variant.use_tricl and batch.aug_idx is not None:
-            h_aug = start(encode_sequence, params, cfg, "enc_c", batch.aug_idx,
-                          batch.aug_valid, last_only=True)
+        gb = guidance_forward(params, cfg, batch, variant, start,
+                              aug=(t is not None and variant.use_tricl
+                                   and batch.aug_idx is not None))
+        if t is None:
+            return ForwardBundle(guidance=gb)
         x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
         x_t = forward_diffuse(x0, t, eps, sched)
-        bundle.x0 = x0
         memory = guide_memory(params, cfg, gb.guide, gb.guide_valid)
-        bundle.x0_hat = denoise(params, cfg, x_t, t, memory)
-        if h_aug is not None:
-            bundle.h_aug = h_aug()
-    return bundle
+        return ForwardBundle(gb, x0, denoise(params, cfg, x_t, t, memory))

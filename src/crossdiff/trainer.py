@@ -8,6 +8,7 @@ and generator state).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
@@ -70,9 +71,9 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> flo
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * progress))
 
 
-# The forward runs two encoder passes on the worker, backward hands it its
-# weight-gradient GEMMs and Adam hands it half of the parameter store, from
-# this many parameters up (numpy releases the GIL on large arrays). Inside
+# The forward runs two encoder passes on the worker, backward hands it every
+# leaf gradient and Adam hands it half of the parameter store, from this
+# many parameters up (numpy releases the GIL on large arrays). Inside
 # `fit` at `train_wide`'s shapes with d overridden, a step with all three on
 # against all off was 5% slower at 0.39M parameters, 3% faster at 0.49M, 7%
 # at 0.60M and 14% at 0.85M; the threshold lies between 0.49M and 0.60M.
@@ -125,7 +126,7 @@ def _blas_threads() -> int | None:
 
 def _two_threads(params: ParameterSet) -> bool:
     """Whether a step on params uses the worker thread: the forward's encoder
-    branches, backward's deferred weight gradients and Adam's split. Only with
+    branches, backward's leaf gradients and Adam's split. Only with
     one BLAS thread: with two on two cores, a `train_wide` step with the
     worker measured 10-17% slower than without, and Adam's split alone level."""
     return (params.n_params >= _POOL_MIN_PARAMS and _cores() >= 2
@@ -312,19 +313,24 @@ def train_step(state: TrainState, batch: SequenceBatch, warmup: bool,
     bundle = training_forward(state.params, cfg, batch, state.variant, state.sched,
                               t_arr, eps, pool)
     gb = bundle.guidance
-    l_diff = None if warmup else diffusion_loss(bundle.x0, bundle.x0_hat)
-    l_rec = rec_loss(bundle.x0_hat, gb.gx_hat, gb.gy_hat,
-                     batch.tx, batch.wx, batch.ty, batch.wy,
-                     state.params["emb_x"], state.params["emb_y"])
+    try:
+        # the worker may still be encoding the augmented view, which neither
+        # of these terms reads
+        l_diff = None if warmup else diffusion_loss(bundle.x0, bundle.x0_hat)
+        l_rec = rec_loss(bundle.x0_hat, gb.gx_hat, gb.gy_hat,
+                         batch.tx, batch.wx, batch.ty, batch.wy,
+                         state.params["emb_x"], state.params["emb_y"])
+    except BaseException:
+        # no branch outlives the step, and this thread's error is raised
+        with contextlib.suppress(Exception):
+            bundle.h_aug
+        raise
     l_cl = None
     if bundle.h_aug is not None and B >= 2:
         l_cl = tri_view_cl_loss(bundle.x0_hat, gb.gd_hat, bundle.h_aug)
     total, breakdown = total_loss(l_diff, l_rec, l_cl)
     state.params.zero_grads()
-    if pool is None:
-        total.backward()
-    else:
-        total.backward(pool=pool)
+    total.backward(pool=pool)
     state.opt.step(state.params, lr, state.train_cfg.grad_clip)
     state.global_step += 1
     return breakdown

@@ -492,13 +492,14 @@ def test_grad_accumulates_over_reuse():
 
 
 class RecordingPool:
-    """A real one-worker executor that keeps every future it hands out; wrap
-    may replace each submitted call."""
+    """A real one-worker executor that keeps every future it hands out and the
+    arguments of each call; wrap may replace each submitted call."""
 
     def __init__(self, executor, wrap=lambda fn: fn):
-        self.executor, self.wrap, self.futures = executor, wrap, []
+        self.executor, self.wrap, self.futures, self.args = executor, wrap, [], []
 
     def submit(self, fn, *args):
+        self.args.append(args)
         self.futures.append(self.executor.submit(self.wrap(fn), *args))
         return self.futures[-1]
 
@@ -535,6 +536,11 @@ def _weight_graph(rule=None):
     return loss, {"x": x, "s": s, "w": w, "bias": bias, "e": e}
 
 
+# the leaf edges of _weight_graph: W's three products, mul(W, c) and the
+# w * rand term, and one each into x, s, bias and E (through swapaxes)
+WEIGHT_GRAPH_LEAF_EDGES = {"x": 1, "s": 1, "w": 5, "bias": 1, "e": 1}
+
+
 def test_backward_with_a_pool_matches_the_walk_without_one(worker):
     loss, leaves = _weight_graph()
     loss.backward()
@@ -548,9 +554,28 @@ def test_backward_with_a_pool_matches_the_walk_without_one(worker):
             loss.backward(pool=pool)
         finally:
             sys.setswitchinterval(interval)
-        # W's three products go to the worker; swapaxes(E) is no leaf
-        assert len(pool.futures) == 3
+        # every gradient into a leaf goes to the worker, W's three GEMMs too
+        names = {id(t): n for n, t in leaves.items()}
+        handed = [names[id(args[0])] for args in pool.args]
+        assert {n: handed.count(n) for n in leaves} == WEIGHT_GRAPH_LEAF_EDGES
+        assert sum(type(args[1]) is ag._WeightGrad for args in pool.args) == 3
         assert {n: t.grad.tobytes() for n, t in leaves.items()} == want
+
+
+def _fails_on_gemm(calls, error, which):
+    """A RecordingPool wrap: each handed-over call runs after 0.05 s, and
+    raises error where it is a weight-gradient GEMM whose index, counted over
+    the GEMMs as the worker reaches them, is in which."""
+    def wrap(fn):
+        def call(*args):
+            time.sleep(0.05)
+            if type(args[1]) is ag._WeightGrad:
+                calls.append(1)
+                if len(calls) - 1 in which:
+                    raise error
+            return fn(*args)
+        return call
+    return wrap
 
 
 @pytest.mark.parametrize("gemm_fails", [False, True])
@@ -558,38 +583,69 @@ def test_backward_waits_for_the_worker_when_a_rule_raises(worker, gemm_fails):
     def boom(g):
         raise RuntimeError("rule failed")
 
-    def slow(fn):
-        def call(*args):
-            time.sleep(0.05)
-            if gemm_fails:
-                raise FloatingPointError("gemm failed")
-            return fn(*args)
-        return call
-
     loss, leaves = _weight_graph(boom)
-    pool = RecordingPool(worker, slow)
+    pool = RecordingPool(worker, _fails_on_gemm([], FloatingPointError("gemm failed"),
+                                                {0} if gemm_fails else ()))
     # the rule's error, not the GEMM's, as in the walk without a pool
     with pytest.raises(RuntimeError, match="rule failed"):
         loss.backward(pool=pool)
-    # the product after the failing node was handed over, and folded into W
-    # when its GEMM succeeded
-    assert len(pool.futures) == 1
+    # the product after the failing node handed over W's GEMM and the bias,
+    # and each was folded into its leaf unless it raised
+    assert [args[0] for args in pool.args] == [leaves["w"], leaves["bias"]]
     assert all(f.done() for f in pool.futures)
     assert (leaves["w"].grad is None) == gemm_fails
+    assert leaves["bias"].grad is not None
+    assert all(leaves[n].grad is None for n in ("x", "s", "e"))
 
 
 def test_backward_raises_the_error_of_a_deferred_gemm(worker):
-    def fail_second(fn):
-        def call(*args):
-            raise FloatingPointError("gemm failed")
-        return call if len(pool.futures) == 1 else fn
-
-    loss, _ = _weight_graph()
-    pool = RecordingPool(worker, fail_second)
+    loss, leaves = _weight_graph()
+    loss.backward()
+    want = {n: t.grad.tobytes() for n, t in leaves.items()}
+    loss, leaves = _weight_graph()
+    pool = RecordingPool(worker, _fails_on_gemm([], FloatingPointError("gemm failed"), {1}))
     with pytest.raises(FloatingPointError, match="gemm failed"):
         loss.backward(pool=pool)
-    assert len(pool.futures) == 3
+    assert len(pool.futures) == sum(WEIGHT_GRAPH_LEAF_EDGES.values())
     assert all(f.done() for f in pool.futures)
+    # the walk went on, and every leaf but W got all of its gradient
+    for n in ("x", "s", "bias", "e"):
+        assert leaves[n].grad.tobytes() == want[n], n
+
+
+def test_backward_with_a_pool_interleaves_one_leafs_gradients_in_walk_order(worker):
+    """One leaf L gets, interleaved in the walk, deferred GEMMs (as the right
+    operand of two products), gather_concat scatter-adds and a bias edge; the
+    worker folds them in the walk's order, so L gets the inline bits."""
+    def build():
+        rng = np.random.default_rng(70)
+        leaf = Tensor(rng.uniform(-1, 1, (8, 8)), requires_grad=True)
+        other = Tensor(rng.uniform(-1, 1, (5, 8)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (8, 8)), requires_grad=True)
+        p1 = ag.matmul(ag.gather_concat(leaf, other, np.array([0, 9, 3, 3, 12, 7, 1, 8])), leaf)
+        p2 = ag.matmul(ag.gelu(p1), w, leaf)
+        g2 = ag.gather_concat(leaf, other, np.array([4, 4, 10, 2, 6, 0, 11, 5]))
+        p3 = ag.matmul(p2 * g2, leaf)
+        return ag.sum_(p3 * rng.uniform(-1, 1, (8, 8))), (leaf, other, w)
+
+    loss, tensors = build()
+    loss.backward()
+    want = [t.grad.tobytes() for t in tensors]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            loss, tensors = build()
+            pool = RecordingPool(worker)
+            loss.backward(pool=pool)
+            assert [t.grad.tobytes() for t in tensors] == want
+    finally:
+        sys.setswitchinterval(interval)
+    kinds = ["gemm" if type(rule) is ag._WeightGrad else "other"
+             for p, rule, _ in pool.args if p is tensors[0]]
+    # two GEMMs, two scatter-adds and the bias, with GEMMs between the others
+    assert len(kinds) == 5 and kinds.count("gemm") == 2
+    assert kinds != sorted(kinds) and kinds != sorted(kinds, reverse=True)
 
 
 # one call of every public primitive and composite, on leaves x (2, 3) and

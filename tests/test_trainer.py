@@ -589,9 +589,12 @@ class TestForwardBranches:
         self.failing(monkeypatch, "encode_domain", bank, RuntimeError("worker " + bank))
         with pytest.raises(RuntimeError, match="worker " + bank):
             train_step(state, batch, False, 1e-3)
-        assert len(futures) == (1 if bank == "enc_y" else 2)
+        # both branches were queued, enc_y first, before enc_x started
+        assert len(futures) == 2
         assert all(f.done() for f in futures)
-        assert isinstance(futures[-1].exception(), RuntimeError)
+        failed = futures[0 if bank == "enc_y" else 1]
+        assert isinstance(failed.exception(), RuntimeError)
+        assert all(f.exception() is None for f in futures if f is not failed)
         assert np.array_equal(state.params.to_vector(), before[0])
         assert (state.opt.t, state.global_step) == before[1:3]
         for n, (m, v) in before[3].items():
@@ -621,8 +624,77 @@ class TestForwardBranches:
                 network_mod.training_forward(state.params, cfg, batch, state.variant,
                                              small_sched, t, eps, pool)
             assert all(f.done() for f in futures)
-        assert len(futures) == (1 if branch == "enc_y" else 2)
-        assert isinstance(futures[-1].exception(), KeyError)
+        # both branches were queued, enc_y first, before enc_x started
+        assert len(futures) == 2
+        failed = futures[0 if branch == "enc_y" else 1]
+        assert isinstance(failed.exception(), KeyError)
+        assert all(f.exception() is None for f in futures if f is not failed)
+
+    def test_loss_error_waits_for_the_augmented_view(self, pooled, monkeypatch,
+                                                     small_split, small_sched):
+        """A loss built while the worker still encodes the augmented view
+        raises: train_step waits for the view, and the loss's error is raised."""
+        state = init_state(tiny_model_cfg(small_split), TrainConfig(seed=3), small_sched,
+                           "full")
+        _, batch = small_batches(small_split)
+        futures = self.spy_branches(monkeypatch)
+        self.failing(monkeypatch, "encode_domain", "enc_c", KeyError("worker"), 0.2)
+
+        def rec_loss(*args):
+            raise ValueError("caller")
+
+        monkeypatch.setattr(trainer_mod, "rec_loss", rec_loss)
+        with pytest.raises(ValueError, match="caller"):
+            train_step(state, batch, False, 1e-3)
+        assert len(futures) == 2 and all(f.done() for f in futures)
+        assert isinstance(futures[1].exception(), KeyError)
+        assert state.opt.t == 0 and state.global_step == 0
+
+    @pytest.mark.parametrize("two_threads", [False, True])
+    def test_losses_without_the_augmented_view_come_before_it(
+            self, pooled, monkeypatch, small_split, small_sched, two_threads):
+        """diffusion_loss and rec_loss are built before the augmented view is
+        taken: with a pool, before its branch's result is asked for; without
+        one, before the branch runs."""
+        if not two_threads:
+            monkeypatch.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+        events = []
+
+        def spy(name, fn):
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("diffusion_loss", "rec_loss", "tri_view_cl_loss"):
+            monkeypatch.setattr(trainer_mod, name, spy(name, getattr(trainer_mod, name)))
+        real_encode = network_mod.encode_sequence
+        monkeypatch.setattr(network_mod, "encode_sequence",
+                            lambda *a, **k: spy("encode " + a[2], real_encode)(*a, **k))
+        if two_threads:
+            pool = trainer_mod._executor()
+            real_submit = pool.submit
+
+            def submit(fn, *args, **kwargs):
+                fut = real_submit(fn, *args, **kwargs)
+                if fn is network_mod.encode_sequence:
+                    events.append("queue " + args[2])
+                    if args[2] == "enc_c":
+                        fut.result = spy("take enc_c", fut.result)
+                return fut
+
+            monkeypatch.setattr(pool, "submit", submit)
+        state = init_state(tiny_model_cfg(small_split), TrainConfig(seed=3), small_sched,
+                           "full")
+        train_step(state, small_batches(small_split)[1], False, 1e-3)
+        if two_threads:
+            # the worker's passes run whenever it gets to them
+            events = [e for e in events if e not in ("encode enc_y", "encode enc_c")]
+            assert events == ["queue enc_y", "queue enc_c", "encode enc_x", "diffusion_loss",
+                              "rec_loss", "take enc_c", "tri_view_cl_loss"]
+        else:
+            assert events == ["encode enc_x", "encode enc_y", "diffusion_loss", "rec_loss",
+                              "encode enc_c", "tri_view_cl_loss"]
 
 
 class TestStateSetup:
@@ -866,9 +938,9 @@ class TestTrainingLoop:
         real_backward = Tensor.backward
         calls, before = [], {}
 
-        def poisoned_backward(self):
+        def poisoned_backward(self, pool=None):
             # the second step's loss is finite; one of its gradients is not
-            real_backward(self)
+            real_backward(self, pool)
             calls.append(1)
             if len(calls) == 2:
                 before["params"] = state.params.to_vector()

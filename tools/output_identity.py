@@ -24,14 +24,15 @@ one SHA-256 for each of four sections:
   the one-CPU report (on a one-CPU machine that comparison is trivial).
 - wide: `fit` for one warm-up and two main epochs (grad clip 1.0) on a
   seeded d=256 model of 3.3M parameters, large enough that, on a machine
-  with two cores, Adam splits its updates over two threads and backward
-  hands its weight-gradient GEMMs to the worker, and the forward runs enc_y
-  and the augmented view's enc_c there. It digests the parameters, the Adam
-  moments and step count, and the history. It fails unless each of the 36
-  steps (12 warm-up, 24 main) handed at least one GEMM to the worker, and
-  each warm-up step one forward branch and each main step two, so it needs
-  two CPUs; it counts both at the worker's executor, so it digests a tree
-  from before either hand-over too, without that check.
+  with two cores, Adam splits its updates over two threads, backward hands
+  every leaf gradient (its weight-gradient GEMMs among them) to the worker,
+  and the forward runs enc_y and the augmented view's enc_c there. It
+  digests the parameters, the Adam moments and step count, and the history.
+  It fails unless each of the 36 steps (12 warm-up, 24 main) handed at
+  least one weight-gradient GEMM to the worker, and each warm-up step one
+  forward branch and each main step two, so it needs two CPUs; it counts
+  both at the worker's executor, so it digests a tree from before either
+  hand-over too, without that check.
 - cli: synth, prepare, train (`full` with a gradient clip, and `diff`),
   eval (also `--use-best --part valid`), robust, sweep and ablate. It
   digests every file the commands write and their standard output, leaving
@@ -231,12 +232,14 @@ def wide_section() -> str:
                             grad_clip=1.0, seed=16)
     state = init_state(model_cfg, train_cfg, sched, variant="full")
     # for each step: whether it is a warm-up step, how many weight-gradient
-    # GEMMs and how many forward branches went to the worker
+    # GEMMs and how many forward branches went to the worker. A GEMM is the
+    # submitted call itself in a tree from before backward handed every leaf
+    # gradient to the worker, and the rule that call folds from then on.
     steps, pool, real_step = [], trainer._executor(), trainer.train_step
     real_submit = pool.submit
 
     def submit(fn, *args, **kwargs):
-        if type(fn).__name__ == "_WeightGrad":
+        if any(type(x).__name__ == "_WeightGrad" for x in (fn,) + args[1:2]):
             steps[-1][1] += 1
         elif fn is getattr(network, "encode_sequence", None):
             steps[-1][2] += 1
