@@ -27,6 +27,7 @@ from .diffusion import DiffusionSchedule, reverse_step, strided_steps
 from .network import (VARIANTS, ModelConfig, ParameterSet, check_seq_lens,
                       check_vocab_sizes, denoise, guide_memory, guidance_forward,
                       make_eval_batch, pad_batch)
+from .trainer import _second_core
 
 
 @dataclass(frozen=True)
@@ -194,17 +195,15 @@ def _on_two_cores(rank, largest_batch: int):
     """Yield rank(lo, hi, batch), or a function giving the same ranks that hands
     the second half of each batch to one worker forked for the block.
 
-    The worker runs when the process may use two CPUs, `fork` exists, the
-    caller is not a daemonic process (which may start none) and a batch can
-    hold two users. It is forked, not spawned, because it needs the caller's
-    model and users and a spawned one would spend longer starting than a pass
-    takes; it runs only forward numpy code and its pipe, never the worker
-    thread that training's forward, backward and Adam share. It is joined
-    whether the block returns or raises.
+    The worker runs when `_second_core` allows it (two CPUs, one BLAS thread),
+    `fork` exists, the caller is not a daemonic process (which may start none)
+    and a batch can hold two users. It is forked, not spawned, because it
+    needs the caller's model and users and a spawned one would spend longer
+    starting than a pass takes; it runs only forward numpy code and its pipe,
+    never the worker thread that training's forward, backward and Adam share.
+    It is joined whether the block returns or raises.
     """
-    from .trainer import _cores
-
-    if (largest_batch < 2 or _cores() < 2
+    if (largest_batch < 2 or not _second_core()
             or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         yield rank

@@ -11,17 +11,18 @@ domain's view, which `domain_views` derives from the token indices (domain
 y's start at vocab_x_size): that domain's tokens in order, at the merged
 width, with the map that puts their encodings back in merged order.
 
-Every bank runs one pre-norm residual block over rows (N, d); the banks
-differ only in what attention reads. An encoder bank attends causally over
-its sequence: its rows are the packed real tokens, and only attention sees
-the padded (B, H, L, .) layout, with zero queries, keys and values for
-padded rows. Each real row keeps the padded computation's bits, because
-every row-wise product is the row-invariant GEMM of `autograd.matmul`; when
-only each sequence's last row is read, the final block finishes that row
-alone. The denoiser's token is one row per example: in enc_c it attends
-only to itself, so its attention is v(x); in dec it attends over the guide,
-whose keys and values `guide_memory` projects once per batch for a whole
-reverse chain.
+Every bank runs one pre-norm residual block (norms ln1, ln2) over rows
+(N, d); the banks differ only in what attention reads, whose keys have no
+bias: it would shift every score of a query alike. An encoder bank attends
+causally over its sequence: its rows are the packed real tokens, and only
+attention sees the padded (B, H, L, .) layout, with zero queries, keys and
+values for padded rows. Each real row keeps the padded computation's bits,
+because every row-wise product is the row-invariant GEMM of
+`autograd.matmul`; when only each sequence's last row is read, the final
+block finishes that row alone. The denoiser's token is one row per example:
+in enc_c it attends only to itself, so its attention is v(x); in dec it
+attends over the guide, whose keys and values `guide_memory` projects once
+per batch for a whole reverse chain.
 
 Within one training step, enc_x, enc_y and the augmented view's enc_c read
 none of each other's outputs. Given a pool (a one-worker executor, which
@@ -99,13 +100,13 @@ VARIANTS = {
 # ---------------------------------------------------------------------------
 # parameters
 
-def _layer_specs(prefix: str, d: int, query_norm: bool):
-    ln_first = "lnq" if query_norm else "ln1"
+def _layer_specs(prefix: str, d: int):
     specs = []
     for nm in ("q", "k", "v", "o"):
         specs.append(("%s.attn.w%s" % (prefix, nm), (d, d), "linear"))
-        specs.append(("%s.attn.b%s" % (prefix, nm), (d,), "zero"))
-    for ln in (ln_first, "ln2"):
+        if nm != "k":   # the softmax ignores q·bk, the same for every key of a query
+            specs.append(("%s.attn.b%s" % (prefix, nm), (d,), "zero"))
+    for ln in ("ln1", "ln2"):
         specs.append(("%s.%s.g" % (prefix, ln), (d,), "one"))
         specs.append(("%s.%s.b" % (prefix, ln), (d,), "zero"))
     specs.append(("%s.mlp.w1" % prefix, (d, 4 * d), "linear"))
@@ -124,9 +125,9 @@ def param_specs(cfg: ModelConfig):
              ("step_emb", (cfg.T, d), "embed")]
     for bank in ("enc_x", "enc_y", "enc_c"):
         for i in range(cfg.enc_layers):
-            specs.extend(_layer_specs("%s.%d" % (bank, i), d, query_norm=False))
+            specs.extend(_layer_specs("%s.%d" % (bank, i), d))
     for i in range(cfg.dec_layers):
-        specs.extend(_layer_specs("dec.%d" % i, d, query_norm=True))
+        specs.extend(_layer_specs("dec.%d" % i, d))
     specs.append(("fuse.w", (d, d), "identity"))
     return specs
 
@@ -353,7 +354,7 @@ def pad_batch(batch: SequenceBatch, L: int, pad_index: int) -> SequenceBatch:
 
 def _proj(params: ParameterSet, prefix: str, which: str, x: Tensor) -> Tensor:
     return matmul(x, params["%s.attn.w%s" % (prefix, which)],
-                  params["%s.attn.b%s" % (prefix, which)])
+                  params.get("%s.attn.b%s" % (prefix, which)))
 
 
 def _heads(t: Tensor, B: int, L: int, cfg: ModelConfig) -> Tensor:
@@ -368,16 +369,16 @@ def _attend(q, k, v, mask: np.ndarray, cfg: ModelConfig) -> Tensor:
     return reshape(swapaxes(matmul(probs, v), 1, 2), (B * Lq, cfg.d))
 
 
-def _block(params: ParameterSet, prefix: str, x: Tensor, context, ln: str = "ln1",
+def _block(params: ParameterSet, prefix: str, x: Tensor, context,
            keep: np.ndarray | None = None) -> Tensor:
     """Pre-norm residual block over the rows x (N, d): x + o(context(a)), with a
-    the `ln` norm of x, then the MLP of the ln2 norm.
+    the ln1 norm of x, then the MLP of the ln2 norm.
 
     context, all that differs between the banks, maps a to the attention
     rows. With keep (indices into x's rows), only those rows go on, and
     context returns only theirs.
     """
-    a = layer_norm(x, params["%s.%s.g" % (prefix, ln)], params["%s.%s.b" % (prefix, ln)])
+    a = layer_norm(x, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
     ctx = context(a)
     if keep is not None:
         x = pack_rows(x, keep)
@@ -531,7 +532,7 @@ def denoise(params: ParameterSet, cfg: ModelConfig, x_t: Tensor, t: np.ndarray,
         k, v = memory.kv[i]
         tok = _block(params, prefix, tok,
                      lambda a: _attend(_heads(_proj(params, prefix, "q", a), B, 1, cfg),
-                                       k, v, memory.mask, cfg), ln="lnq")
+                                       k, v, memory.mask, cfg))
     return tok
 
 

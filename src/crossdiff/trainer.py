@@ -37,22 +37,19 @@ class TrainConfig:
     batch_size: int = 512
     epochs: int = 100
     warmup_epochs: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float | None = None
     aug_rate: float = 0.2
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite, got %r" % self.lr)
         if self.batch_size < 1 or self.epochs < 0 or self.warmup_epochs < 0:
             raise ValueError("batch_size must be >= 1, epochs and warmup_epochs >= 0")
         if not (0.0 < self.aug_rate < 1.0):
             raise ValueError("aug_rate must lie in (0, 1)")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive when set")
+        if self.grad_clip is not None and not 0 < self.grad_clip < math.inf:
+            raise ValueError("grad_clip must be positive and finite, got %r" % self.grad_clip)
 
 
 def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> float:
@@ -124,13 +121,16 @@ def _blas_threads() -> int | None:
     return None if fn is None else int(fn())
 
 
+def _second_core() -> bool:
+    """Two or more cores and one BLAS thread (not an unknown count). With two
+    BLAS threads on two cores, a `train_wide` step on the worker thread took
+    10-17% longer, and `evaluate` with a forked worker about twice as long."""
+    return _cores() >= 2 and _blas_threads() == 1
+
+
 def _two_threads(params: ParameterSet) -> bool:
-    """Whether a step on params uses the worker thread: the forward's encoder
-    branches, backward's leaf gradients and Adam's split. Only with
-    one BLAS thread: with two on two cores, a `train_wide` step with the
-    worker measured 10-17% slower than without, and Adam's split alone level."""
-    return (params.n_params >= _POOL_MIN_PARAMS and _cores() >= 2
-            and _blas_threads() == 1)
+    """Whether a step on params shares its forward, backward and Adam with the worker."""
+    return params.n_params >= _POOL_MIN_PARAMS and _second_core()
 
 
 # Adam updates the store in blocks of this many elements, so that each
@@ -287,7 +287,7 @@ def init_state(model_cfg: ModelConfig, train_cfg: TrainConfig,
                sched: DiffusionSchedule, variant: str = "full") -> TrainState:
     _check_run(model_cfg, train_cfg, sched, variant)
     params = init_parameters(model_cfg, rng_seed=train_cfg.seed)
-    opt = Adam(params, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
+    opt = Adam(params)
     # separate stream from the one that initialized the parameters
     rng = np.random.default_rng([train_cfg.seed, 1])
     return TrainState(params=params, model_cfg=model_cfg, train_cfg=train_cfg,
@@ -463,7 +463,7 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 # TrainState fields the manifest holds under their own names
 PROGRESS_FIELDS = ("epoch", "global_step", "best_epoch", "history")
 
@@ -555,8 +555,7 @@ def load_checkpoint(ckpt_dir: str) -> TrainState:
     n_params = sum(math.prod(s) for _, s in specs)
     # the blobs themselves become the parameter store and the moments
     params = ParameterSet(_read_blob(ckpt_dir, "params.bin", n_params), specs)
-    opt = Adam(params, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps,
-               moments=_read_blob(ckpt_dir, "optimizer.bin", 2 * n_params))
+    opt = Adam(params, moments=_read_blob(ckpt_dir, "optimizer.bin", 2 * n_params))
     opt.t = adam_t
     state = TrainState(params=params, model_cfg=model_cfg, train_cfg=train_cfg,
                        sched=sched, variant_name=variant, opt=opt, rng=rng,

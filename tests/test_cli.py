@@ -462,6 +462,17 @@ class TestManifests:
         assert os.path.isdir(out)
         assert not os.path.exists(os.path.join(out, "run_manifest.json"))
 
+    @pytest.mark.parametrize("setting", ["lr=nan", "grad_clip=inf"])
+    def test_non_finite_setting_trains_nothing(self, pipeline, tmp_path, capsys, setting):
+        # a NaN rate would turn every parameter to NaN in the first step
+        out = str(tmp_path / "bad")
+        rc = main(["train", "--data", pipeline["split"], "--out", out]
+                  + TINY_MODEL + ["--set", setting])
+        assert rc == 1
+        key = setting.split("=")[0]
+        assert "error: %s must be positive and finite" % key in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestRejections:
     @pytest.mark.parametrize("size", ["0", "-1"])

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import crossdiff.trainer as trainer_mod
 from crossdiff.data import DOMAIN_X, DOMAIN_Y, UserSequence, Vocab
 from crossdiff import evaluation, network
 from crossdiff.diffusion import build_schedule, reverse_step, strided_steps
@@ -561,9 +562,12 @@ class TestEvaluate:
         assert calls == []
 
 
-def _with_cpus(monkeypatch, cpus):
+def _with_cpus(monkeypatch, cpus, blas_threads=1):
+    """Let the process see cpus CPUs and numpy's BLAS read blas_threads threads,
+    whatever the test run's own BLAS setting."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+    monkeypatch.setattr(trainer_mod, "_blas_threads", lambda: blas_threads)
 
 
 @pytest.fixture
@@ -603,6 +607,17 @@ class TestTwoCores:
         assert len(forks) == (0 if batch_size == 1 else 1)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("blas_threads", [2, None])
+    def test_several_blas_threads_fork_nothing(self, eval_setup, monkeypatch, forks,
+                                               blas_threads):
+        # the forked worker and the caller would share two cores with the
+        # BLAS's own threads, which is slower than ranking serially
+        _with_cpus(monkeypatch, 1)
+        one = self._evaluate(eval_setup, batch_size=4)
+        _with_cpus(monkeypatch, 2, blas_threads)
+        assert self._evaluate(eval_setup, batch_size=4) == one
+        assert forks == []
+
     def test_noise_robustness_equal_one_cpu(self, eval_setup, monkeypatch, forks):
         split, cfg, params, sched = eval_setup
 
@@ -621,8 +636,6 @@ class TestTwoCores:
     def test_live_adam_executor_untouched(self, eval_setup, monkeypatch):
         # the worker is forked while Adam's thread may be live; the thread
         # does not exist in the child, which must never wait on it
-        import crossdiff.trainer as trainer_mod
-
         _with_cpus(monkeypatch, 1)
         one = self._evaluate(eval_setup, batch_size=4)
         monkeypatch.setattr(trainer_mod, "_pool", None)
@@ -849,7 +862,6 @@ class TestAblationHarness:
     @pytest.mark.parametrize("eval_steps", [0, 99])
     def test_bad_eval_steps_rejected_before_training(self, small_split_mod, sched_mod,
                                                      monkeypatch, eval_steps):
-        import crossdiff.trainer as trainer_mod
         from crossdiff.evaluation import run_ablation
         from crossdiff.trainer import TrainConfig
 

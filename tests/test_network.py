@@ -46,9 +46,10 @@ from conftest import grad_fixture, make_split
 
 
 def expected_param_count(cfg):
-    """Closed-form parameter count: four tables, 12d^2 + 13d per layer, fuse.w."""
+    """Closed-form parameter count: four tables, fuse.w and, per layer, 12d^2
+    weights and 12d biases and norm values (attention keys have no bias)."""
     d = cfg.d
-    per_layer = 12 * d * d + 13 * d
+    per_layer = 12 * d * d + 12 * d
     emb = (cfg.vocab_x_size + cfg.vocab_y_size + cfg.max_seq_len + cfg.T) * d
     return emb + (3 * cfg.enc_layers + cfg.dec_layers) * per_layer + d * d
 
@@ -124,6 +125,16 @@ class TestParameters:
         bound = np.sqrt(6.0 / (cfg.d + 4 * cfg.d))
         w1 = params["enc_c.0.mlp.w1"].data
         assert np.all(np.abs(w1) <= bound)
+
+    def test_no_dead_parameters(self):
+        # a tensor no output depends on gets only rounding noise for a gradient
+        cfg, batch = grad_fixture()
+        params = init_parameters(cfg, rng_seed=9)
+        theta = params.to_vector()
+        params.from_vector(theta + 0.1 * np.random.default_rng(5).standard_normal(theta.size))
+        _full_variant_loss(params, cfg, batch).backward()
+        for name, p in params.items():
+            assert p.grad is not None and np.linalg.norm(p.grad) > 1e-8, name
 
     def test_vector_round_trip(self):
         cfg = tiny_cfg()
@@ -563,14 +574,14 @@ def reference_denoise(params, cfg, x_t, t, guide, guide_valid):
     H, dh = cfg.n_heads, cfg.d // cfg.n_heads
 
     def proj(prefix, which, x):
-        return x @ params["%s.attn.w%s" % (prefix, which)] + params["%s.attn.b%s" % (prefix, which)]
+        out = x @ params["%s.attn.w%s" % (prefix, which)]
+        return out if which == "k" else out + params["%s.attn.b%s" % (prefix, which)]
 
     def heads(x, B, L):
         return swapaxes(reshape(x, (B, L, H, dh)), 1, 2)
 
     def block(prefix, h, mask, guide=None):
-        ln = "lnq" if guide is not None else "ln1"
-        a = layer_norm(h, params["%s.%s.g" % (prefix, ln)], params["%s.%s.b" % (prefix, ln)])
+        a = layer_norm(h, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
         kv_in = a if guide is None else guide
         B, Lq, Lk = a.data.shape[0], a.data.shape[1], kv_in.data.shape[1]
         q = heads(proj(prefix, "q", a), B, Lq)
@@ -695,7 +706,7 @@ def reference_encode_domain(params, cfg, bank, h, valid):
 
     def proj(prefix, which, x):
         return matmul(x, params["%s.attn.w%s" % (prefix, which)],
-                      params["%s.attn.b%s" % (prefix, which)])
+                      None if which == "k" else params["%s.attn.b%s" % (prefix, which)])
 
     for i in range(cfg.enc_layers):
         prefix = "%s.%d" % (bank, i)

@@ -76,6 +76,10 @@ class TestTrainConfig:
             TrainConfig(aug_rate=1.0).validate()
         with pytest.raises(ValueError, match="grad_clip"):
             TrainConfig(grad_clip=-1.0).validate()
+        for key in ("lr", "grad_clip"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="^%s must be positive and finite" % key):
+                    TrainConfig(**{key: value}).validate()
 
 
 class TestLrSchedule:
@@ -1128,17 +1132,21 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=match):
             load_checkpoint(ckpt)
 
-    def test_format_version_check(self, small_split, small_sched, tmp_path):
+    # format 2 stored every attention layer's key bias and TrainConfig's Adam
+    # constants, and named the decoder's first norm lnq
+    @pytest.mark.parametrize("version", [2, 99])
+    def test_format_version_check(self, small_split, small_sched, tmp_path, version):
         state = self.trained_state(small_split, small_sched, epochs=1)
         ckpt = str(tmp_path / "ckpt")
         save_checkpoint(ckpt, state)
         mp = os.path.join(ckpt, "manifest.json")
         with open(mp) as fh:
             manifest = json.load(fh)
-        manifest["format_version"] = 99
+        manifest["format_version"] = version
         with open(mp, "w") as fh:
             json.dump(manifest, fh)
-        with pytest.raises(ValueError, match="format"):
+        with pytest.raises(ValueError, match=r"manifest\.json: .*unsupported checkpoint "
+                                             r"format %d\)" % version):
             load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("edit, error", [
