@@ -2,9 +2,10 @@
 
 Subcommands: synth, prepare, train, eval, robust, sweep, ablate. Settings
 resolve in order: built-in defaults, then a flat key=value config file, then
-CROSSDIFF_* environment variables, then --set overrides, then dedicated
-flags. Every command writes a run manifest next to its outputs; report files
-contain no timestamps so identical runs produce identical bytes.
+CROSSDIFF_<KEY> environment variables, then --set overrides, then dedicated
+flags; an unknown key is an error in each. Every command writes a run
+manifest next to its outputs; report files contain no timestamps so
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ def _given_settings(args) -> dict:
     given = {}
     if getattr(args, "config", None):
         given.update(_load_config_file(args.config))
+    known = {ENV_PREFIX + key.upper() for key in CONFIG_SCHEMA}
+    for name in sorted(os.environ):
+        if name.startswith(ENV_PREFIX) and name not in known:
+            raise ValueError("environment variable %s names no config key" % name)
     for key in CONFIG_SCHEMA:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:

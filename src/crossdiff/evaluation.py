@@ -400,8 +400,6 @@ def ablation_study(split: DatasetSplit, variants, model_cfg: ModelConfig,
                    train_cfg, sched: DiffusionSchedule, seeds=(0, 1, 2),
                    **kwargs) -> list[dict]:
     """The full grid: every variant trained with every seed, means reported."""
-    from dataclasses import replace
-
     rows = []
     for variant in variants:
         runs = [run_ablation(split, variant, model_cfg,

@@ -570,8 +570,8 @@ def _branches(pool=None):
 
 @dataclass
 class GuidanceBundle:
-    guide: Tensor
-    guide_valid: np.ndarray
+    guide: Tensor | None = None   # None when the forward builds no guide (warm-up)
+    guide_valid: np.ndarray | None = None
     gx_hat: Tensor | None = None
     gy_hat: Tensor | None = None
     gd_hat: Tensor | None = None
@@ -580,41 +580,56 @@ class GuidanceBundle:
 
 def guidance_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatch,
                      variant: VariantConfig, start=functools.partial,
-                     aug: bool = False) -> GuidanceBundle:
+                     aug: bool = False, guide: bool = True) -> GuidanceBundle:
     """Everything upstream of the denoiser for one batch of sequences.
 
     start is a `_branches` starter; by default each branch runs where its
     result is taken. Training's starter hands enc_y to the worker while this
     thread encodes domain x. With aug, the batch's augmented view goes
     through enc_c (pooled) as a branch started right behind enc_y, and the
-    bundle's take_aug takes it.
+    bundle's take_aug takes it. Without guide (warm-up) the bundle holds no
+    guide.
+
+    The domain encoders run every row only for a guided variant's guide;
+    otherwise they encode each sequence's last row alone, and gd_hat is
+    fuse.w applied to the row of the merged sequence's last token. Each row
+    has the bits of the full computation's.
     """
     variant.validate()
     gx_hat = gy_hat = gd_hat = None
-    fused = take_aug = None
+    take_aug = guide_rows = guide_valid = None
+    full_rows = guide and variant.use_guidance
     last = last_positions(batch.valid)
     if variant.use_de:
         (x_idx, x_valid), (y_idx, y_valid), inter_map = domain_views(cfg, batch.idx, batch.valid)
-        gy_rows = start(encode_sequence, params, cfg, "enc_y", y_idx, y_valid)
+        gy = start(encode_sequence, params, cfg, "enc_y", y_idx, y_valid,
+                   last_only=not full_rows)
     if aug:
         take_aug = start(encode_sequence, params, cfg, "enc_c", batch.aug_idx,
                          batch.aug_valid, last_only=True)
     if variant.use_de:
-        gx_rows = encode_sequence(params, cfg, "enc_x", x_idx, x_valid)
-        gy_rows = gy_rows()
-        fused = fuse_guidance(params, gx_rows, gy_rows, inter_map)
-        gx_hat = pool_last(gx_rows, last_positions(x_valid))
-        gy_hat = pool_last(gy_rows, last_positions(y_valid))
-        gd_hat = pool_last(fused, last)
-    if variant.use_guidance:
-        guide, guide_valid = fused, batch.valid
-    elif variant.use_de:
-        pooled = encode_sequence(params, cfg, "enc_c", batch.idx, batch.valid, last_only=True)
-        guide, guide_valid = reshape(pooled, (batch.size, 1, cfg.d)), np.ones((batch.size, 1))
-    else:
-        guide = encode_sequence(params, cfg, "enc_c", batch.idx, batch.valid)
+        gx = encode_sequence(params, cfg, "enc_x", x_idx, x_valid, last_only=not full_rows)
+        gy = gy()
+        if full_rows:
+            guide_rows = fuse_guidance(params, gx, gy, inter_map)
+            guide_valid = batch.valid
+            gx_hat = pool_last(gx, last_positions(x_valid))
+            gy_hat = pool_last(gy, last_positions(y_valid))
+            gd_hat = pool_last(guide_rows, last)
+        else:
+            gx_hat, gy_hat = gx, gy
+            # the merged last token is domain x's last token or domain y's
+            in_y = inter_map[np.arange(batch.size), last] >= batch.idx.shape[1]
+            pair = reshape(concat([gx, gy], axis=1), (batch.size, 2, cfg.d))
+            gd_hat = matmul(pool_last(pair, in_y.astype(np.int64)), params["fuse.w"])
+    if guide and not variant.use_de:
+        guide_rows = encode_sequence(params, cfg, "enc_c", batch.idx, batch.valid)
         guide_valid = batch.valid
-    return GuidanceBundle(guide=guide, guide_valid=guide_valid, gx_hat=gx_hat,
+    elif guide and not full_rows:
+        pooled = encode_sequence(params, cfg, "enc_c", batch.idx, batch.valid, last_only=True)
+        guide_rows = reshape(pooled, (batch.size, 1, cfg.d))
+        guide_valid = np.ones((batch.size, 1))
+    return GuidanceBundle(guide=guide_rows, guide_valid=guide_valid, gx_hat=gx_hat,
                           gy_hat=gy_hat, gd_hat=gd_hat, take_aug=take_aug)
 
 
@@ -639,8 +654,8 @@ def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     """Produce every representation the objectives need for one batch.
 
     With neither timesteps nor noise (the warm-up stage) the diffusion and
-    contrastive paths are skipped entirely, so only the guidance encoders
-    receive gradient.
+    contrastive paths are skipped entirely and no guide is built, so only
+    the domain encoders and the embeddings receive gradient.
 
     Given a pool (a one-worker executor), two encoder passes that read no
     other pass's output run on the worker, queued in this order before this
@@ -656,7 +671,8 @@ def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
     with _branches(pool) as start:
         gb = guidance_forward(params, cfg, batch, variant, start,
                               aug=(t is not None and variant.use_tricl
-                                   and batch.aug_idx is not None))
+                                   and batch.aug_idx is not None),
+                              guide=t is not None)
         if t is None:
             return ForwardBundle(guidance=gb)
         x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)

@@ -148,7 +148,9 @@ class Adam:
     and v in its second, each in the parameter store's order; `m[name]` and
     `v[name]` are views of it. A step evaluates the textbook expressions in
     their order, in place, in blocks of `_BLOCK` elements of the store, each
-    against its tensor's own gradient. With at least 2**19 parameters, two
+    against its tensor's own gradient. A tensor with no gradient and zero
+    moments is left out, as the update would keep its every bit (in warm-up,
+    enc_c, dec, step_emb and fuse.w). With at least 2**19 parameters, two
     cores and one BLAS thread, the calling thread updates elements [0, N/2)
     and one worker thread the rest (the cut may fall inside a tensor). Every
     element's arithmetic is the same, and the gradient norm is still one
@@ -201,13 +203,17 @@ class Adam:
         c2 = 1.0 - self.beta2 ** self.t
         b1, b2, eps = self.beta1, self.beta2, self.eps
         m, v = self.moments[:n], self.moments[n:]
+        # the update keeps every bit of a tensor with no gradient and zero
+        # moments: m and v stay 0, and p - lr * (0 / eps) is p
+        live = [(off, end, g) for _, off, end, _, g in slots
+                if not isinstance(g, float) or m[off:end].any() or v[off:end].any()]
         width = min(_BLOCK, n)
         if self._scratch.shape != (2, 2, width):
             self._scratch = np.empty((2, 2, width))
 
         def update(half, lo, hi):
             scratch = self._scratch[half]
-            for _, off, end, _, g in slots:
+            for off, end, g in live:
                 for i in range(max(lo, off), min(hi, end), _BLOCK):
                     j = min(i + _BLOCK, hi, end)
                     p, mb, vb = store[i:j], m[i:j], v[i:j]
@@ -383,19 +389,20 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
         raise ValueError("training split yields no prefix examples")
     check_vocab_sizes(cfg, split.vocab_x, split.vocab_y)
     check_seq_lens(cfg, examples)
+    if eval_negatives is not None:
+        evaluation.check_negatives(eval_negatives)
     validate = eval_every > 0 and bool(split.validation)
     if validate:
         check_seq_lens(cfg, [s for s, _ in split.validation])
         if eval_steps is not None:
             strided_steps(cfg.T, eval_steps)
+        if eval_negatives is None:
+            eval_negatives = evaluation.auto_negatives(split)
     vx, vy = split.vocab_x, split.vocab_y
     steps_per_epoch = count_steps_per_epoch(examples, tcfg.batch_size)
     total_steps = max(1, tcfg.epochs * steps_per_epoch)
     warm_epochs = effective_warmup_epochs(state)
     warmup_steps = warm_epochs * steps_per_epoch
-    if eval_negatives is None:
-        eval_negatives = evaluation.auto_negatives(split)
-    evaluation.check_negatives(eval_negatives)
     end_epoch = tcfg.epochs
     if max_epochs is not None:
         end_epoch = min(end_epoch, state.epoch + max_epochs)

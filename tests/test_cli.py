@@ -85,6 +85,23 @@ class TestConfigLayers:
         with pytest.raises(ValueError, match="expects"):
             resolve_config(args)
 
+    @pytest.mark.parametrize("name", ["CROSSDIFF_EPOCH", "CROSSDIFF_BETA1", "CROSSDIFF_lr"])
+    def test_env_rejects_unknown_variable(self, monkeypatch, name):
+        # a misspelled, removed or lower-case key would otherwise be ignored
+        monkeypatch.setenv("CROSSDIFF_EPOCHS", "3")
+        monkeypatch.setenv(name, "0.5")
+        args = build_parser().parse_args(["synth", "--out", "x"])
+        with pytest.raises(ValueError, match="environment variable %s names no config key"
+                           % name):
+            resolve_config(args)
+
+    def test_unknown_variable_stops_the_command(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("CROSSDIFF_EPOCH", "3")
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out)]) == 1
+        assert "error: environment variable CROSSDIFF_EPOCH" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_set_requires_equals(self):
         parser = build_parser()
         args = parser.parse_args(["synth", "--out", "x", "--set", "epochs"])

@@ -697,6 +697,85 @@ class TestReverseChainShortcuts:
             assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+def reference_guidance(params, cfg, batch, variant):
+    """The guidance forward that runs every row of both domain encoders and
+    fuses them whatever the variant reads: (guide, guide_valid, gx_hat,
+    gy_hat, gd_hat)."""
+    gx_hat = gy_hat = gd_hat = fused = None
+    if variant.use_de:
+        (x_idx, x_valid), (y_idx, y_valid), inter_map = domain_views(cfg, batch.idx,
+                                                                     batch.valid)
+        gx_rows = encode_domain(params, cfg, "enc_x", embed_sequence(params, cfg, x_idx),
+                                x_valid)
+        gy_rows = encode_domain(params, cfg, "enc_y", embed_sequence(params, cfg, y_idx),
+                                y_valid)
+        fused = fuse_guidance(params, gx_rows, gy_rows, inter_map)
+        gx_hat = pool_last(gx_rows, last_positions(x_valid))
+        gy_hat = pool_last(gy_rows, last_positions(y_valid))
+        gd_hat = pool_last(fused, last_positions(batch.valid))
+    h = embed_sequence(params, cfg, batch.idx)
+    if variant.use_guidance:
+        guide, guide_valid = fused, batch.valid
+    elif variant.use_de:
+        pooled = encode_domain(params, cfg, "enc_c", h, batch.valid,
+                               last=last_positions(batch.valid))
+        guide = reshape(pooled, (batch.size, 1, cfg.d))
+        guide_valid = np.ones((batch.size, 1))
+    else:
+        guide, guide_valid = encode_domain(params, cfg, "enc_c", h, batch.valid), batch.valid
+    return guide, guide_valid, gx_hat, gy_hat, gd_hat
+
+
+class TestTrimmedGuidance:
+    """Warm-up and the unguided variants encode only each sequence's last row
+    in the domain encoders; every value they read keeps its bits."""
+
+    @staticmethod
+    def case(vocabs, B):
+        # the first sequence holds no domain-y token; the others end in
+        # domain y's only token, in y alone, in y after y, in x after y, and
+        # so on, at lengths 1 to 6
+        vx, vy = vocabs
+        cfg = tiny_cfg(d=16, n_heads=2, enc_layers=2, dec_layers=1,
+                       vocab_x_size=vx.size, vocab_y_size=vy.size)
+        params = init_parameters(cfg, rng_seed=8)
+        theta = params.to_vector()
+        params.from_vector(theta + 0.1 * np.random.default_rng(8).standard_normal(theta.size))
+        rows = ["a1 a3", "a0 b2", "b1", "a2 b0 b3", "b2 a4 a0", "a3 b1 a1 b0 a2 b3", "a0"]
+        seqs = [UserSequence(u, [(vx.index_of(s), DOMAIN_X) if s[0] == "a"
+                                 else (vy.index_of(s), DOMAIN_Y) for s in row.split()])
+                for u, row in enumerate(rows[:B])]
+        return cfg, params, make_eval_batch(seqs, vx, vy)
+
+    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_pooled_rows_and_guide_match_full_rows(self, vocabs, B, name):
+        cfg, params, batch = self.case(vocabs, B)
+        variant = VARIANTS[name]
+        want = reference_guidance(params, cfg, batch, variant)
+        for guide in (True, False):
+            gb = guidance_forward(params, cfg, batch, variant, guide=guide)
+            got = (gb.guide, gb.guide_valid, gb.gx_hat, gb.gy_hat, gb.gd_hat)
+            expect = want if guide else (None, None) + want[2:]
+            for field, g, w in zip(("guide", "guide_valid", "gx_hat", "gy_hat", "gd_hat"),
+                                   got, expect):
+                if w is None:
+                    assert g is None, (guide, field)
+                else:
+                    assert np.array_equal(getattr(g, "data", g), getattr(w, "data", w)), \
+                        (guide, field)
+
+    @pytest.mark.parametrize("name", [n for n, v in VARIANTS.items() if v.use_de])
+    def test_warmup_builds_no_guide(self, vocabs, name):
+        cfg, params, batch = self.case(vocabs, 7)
+        warm = training_forward(params, cfg, batch, VARIANTS[name], build_schedule(cfg.T),
+                                None, None)
+        gb = warm.guidance
+        assert gb.guide is None and gb.guide_valid is None
+        assert all(h.data.shape == (batch.size, cfg.d)
+                   for h in (gb.gx_hat, gb.gy_hat, gb.gd_hat))
+
+
 def reference_encode_domain(params, cfg, bank, h, valid):
     """encode_domain before packing: every block runs on the whole padded
     (B, L, d) layout, padded rows included."""

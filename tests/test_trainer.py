@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import crossdiff.evaluation as evaluation_mod
 import crossdiff.network as network_mod
 import crossdiff.trainer as trainer_mod
 from crossdiff.autograd import Tensor
@@ -386,6 +387,47 @@ class TestAdam:
             want = reference_adam_run([grads[name] for grads in given], p0[name].data,
                                       0.05, 0.9, 0.99, 1e-8)
             assert np.max(np.abs(params[name].data - want)) < 1e-12
+
+    @pytest.mark.parametrize("grad_clip", [None, 1.0])
+    @pytest.mark.parametrize("two", [False, True], ids=["one_thread", "two_threads"])
+    def test_skipped_tensors_match_the_full_update(self, pooled, monkeypatch, grad_clip,
+                                                   two):
+        # "n" has a gradient only in the first step, then none but non-zero
+        # moments; "z" never has one and keeps zero moments; "g" always has
+        # one. Blocks of 4 elements, and on two threads the cut falls inside "z".
+        shapes = [("n", (2, 3)), ("z", (7,)), ("g", (3, 4))]
+        monkeypatch.setattr(trainer_mod, "_BLOCK", 4)
+        if not two:
+            monkeypatch.setattr(trainer_mod, "_POOL_MIN_PARAMS", 2 ** 60)
+        rng = np.random.default_rng(14)
+        given = [{"n": rng.normal(size=(2, 3)), "z": None, "g": rng.normal(size=(3, 4))}]
+        given += [{"n": None, "z": None, "g": rng.normal(size=(3, 4))} for _ in range(3)]
+        params = bare_params(shapes, seed=15)
+        opt = Adam(params)
+        ref = {n: (params[n].data.copy(), np.zeros(s), np.zeros(s)) for n, s in shapes}
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.05
+        for t, grads in enumerate(given, start=1):
+            for n, g in grads.items():
+                params[n].grad = g
+            opt.step(params, lr, grad_clip)
+            # the update without the skip: every tensor, 0.0 for a missing gradient
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in
+                                 (0.0 if g is None else g for g in grads.values())))
+            scale = grad_clip / norm if grad_clip is not None and norm > grad_clip else None
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for n, (p, m, v) in ref.items():
+                g = 0.0 if grads[n] is None else grads[n]
+                if scale is not None:
+                    g = np.multiply(g, scale)
+                np.add(m * b1, g * (1.0 - b1), out=m)
+                np.add(v * b2, np.multiply(g, 1.0 - b2) * g, out=v)
+                p -= ((m / c1) / (np.sqrt(v / c2) + eps)) * lr
+                assert p.tobytes() == params[n].data.tobytes(), (t, n)
+                assert m.tobytes() == opt.m[n].tobytes(), (t, n)
+                assert v.tobytes() == opt.v[n].tobytes(), (t, n)
+        assert (trainer_mod._pool is not None) == two
+        assert not opt.m["z"].any() and not opt.v["z"].any()
+        assert opt.m["n"].all() and opt.v["n"].all()
 
     @pytest.mark.parametrize("detach", [np.copy, np.transpose], ids=["copy", "transpose"])
     def test_detached_parameter_rejected_before_any_change(self, detach):
@@ -963,6 +1005,34 @@ class TestTrainingLoop:
         for name in crash.params.names():
             assert np.all(np.isfinite(crash.opt.m[name]))
             assert np.all(np.isfinite(crash.opt.v[name]))
+
+    def test_split_without_held_out_users_trains(self, small_split, small_sched):
+        # no validation or test user to size negatives from, and none needed
+        split = replace(small_split, validation=[], test=[])
+        state = init_state(tiny_model_cfg(split),
+                           TrainConfig(batch_size=64, epochs=2, warmup_epochs=1, seed=5),
+                           small_sched, "diff_de")
+        fit(state, split, eval_every=0)
+        assert [r["stage"] for r in state.history] == ["warmup", "main"]
+        assert state.global_step == 2 * count_steps_per_epoch(
+            build_training_examples(split), 64)
+
+    @pytest.mark.parametrize("eval_every,want", [(0, 0), (1, 1)])
+    def test_auto_negatives_only_when_validating(self, small_split, small_sched,
+                                                 monkeypatch, eval_every, want):
+        calls = []
+        real = evaluation_mod.auto_negatives
+
+        def spy(split):
+            calls.append(1)
+            return real(split)
+
+        monkeypatch.setattr(evaluation_mod, "auto_negatives", spy)
+        state = init_state(tiny_model_cfg(small_split),
+                           TrainConfig(batch_size=64, epochs=1, warmup_epochs=0, seed=5),
+                           small_sched, "diff")
+        fit(state, small_split, eval_every=eval_every, eval_steps=1)
+        assert len(calls) == want
 
     def test_rejects_zero_negatives_before_training(self, small_split, small_sched):
         state = init_state(tiny_model_cfg(small_split), TrainConfig(epochs=1, seed=5),
