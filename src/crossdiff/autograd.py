@@ -15,15 +15,11 @@ it, so after the pass only leaves keep `.grad`; the rules, and the
 activations they hold, live until the graph is dropped. A bias is part of its
 product's node (`matmul(a, W, bias)`), not a separate addition.
 
-Given a pool (a one-worker executor), `backward` hands every gradient into
-a leaf to the worker, which computes it and folds it into the leaf, and walks
-on: nothing in the walk reads a leaf's gradient, and no rule writes into the
-arrays another rule reads. The worker runs its queue in order, so each leaf
-sums the same arrays in the walk's order, and during the walk only the
-worker writes a leaf's `.grad`. After the walk, and also when the walk
-raises, `backward` waits for the worker; when both raise, the walk's error
-is the one raised, as without a pool. Each gradient is the same call on the
-same arrays, so the bits are those of the walk without a pool, in which
+Given a pool (a one-worker executor), `backward` walks inside a `_Worker`
+and hands it every gradient into a leaf, which the worker computes and folds
+into the leaf; nothing in the walk reads a leaf's gradient, and no rule
+writes into the arrays another rule reads. Each leaf sums the same arrays in
+the walk's order, so the bits are those of the walk without a pool, in which
 every gradient goes straight into its input.
 
 Each primitive is one `_op(value, (parent, rule), ...)` call: its forward
@@ -44,6 +40,7 @@ rests on this, and a guard test pins it for the BLAS in use.
 from __future__ import annotations
 
 import contextlib
+import functools
 from concurrent.futures import wait
 
 import numpy as np
@@ -108,19 +105,12 @@ class Tensor:
             stack.append((node, True))
             for p, _ in node._parents:
                 stack.append((p, False))
-        handover = _Handover(pool)
         self._accumulate(np.ones_like(self.data))
-        try:
+        with _Worker(pool) as worker:
             for node in reversed(topo):
                 if node._backward is not None:
-                    node._backward(node.grad, handover)
+                    node._backward(node.grad, worker)
                     node.grad = None
-        except BaseException:
-            # the worker finishes either way, and the walk's error is the one raised
-            with contextlib.suppress(Exception):
-                handover.drain()
-            raise
-        handover.drain()
 
     # operator sugar; constants are promoted on the fly
     def __add__(self, other):
@@ -191,25 +181,39 @@ def _fold(p, rule, g):
     p._accumulate(_unbroadcast(rule(g), p.data.shape))
 
 
-class _Handover:
-    """Where a backward walk puts each input's gradient. Given a pool, every
-    gradient into a leaf goes to the pool; any other into its input at once."""
+class _Worker:
+    """Calls handed to a one-worker executor, `pool`, and waited for together.
+
+    start(fn, *args, **kwargs) returns a function that gives fn's result.
+    Given a pool, fn is queued at once and the worker runs its queue in
+    order; without one, fn runs where its result is taken, so the order of
+    work and of errors is that of the inline code. Leaving a `with` block
+    over the worker waits for every call it queued, so none outlives the
+    block (nor runs while `no_grad` flips the grad switch every op reads);
+    then the block's own error is raised if it raised, else the first error
+    of a queued call.
+    """
 
     def __init__(self, pool=None):
         self.pool = pool
-        self.futures = []
+        self._futures = []
 
-    def give(self, p, rule, g):
-        if self.pool is not None and p._backward is None:
-            self.futures.append(self.pool.submit(_fold, p, rule, g))
-        else:
-            _fold(p, rule, g)
+    def start(self, fn, *args, **kwargs):
+        if self.pool is None:
+            return functools.partial(fn, *args, **kwargs)
+        self._futures.append(self.pool.submit(fn, *args, **kwargs))
+        return self._futures[-1].result
 
-    def drain(self):
-        """Wait for the worker; the first error it raised is raised here."""
-        wait(self.futures)
-        for f in self.futures:
-            f.result()
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, tb):
+        wait(self._futures)
+        if kind is None:
+            # exception(), not result(): a result the block took is not taken again
+            for f in self._futures:
+                if f.exception() is not None:
+                    raise f.exception()
 
 
 def _op(value, *edges):
@@ -217,7 +221,8 @@ def _op(value, *edges):
 
     Each edge is a (parent, rule) pair; rule maps the output's gradient to
     that parent's gradient, before the sum over broadcast axes. Backward hands
-    the edges over in order, skipping parents that need no gradient.
+    the edges over in order, skipping parents that need no gradient; given a
+    pool, a leaf's gradient goes to the worker.
     """
     out = Tensor(value)
     if _grad_enabled:
@@ -227,10 +232,13 @@ def _op(value, *edges):
         else:
             return out
 
-        def backward(g, handover):
+        def backward(g, worker):
             for p, rule in edges:
                 if p.requires_grad:
-                    handover.give(p, rule, g)
+                    if worker.pool is not None and p._backward is None:
+                        worker.start(_fold, p, rule, g)   # a leaf's gradient
+                    else:
+                        _fold(p, rule, g)
 
         out.requires_grad = True
         out._parents = edges

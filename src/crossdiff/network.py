@@ -25,22 +25,18 @@ attends over the guide, whose keys and values `guide_memory` projects once
 per batch for a whole reverse chain.
 
 Within one training step, enc_x, enc_y and the augmented view's enc_c read
-none of each other's outputs. Given a pool (a one-worker executor, which
-only training passes), the worker's queue holds enc_y and then the
-augmented view's enc_c, both started before the caller runs enc_x; the
-caller goes on to the denoiser, and takes the augmented view only when the
-contrastive term needs it. Every op is the same call on the same arrays,
-and backward's walk order follows only the graph's edges, not the order in
-which nodes were built, so every bit is that of the forward without a pool.
+none of each other's outputs, so the forward starts enc_y and then the
+augmented view (an `autograd._Worker`'s start) before it runs enc_x, and
+takes the view only when the contrastive term needs it. Backward's walk
+order follows only the graph's edges, not the order in which nodes were
+built, so every bit is that of the inline forward.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from collections.abc import Callable
-from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -539,35 +535,6 @@ def denoise(params: ParameterSet, cfg: ModelConfig, x_t: Tensor, t: np.ndarray,
 # ---------------------------------------------------------------------------
 # model-level forward
 
-@contextlib.contextmanager
-def _branches(pool=None):
-    """Forward branches that read no other branch's output.
-
-    Inside the block, start(fn, *args, **kwargs) returns a function that
-    gives fn(*args, **kwargs). Given a pool (a one-worker executor), fn goes
-    to the worker at once, which runs branches in the order they started;
-    without one, it runs where its result is taken, so the order of work and
-    of errors is that of the inline code. Leaving the block by an error
-    waits for every branch it started, so none outlives the forward (nor
-    runs while `autograd.no_grad` flips the grad switch every op reads), and
-    this thread's error is raised. A branch whose result the block does not
-    take runs on until its result is taken.
-    """
-    submitted = []
-
-    def start(fn, *args, **kwargs):
-        if pool is None:
-            return functools.partial(fn, *args, **kwargs)
-        submitted.append(pool.submit(fn, *args, **kwargs))
-        return submitted[-1].result
-
-    try:
-        yield start
-    except BaseException:
-        wait(submitted)
-        raise
-
-
 @dataclass
 class GuidanceBundle:
     guide: Tensor | None = None   # None when the forward builds no guide (warm-up)
@@ -583,12 +550,11 @@ def guidance_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatc
                      aug: bool = False, guide: bool = True) -> GuidanceBundle:
     """Everything upstream of the denoiser for one batch of sequences.
 
-    start is a `_branches` starter; by default each branch runs where its
-    result is taken. Training's starter hands enc_y to the worker while this
-    thread encodes domain x. With aug, the batch's augmented view goes
-    through enc_c (pooled) as a branch started right behind enc_y, and the
-    bundle's take_aug takes it. Without guide (warm-up) the bundle holds no
-    guide.
+    start is an `autograd._Worker`'s start; by default each branch runs
+    where its result is taken. enc_y is a branch, and with aug the batch's
+    augmented view goes through enc_c (pooled) as a branch started right
+    behind it, which the bundle's take_aug takes. Without guide (warm-up)
+    the bundle holds no guide.
 
     The domain encoders run every row only for a guided variant's guide;
     otherwise they encode each sequence's last row alone, and gd_hat is
@@ -650,32 +616,26 @@ class ForwardBundle:
 
 def training_forward(params: ParameterSet, cfg: ModelConfig, batch: SequenceBatch,
                      variant: VariantConfig, sched, t: np.ndarray | None,
-                     eps: np.ndarray | None, pool=None) -> ForwardBundle:
+                     eps: np.ndarray | None, start=functools.partial) -> ForwardBundle:
     """Produce every representation the objectives need for one batch.
 
     With neither timesteps nor noise (the warm-up stage) the diffusion and
     contrastive paths are skipped entirely and no guide is built, so only
     the domain encoders and the embeddings receive gradient.
 
-    Given a pool (a one-worker executor), two encoder passes that read no
-    other pass's output run on the worker, queued in this order before this
-    thread starts enc_x: enc_y, and the augmented view's enc_c. This thread
-    runs enc_x and the denoiser, and returns without waiting for the
+    start is guidance_forward's. The forward returns without taking the
     augmented view: the bundle's h_aug takes it, so a caller can build the
-    terms that do not read it first. Each op is the same call on the same
-    arrays, and backward's walk order follows only the graph's edges, so
-    every bit is that of the run without a pool.
+    terms that do not read it first.
     """
     if (t is None) != (eps is None):
         raise ValueError("pass both timesteps and noise (main stage) or neither (warm-up)")
-    with _branches(pool) as start:
-        gb = guidance_forward(params, cfg, batch, variant, start,
-                              aug=(t is not None and variant.use_tricl
-                                   and batch.aug_idx is not None),
-                              guide=t is not None)
-        if t is None:
-            return ForwardBundle(guidance=gb)
-        x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
-        x_t = forward_diffuse(x0, t, eps, sched)
-        memory = guide_memory(params, cfg, gb.guide, gb.guide_valid)
-        return ForwardBundle(gb, x0, denoise(params, cfg, x_t, t, memory))
+    gb = guidance_forward(params, cfg, batch, variant, start,
+                          aug=(t is not None and variant.use_tricl
+                               and batch.aug_idx is not None),
+                          guide=t is not None)
+    if t is None:
+        return ForwardBundle(guidance=gb)
+    x0 = gather_concat(params["emb_x"], params["emb_y"], batch.x0_idx)
+    x_t = forward_diffuse(x0, t, eps, sched)
+    memory = guide_memory(params, cfg, gb.guide, gb.guide_valid)
+    return ForwardBundle(gb, x0, denoise(params, cfg, x_t, t, memory))

@@ -8,18 +8,18 @@ and generator state).
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import json
 import math
 import os
 import shutil
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
+from .autograd import _Worker
 from .data import (AUGMENTATION_OPS, AugmentationSpec, DatasetSplit,
                    UserSequence, augment)
 from .diffusion import DiffusionSchedule, build_schedule, strided_steps
@@ -98,14 +98,22 @@ def _cores() -> int:
 @functools.cache
 def _openblas_threads_getter():
     """The thread-count getter of the OpenBLAS that numpy loaded, or None where
-    none can be found (another BLAS, or no /proc/self/maps)."""
+    none can be found (another BLAS, no /proc/self/maps, or a library that
+    cannot be opened again)."""
     try:
         with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+            # a line's path is all that follows its fifth field, spaces included
+            libs = {fields[5] for fields in (line.rstrip("\n").split(maxsplit=5) for line in fh)
+                    if len(fields) == 6 and "openblas" in fields[5].lower()}
     except OSError:
         return None
     for path in sorted(libs):
-        lib = ctypes.CDLL(path)
+        if path.endswith(" (deleted)"):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                     "openblas_get_num_threads"):
             fn = getattr(lib, sym, None)
@@ -247,14 +255,9 @@ def _offsets(params: ParameterSet):
 def _split(pool, fn, cut: int, n: int) -> tuple:
     """(fn(0, 0, cut), fn(1, cut, n)). Given a pool, the worker thread runs the
     second while this thread runs the first."""
-    if pool is None:
-        return fn(0, 0, cut), fn(1, cut, n)
-    second = pool.submit(fn, 1, cut, n)
-    try:
-        first = fn(0, 0, cut)
-    finally:
-        wait([second])   # the worker never outlives an error raised here
-    return first, second.result()
+    with _Worker(pool) as worker:
+        second = worker.start(fn, 1, cut, n)
+        return fn(0, 0, cut), second()
 
 
 @dataclass
@@ -316,24 +319,19 @@ def train_step(state: TrainState, batch: SequenceBatch, warmup: bool,
         t_arr = state.rng.integers(1, cfg.T + 1, size=B)
         eps = state.rng.standard_normal((B, cfg.d))
     pool = _executor() if _two_threads(state.params) else None
-    bundle = training_forward(state.params, cfg, batch, state.variant, state.sched,
-                              t_arr, eps, pool)
-    gb = bundle.guidance
-    try:
+    with _Worker(pool) as worker:
+        bundle = training_forward(state.params, cfg, batch, state.variant, state.sched,
+                                  t_arr, eps, worker.start)
+        gb = bundle.guidance
         # the worker may still be encoding the augmented view, which neither
         # of these terms reads
         l_diff = None if warmup else diffusion_loss(bundle.x0, bundle.x0_hat)
         l_rec = rec_loss(bundle.x0_hat, gb.gx_hat, gb.gy_hat,
                          batch.tx, batch.wx, batch.ty, batch.wy,
                          state.params["emb_x"], state.params["emb_y"])
-    except BaseException:
-        # no branch outlives the step, and this thread's error is raised
-        with contextlib.suppress(Exception):
-            bundle.h_aug
-        raise
-    l_cl = None
-    if bundle.h_aug is not None and B >= 2:
-        l_cl = tri_view_cl_loss(bundle.x0_hat, gb.gd_hat, bundle.h_aug)
+        l_cl = None
+        if bundle.h_aug is not None and B >= 2:
+            l_cl = tri_view_cl_loss(bundle.x0_hat, gb.gd_hat, bundle.h_aug)
     total, breakdown = total_loss(l_diff, l_rec, l_cl)
     state.params.zero_grads()
     total.backward(pool=pool)

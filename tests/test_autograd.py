@@ -648,6 +648,39 @@ def test_backward_with_a_pool_interleaves_one_leafs_gradients_in_walk_order(work
     assert kinds != sorted(kinds) and kinds != sorted(kinds, reverse=True)
 
 
+def test_worker_waits_for_every_queued_call_and_raises_one_error(worker):
+    """_Worker: without a pool a call runs only when its result is taken;
+    leaving the block waits for every queued call, then raises the block's
+    error if it raised, else the first error of a queued call."""
+    ran = []
+
+    def call(name, delay=0.0, error=None):
+        time.sleep(delay)
+        ran.append(name)
+        if error is not None:
+            raise error
+        return name
+
+    with ag._Worker() as inline:
+        take = inline.start(call, "taken")
+        inline.start(call, "never taken")
+        assert ran == []
+        assert take() == "taken"
+    assert ran == ["taken"]
+    ran.clear()
+    with pytest.raises(ValueError, match="block"), ag._Worker(worker) as queued:
+        queued.start(call, "slow", 0.1, KeyError("queued"))
+        queued.start(call, "after")
+        raise ValueError("block")
+    assert ran == ["slow", "after"]
+    ran.clear()
+    with pytest.raises(KeyError, match="first"), ag._Worker(worker) as queued:
+        assert queued.start(call, "taken")() == "taken"
+        queued.start(call, "failing", 0.05, KeyError("first"))
+        queued.start(call, "failing too", 0.0, KeyError("second"))
+    assert ran == ["taken", "failing", "failing too"]
+
+
 # one call of every public primitive and composite, on leaves x (2, 3) and
 # y (3, 2) that both require grad
 CALLS = {

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crossdiff import network
-from crossdiff.autograd import (Tensor, _Handover, gather_concat, gather_rows, gelu,
+from crossdiff.autograd import (Tensor, _Worker, gather_concat, gather_rows, gelu,
                                 layer_norm, masked_softmax, matmul, no_grad, reshape, sum_,
                                 swapaxes)
 from crossdiff.data import (
@@ -940,10 +940,10 @@ def _backward_keeping_grads(self):
         for p, _ in node._parents:
             stack.append((p, False))
     self._accumulate(np.ones_like(self.data))
-    handover = _Handover()
+    worker = _Worker()
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward(node.grad, handover)
+            node._backward(node.grad, worker)
 
 
 def _graph_nodes(root):

@@ -1,5 +1,6 @@
 """Optimizer math, schedule shape, batching, warm-up staging, checkpoints."""
 
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 import crossdiff.evaluation as evaluation_mod
 import crossdiff.network as network_mod
 import crossdiff.trainer as trainer_mod
-from crossdiff.autograd import Tensor
+from crossdiff.autograd import Tensor, _Worker
 from crossdiff.data import (AugmentationSpec, SyntheticConfig, UserSequence, augment,
                             filter_and_split, generate_synthetic)
 from crossdiff.diffusion import build_schedule
@@ -547,6 +549,60 @@ class TestAdam:
                                  capture_output=True, text=True).stdout
             assert out.strip() == threads
 
+    @pytest.mark.skipif(trainer_mod._blas_threads() is None,
+                        reason="numpy's BLAS is not an OpenBLAS whose thread count can be read")
+    def test_blas_threads_reads_a_path_with_a_space(self, monkeypatch, tmp_path):
+        """A mapped library's path is read whole, spaces and all; a deleted
+        library and one that cannot be opened are passed over, and with
+        nothing else mapped the count is unknown."""
+        threads = trainer_mod._blas_threads()
+        with open("/proc/self/maps") as fh:
+            loaded = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in fh
+                             if "openblas" in line.lower()})
+        spaced = tmp_path / "sp ace" / "libs"
+        spaced.mkdir(parents=True)
+        links = [spaced / os.path.basename(path) for path in loaded]
+        for link, path in zip(links, loaded):
+            link.symlink_to(path)
+        deleted = spaced / "libopenblas.so (deleted)"   # it opens, but its name says stale
+        deleted.symlink_to(loaded[0])
+        skipped = [str(deleted), str(spaced / "missing libopenblas.so")]
+
+        def maps(paths):
+            lines = "".join("7f00-7f01 r-xp 00000000 fe:00 1          %s\n" % p for p in paths)
+            return lambda path: io.StringIO(lines)
+
+        monkeypatch.setattr(trainer_mod, "open", maps(skipped + links), raising=False)
+        trainer_mod._openblas_threads_getter.cache_clear()
+        try:
+            assert trainer_mod._blas_threads() == threads
+            monkeypatch.setattr(trainer_mod, "open", maps(skipped), raising=False)
+            trainer_mod._openblas_threads_getter.cache_clear()
+            assert trainer_mod._blas_threads() is None
+        finally:
+            trainer_mod._openblas_threads_getter.cache_clear()
+
+    def test_split_waits_for_the_second_half_and_raises_the_first_halfs_error(self):
+        done = []
+
+        def fn(half, lo, hi):
+            if half == 0:
+                raise ValueError("first half")
+            time.sleep(0.1)
+            done.append((lo, hi))
+            raise KeyError("second half")
+
+        with pytest.raises(ValueError, match="first half"):
+            trainer_mod._split(None, fn, 3, 8)
+        assert done == []   # without a pool the second half never starts
+        pool = ThreadPoolExecutor(1)
+        try:
+            with pytest.raises(ValueError, match="first half"):
+                trainer_mod._split(pool, fn, 3, 8)
+            assert done == [(3, 8)]
+        finally:
+            pool.shutdown()
+
 
 class TestForwardBranches:
     """The forward's enc_y and augmented-view enc_c on the worker thread."""
@@ -666,9 +722,9 @@ class TestForwardBranches:
         self.failing(monkeypatch, *on_worker, KeyError("worker"), 0.0 if worker_first else 0.1)
         self.failing(monkeypatch, *on_caller, ValueError("caller"), 0.1 if worker_first else 0.0)
         for pool in (None, trainer_mod._executor()):
-            with pytest.raises(ValueError, match="caller"):
+            with pytest.raises(ValueError, match="caller"), _Worker(pool) as worker:
                 network_mod.training_forward(state.params, cfg, batch, state.variant,
-                                             small_sched, t, eps, pool)
+                                             small_sched, t, eps, worker.start)
             assert all(f.done() for f in futures)
         # both branches were queued, enc_y first, before enc_x started
         assert len(futures) == 2

@@ -31,8 +31,7 @@ one SHA-256 for each of four sections:
   It fails unless each of the 36 steps (12 warm-up, 24 main) handed at
   least one weight-gradient GEMM to the worker, and each warm-up step one
   forward branch and each main step two, so it needs two CPUs; it counts
-  both at the worker's executor, so it digests a tree from before either
-  hand-over too, without that check.
+  both at the worker's executor.
 - cli: synth, prepare, train (`full` with a gradient clip, and `diff`),
   eval (also `--use-best --part valid`), robust, sweep and ablate. It
   digests every file the commands write and their standard output, leaving
@@ -232,17 +231,16 @@ def wide_section() -> str:
                             grad_clip=1.0, seed=16)
     state = init_state(model_cfg, train_cfg, sched, variant="full")
     # for each step: whether it is a warm-up step, how many weight-gradient
-    # GEMMs and how many forward branches went to the worker. A GEMM is the
-    # submitted call itself in a tree from before backward handed every leaf
-    # gradient to the worker, and the rule that call folds from then on.
+    # GEMMs (folds whose rule is a _WeightGrad) and how many forward branches
+    # went to the worker
     steps, pool, real_step = [], trainer._executor(), trainer.train_step
     real_submit = pool.submit
 
     def submit(fn, *args, **kwargs):
-        if any(type(x).__name__ == "_WeightGrad" for x in (fn,) + args[1:2]):
-            steps[-1][1] += 1
-        elif fn is getattr(network, "encode_sequence", None):
+        if fn is network.encode_sequence:
             steps[-1][2] += 1
+        elif fn is autograd._fold and type(args[1]) is autograd._WeightGrad:
+            steps[-1][1] += 1
         return real_submit(fn, *args, **kwargs)
 
     def train_step(state, batch, warmup, lr):
@@ -256,14 +254,11 @@ def wide_section() -> str:
         del pool.submit
         trainer.train_step = real_step
     cpus = len(os.sched_getaffinity(0))
-    # a tree from before backward handed GEMMs to the worker has no _WeightGrad
-    if hasattr(autograd, "_WeightGrad") and (len(steps) != state.global_step
-                                             or any(n == 0 for _, n, _ in steps)):
+    if len(steps) != state.global_step or any(n == 0 for _, n, _ in steps):
         raise SystemExit("%d of %d steps handed no GEMM to the worker (%d CPUs)"
                          % (sum(n == 0 for _, n, _ in steps), len(steps), cpus))
-    # a tree from before the forward ran branches on the worker has no _branches
     wrong = [n != (1 if warm else 2) for warm, _, n in steps]
-    if hasattr(network, "_branches") and any(wrong):
+    if any(wrong):
         raise SystemExit("%d of %d steps did not hand the worker one forward branch "
                          "(warm-up) or two (main) (%d CPUs)" % (sum(wrong), len(steps), cpus))
     h = hashlib.sha256()
