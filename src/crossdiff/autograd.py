@@ -116,27 +116,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    __rmul__ = __mul__
-
     def __sub__(self, other):
         return add(self, mul(_wrap(other), _NEG_ONE))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), mul(self, _NEG_ONE))
-
-    def __neg__(self):
-        return mul(self, _NEG_ONE)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __repr__(self):
         return "Tensor(shape=%r, requires_grad=%r)" % (self.shape, self.requires_grad)

@@ -75,11 +75,6 @@ class Vocab:
         """True for a real item's index; False for reserved rows and other domains."""
         return self.base + N_RESERVED <= index < self.base + self.size
 
-    def item_of(self, index: int) -> str:
-        if not self.is_item(index):
-            raise IndexError("index %d is not a real item of domain %s" % (index, self.domain))
-        return self.items[index - self.base - N_RESERVED]
-
     def contains(self, index: int) -> bool:
         """True for any index in this domain's range, reserved rows included."""
         return self.base <= index < self.base + self.size
@@ -155,8 +150,29 @@ def ingest_log(path: str, fmt: str = "tsv"):
     return events, errors
 
 
-def _survivors(events: list[InteractionEvent], min_user_interactions: int,
-               min_per_domain: int, max_seq_len: int):
+def filter_and_split(events: list[InteractionEvent],
+                     min_user_interactions: int = 10,
+                     min_per_domain: int = 3,
+                     max_seq_len: int = 15) -> DatasetSplit:
+    """Threshold users, truncate to the most recent items, split leave-one-out.
+
+    Thresholds apply to each user's full history; truncation happens after.
+    Users with fewer than 3 surviving items cannot be split and are dropped
+    regardless of thresholds. Vocabularies cover surviving items only.
+    """
+    return filter_and_split_with_stats(events, min_user_interactions, min_per_domain,
+                                       max_seq_len)[0]
+
+
+def filter_and_split_with_stats(events: list[InteractionEvent],
+                                min_user_interactions: int = 10,
+                                min_per_domain: int = 3,
+                                max_seq_len: int = 15) -> tuple[DatasetSplit, dict]:
+    """filter_and_split's split, and the counts of users kept and dropped by
+    each filter threshold, from one filtering pass."""
+    if max_seq_len < 3:
+        raise ValueError("max_seq_len must be >= 3, got %d" % max_seq_len)
+
     by_user: dict[str, list[InteractionEvent]] = {}
     for ev in events:
         by_user.setdefault(ev.user_id, []).append(ev)
@@ -177,45 +193,9 @@ def _survivors(events: list[InteractionEvent], min_user_interactions: int,
              "n_users_kept": len(surviving),
              "dropped_by_total_threshold": dropped_total,
              "dropped_by_domain_threshold": dropped_domain}
-    return surviving, stats
-
-
-def survival_stats(events: list[InteractionEvent],
-                   min_user_interactions: int = 10,
-                   min_per_domain: int = 3,
-                   max_seq_len: int = 15) -> dict:
-    """Counts of users kept and dropped by each filter threshold."""
-    _, stats = _survivors(events, min_user_interactions, min_per_domain, max_seq_len)
-    return stats
-
-
-def filter_and_split(events: list[InteractionEvent],
-                     min_user_interactions: int = 10,
-                     min_per_domain: int = 3,
-                     max_seq_len: int = 15) -> DatasetSplit:
-    """Threshold users, truncate to the most recent items, split leave-one-out.
-
-    Thresholds apply to each user's full history; truncation happens after.
-    Users with fewer than 3 surviving items cannot be split and are dropped
-    regardless of thresholds. Vocabularies cover surviving items only.
-    """
-    return filter_and_split_with_stats(events, min_user_interactions, min_per_domain,
-                                       max_seq_len)[0]
-
-
-def filter_and_split_with_stats(events: list[InteractionEvent],
-                                min_user_interactions: int = 10,
-                                min_per_domain: int = 3,
-                                max_seq_len: int = 15) -> tuple[DatasetSplit, dict]:
-    """filter_and_split and survival_stats from one filtering pass."""
-    if max_seq_len < 3:
-        raise ValueError("max_seq_len must be >= 3, got %d" % max_seq_len)
-
-    surviving, stats = _survivors(events, min_user_interactions, min_per_domain,
-                                  max_seq_len)
     if not surviving:
         binding = ("min_user_interactions=%d" % min_user_interactions
-                   if stats["dropped_by_total_threshold"] >= stats["dropped_by_domain_threshold"]
+                   if dropped_total >= dropped_domain
                    else "min_per_domain=%d" % min_per_domain)
         raise ValueError("no users survive filtering (binding threshold: %s)" % binding)
 
@@ -322,11 +302,6 @@ class GroundTruth:
     specific_interest: dict[str, int | None]
     specific_domain: dict[str, str | None]
     cluster_items: dict[tuple[str, int], list[str]]   # (domain, cluster) -> item ids
-    item_cluster: dict[tuple[str, str], int] = field(init=False)  # (domain, item id) -> cluster
-
-    def __post_init__(self):
-        self.item_cluster = {(dom, it): c for (dom, c), ids in self.cluster_items.items()
-                             for it in ids}
 
 
 def generate_synthetic(cfg: SyntheticConfig):
@@ -416,19 +391,6 @@ def save_ground_truth(truth: GroundTruth, path: str) -> None:
            "cluster_items": {"%s:%d" % k: v for k, v in truth.cluster_items.items()}}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
-
-
-def load_ground_truth(path: str) -> GroundTruth:
-    with open(path) as fh:
-        doc = json.load(fh)
-    cluster_items = {}
-    for key, ids in doc["cluster_items"].items():
-        dom, c = key.split(":")
-        cluster_items[(dom, int(c))] = list(ids)
-    return GroundTruth(shared_interest=dict(doc["shared_interest"]),
-                       specific_interest=dict(doc["specific_interest"]),
-                       specific_domain=dict(doc["specific_domain"]),
-                       cluster_items=cluster_items)
 
 
 # ---------------------------------------------------------------------------

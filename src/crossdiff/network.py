@@ -149,9 +149,6 @@ class ParameterSet(dict):
     def names(self):
         return list(self)
 
-    def tensors(self):
-        return list(self.values())
-
     @property
     def n_params(self) -> int:
         return self.store.size

@@ -148,6 +148,9 @@ def _two_threads(params: ParameterSet) -> bool:
 # and 2**12 45.4 and 67.6 ms, because per-block Python holds the GIL.
 _BLOCK = 2 ** 15
 
+# Adam's moment decays and the term that keeps its denominator off zero
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Standard Adam with bias correction; moments decay even at zero gradient.
@@ -166,11 +169,8 @@ class Adam:
     inline step.
     """
 
-    def __init__(self, params: ParameterSet, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 moments: np.ndarray | None = None):
+    def __init__(self, params: ParameterSet, moments: np.ndarray | None = None):
         """moments: a 2N vector to use as the moments (a checkpoint's), else zeros."""
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         n = params.n_params
         self.moments = np.zeros(2 * n) if moments is None else moments
@@ -207,9 +207,9 @@ class Adam:
         norm = math.sqrt(sq_norm)
         scale = grad_clip / norm if grad_clip is not None and norm > grad_clip else None
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        c1 = 1.0 - _BETA1 ** self.t
+        c2 = 1.0 - _BETA2 ** self.t
+        b1, b2, eps = _BETA1, _BETA2, _EPS
         m, v = self.moments[:n], self.moments[n:]
         # the update keeps every bit of a tensor with no gradient and zero
         # moments: m and v stay 0, and p - lr * (0 / eps) is p
@@ -531,9 +531,10 @@ def _read_blob(ckpt_dir: str, name: str, n_values: int) -> np.ndarray:
 def load_checkpoint(ckpt_dir: str) -> TrainState:
     """Restore what save_checkpoint wrote.
 
-    A manifest that is not JSON, lacks a field, or describes a run training
-    could not use raises ValueError naming `<ckpt_dir>/manifest.json`; a blob
-    of the wrong length raises ValueError naming the blob.
+    A manifest that is not JSON, lacks a field, holds a progress field of the
+    wrong type or range, or describes a run training could not use raises
+    ValueError naming `<ckpt_dir>/manifest.json`; a blob of the wrong length
+    raises ValueError naming the blob.
     """
     path = os.path.join(ckpt_dir, "manifest.json")
     try:
@@ -554,6 +555,17 @@ def load_checkpoint(ckpt_dir: str) -> TrainState:
         adam_t, has_best = manifest["adam_t"], manifest["has_best"]
         best_metric = manifest["best_metric"]
         progress = {key: manifest[key] for key in PROGRESS_FIELDS}
+        # a field of the wrong type would load and fail, or train wrongly, later
+        for key, low in (("adam_t", 0), ("epoch", 0), ("global_step", 0), ("best_epoch", -1)):
+            if type(manifest[key]) is not int or manifest[key] < low:
+                raise ValueError("%s must be an integer >= %d, got %r" % (key, low, manifest[key]))
+        if type(progress["history"]) is not list:
+            raise ValueError("history must be a list, got %r" % (progress["history"],))
+        if best_metric is not None and not (type(best_metric) in (int, float)
+                                            and math.isfinite(best_metric)):
+            raise ValueError("best_metric must be null or finite, got %r" % (best_metric,))
+        if type(has_best) is not bool:
+            raise ValueError("has_best must be true or false, got %r" % (has_best,))
     except (ValueError, KeyError, TypeError) as e:
         raise ValueError("%s: malformed manifest (%s: %s)"
                          % (path, type(e).__name__, e)) from None

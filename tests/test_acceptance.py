@@ -15,8 +15,8 @@ from scipy.special import logsumexp
 from crossdiff.autograd import Tensor, no_grad
 from crossdiff.cli import main as cli_main
 from crossdiff.data import (DOMAIN_X, SyntheticConfig, UserSequence,
-                            filter_and_split, generate_synthetic,
-                            ingest_log, load_split, survival_stats)
+                            filter_and_split, filter_and_split_with_stats,
+                            generate_synthetic, ingest_log, load_split)
 from crossdiff.diffusion import build_schedule, forward_diffuse, reverse_step
 from crossdiff.evaluation import (ablation_study, auto_negatives,
                                   compute_metrics, evaluate, noise_robustness,
@@ -152,7 +152,7 @@ def test_02_gradient_correctness():
     loss_at(params).backward()
     analytic = np.concatenate([
         (t.grad if t.grad is not None else np.zeros_like(t.data)).ravel()
-        for t in params.tensors()])
+        for t in params.values()])
 
     theta = params.to_vector()
     h = 1e-6
@@ -544,7 +544,7 @@ def test_10_preprocessing_conformance(tmp_path):
     assert row_errors == []
     assert len(events) == 70
 
-    stats = survival_stats(events)
+    stats = filter_and_split_with_stats(events)[1]
     assert stats["n_events"] == 70
     assert stats["n_users_total"] == 6
     assert stats["n_users_kept"] == 3

@@ -79,12 +79,21 @@ def test_mul_broadcast():
 
 
 def test_sub_neg_div():
-    check_grads(lambda a, b: (a - b) / (b * b + 2.0),
+    check_grads(lambda a, b: ag.div(a - b, b * b + 2.0),
                 [rand(3, 3, seed=5), rand(3, 3, seed=6, lo=0.5, hi=1.5)])
 
 
+@pytest.mark.parametrize("expr", [lambda t: np.ones(3) * t, lambda t: 2.0 * t,
+                                  lambda t: np.ones(3) + t],
+                         ids=["ndarray_times", "float_times", "ndarray_plus"])
+def test_constant_on_the_left_is_a_type_error(expr):
+    # a reflected operator would let numpy build an object array of Tensors
+    with pytest.raises(TypeError):
+        expr(Tensor(np.arange(3.0), requires_grad=True))
+
+
 def test_matmul_2d():
-    check_grads(lambda a, b: a @ b, [rand(3, 4, seed=7), rand(4, 2, seed=8)])
+    check_grads(lambda a, b: ag.matmul(a, b), [rand(3, 4, seed=7), rand(4, 2, seed=8)])
 
 
 def test_matmul_batched_broadcast():
@@ -454,7 +463,7 @@ def test_l2_normalize():
 
 def test_composite_expression():
     def build(a, b, g, bias):
-        h = ag.layer_norm(a @ b, g, bias)
+        h = ag.layer_norm(ag.matmul(a, b), g, bias)
         p = ag.masked_softmax(h, np.ones(h.data.shape))
         return ag.l2_normalize(ag.gelu(p + h))
     check_grads(build, [rand(3, 4, seed=34), rand(4, 5, seed=35),
@@ -470,7 +479,7 @@ def test_backward_requires_scalar():
 def test_no_grad_suppresses_tracking():
     t = Tensor(rand(2, 2, seed=39), requires_grad=True)
     with ag.no_grad():
-        out = ag.gelu(t @ t)
+        out = ag.gelu(ag.matmul(t, t))
     assert not out.requires_grad
     assert out._backward is None
 

@@ -191,13 +191,16 @@ class TestPrepare:
 
     def test_filters_once(self, pipeline, tmp_path, monkeypatch):
         calls = []
-        real = data_mod._survivors
+        real = data_mod.filter_and_split_with_stats
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(1)
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(data_mod, "_survivors", spy)
+        # the filter loop is written once, in filter_and_split_with_stats,
+        # which filter_and_split also calls
+        monkeypatch.setattr(data_mod, "filter_and_split_with_stats", spy)
+        monkeypatch.setattr(cli, "filter_and_split_with_stats", spy)
         out = str(tmp_path / "again")
         assert main(["prepare", "--input", os.path.join(pipeline["data"], "events.tsv"),
                      "--out", out]) == 0

@@ -383,7 +383,7 @@ class TestSampleBatch:
     def test_deterministic_under_seed_with_stub_denoiser(self, eval_setup,
                                                           monkeypatch):
         monkeypatch.setattr(evaluation, "denoise",
-                            lambda params, cfg, x_t, t, memory: 0.5 * x_t)
+                            lambda params, cfg, x_t, t, memory: x_t * 0.5)
         a = self._sample(eval_setup, seed=11)
         b = self._sample(eval_setup, seed=11)
         c = self._sample(eval_setup, seed=12)

@@ -574,7 +574,7 @@ def reference_denoise(params, cfg, x_t, t, guide, guide_valid):
     H, dh = cfg.n_heads, cfg.d // cfg.n_heads
 
     def proj(prefix, which, x):
-        out = x @ params["%s.attn.w%s" % (prefix, which)]
+        out = matmul(x, params["%s.attn.w%s" % (prefix, which)])
         return out if which == "k" else out + params["%s.attn.b%s" % (prefix, which)]
 
     def heads(x, B, L):
@@ -590,8 +590,8 @@ def reference_denoise(params, cfg, x_t, t, guide, guide_valid):
         probs = masked_softmax(matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh)), mask)
         h = h + proj(prefix, "o", reshape(swapaxes(matmul(probs, v), 1, 2), (B, Lq, cfg.d)))
         m = layer_norm(h, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
-        mlp = gelu(m @ params[prefix + ".mlp.w1"] + params[prefix + ".mlp.b1"])
-        return h + (mlp @ params[prefix + ".mlp.w2"] + params[prefix + ".mlp.b2"])
+        mlp = gelu(matmul(m, params[prefix + ".mlp.w1"]) + params[prefix + ".mlp.b1"])
+        return h + (matmul(mlp, params[prefix + ".mlp.w2"]) + params[prefix + ".mlp.b2"])
 
     B = x_t.data.shape[0]
     tok = reshape(x_t + gather_rows(params["step_emb"], t - 1), (B, 1, cfg.d))

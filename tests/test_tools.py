@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # stands in for perfbench/run.py: logs its call and writes a results file
@@ -107,3 +109,17 @@ def test_records_calibration_before_and_after_the_pairs(tmp_path, monkeypatch):
 
 def test_seed_ranges():
     assert load_bench_record()._seeds("401-403,7,9-9") == [401, 402, 403, 7, 9]
+
+
+@pytest.mark.parametrize("seeds", ["7", "5,5", "3-5,4"])
+def test_too_few_or_repeated_seeds_exit_before_any_command(tmp_path, monkeypatch, capsys,
+                                                           seeds):
+    module = load_bench_record()
+    ran = []
+    monkeypatch.setattr(module.subprocess, "run", lambda cmd, **kw: ran.append(cmd))
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--parent", ROOT, "--change", ROOT, "--workloads", "train_small",
+                     "--seeds", seeds, "--out", str(tmp_path / "BENCH.json")])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert ran == [] and not (tmp_path / "BENCH.json").exists()

@@ -143,8 +143,8 @@ class TestAdam:
         shapes = [("a", (3, 2)), ("b", (4,))]
         params = bare_params(shapes, seed=1)
         p0 = {n: p.data.copy() for n, p in params.items()}
-        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.05
-        opt = Adam(params, b1, b2, eps)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.05   # Adam's constants
+        opt = Adam(params)
         grads = {n: [rng.normal(size=s) for _ in range(5)] for n, s in shapes}
         for step in range(5):
             for n, _ in shapes:
@@ -172,7 +172,7 @@ class TestAdam:
             runs = []
             for missing in (None, np.zeros(2)):
                 params = bare_params([("a", (2,)), ("b", (2,))])
-                opt = Adam(params, 0.9, 0.99)
+                opt = Adam(params)
                 params["a"].grad = np.array([1.0, -2.0])
                 params["b"].grad = np.array([0.5, 0.25])
                 opt.step(params, 0.1, grad_clip=grad_clip)
@@ -181,7 +181,7 @@ class TestAdam:
                 params["b"].grad = np.array([3.0, -4.0])
                 opt.step(params, 0.1, grad_clip=grad_clip)
                 assert np.array_equal(opt.m["a"], 0.9 * m1)
-                assert np.array_equal(opt.v["a"], 0.99 * v1)
+                assert np.array_equal(opt.v["a"], 0.999 * v1)
                 runs.append((params, opt))
             (p_none, opt_none), (p_zero, opt_zero) = runs
             for n in ("a", "b"):
@@ -255,7 +255,7 @@ class TestAdam:
         on, and "b" has no gradient in the fourth."""
         shapes = [("a", (5, 4)), ("b", (4,)), ("c", (3, 7, 2)), ("d", (1,)), ("e", (6,))]
         params = bare_params(shapes, seed=8)
-        opt = Adam(params, 0.9, 0.99)
+        opt = Adam(params)
         rng = np.random.default_rng(9)
         for step in range(n_steps):
             for n, shape in shapes:
@@ -336,7 +336,7 @@ class TestAdam:
         none for the first tensor in the third. The params, the optimizer and
         the gradients each step got (None where there was none)."""
         params = bare_params(shapes, seed=12)
-        opt = Adam(params, 0.9, 0.99)
+        opt = Adam(params)
         rng = np.random.default_rng(13)
         given = []
         for step in range(4):
@@ -387,7 +387,7 @@ class TestAdam:
         p0 = bare_params(shapes, seed=12)
         for name, _ in shapes:
             want = reference_adam_run([grads[name] for grads in given], p0[name].data,
-                                      0.05, 0.9, 0.99, 1e-8)
+                                      0.05, 0.9, 0.999, 1e-8)
             assert np.max(np.abs(params[name].data - want)) < 1e-12
 
     @pytest.mark.parametrize("grad_clip", [None, 1.0])
@@ -1143,6 +1143,19 @@ class TestParameterStore:
         assert not np.array_equal(state.params.store, first)
 
 
+def _set_field(key, value):
+    """A manifest edit that sets one field."""
+    return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+# progress fields of the wrong type or range: each would load, then fail or
+# train wrongly in the next fit
+_BAD_FIELDS = [("adam_t", "3"), ("adam_t", -5), ("adam_t", 2.5), ("adam_t", True),
+               ("epoch", "1"), ("global_step", "x"), ("best_epoch", "z"),
+               ("best_epoch", -2), ("history", 5), ("best_metric", "hi"),
+               ("best_metric", math.nan), ("has_best", "no")]
+
+
 class TestCheckpoints:
     def trained_state(self, small_split, small_sched, epochs=2, seed=9):
         cfg = tiny_model_cfg(small_split)
@@ -1284,8 +1297,9 @@ class TestCheckpoints:
                                   if k != "rng_state"}), r"KeyError: 'rng_state'"),
         (lambda text: json.dumps({**json.loads(text), "model_cfg": {"width": 3}}),
          r"TypeError: .*unexpected keyword argument 'width'"),
-    ], ids=["not_json", "not_an_object", "no_variant", "no_rng_state",
-            "unknown_model_key"])
+    ] + [(_set_field(key, value), r"ValueError: %s must be " % key) for key, value in _BAD_FIELDS],
+        ids=["not_json", "not_an_object", "no_variant", "no_rng_state",
+             "unknown_model_key"] + ["%s=%r" % kv for kv in _BAD_FIELDS])
     def test_malformed_manifest_names_the_file(self, small_split, small_sched, tmp_path,
                                                edit, error):
         state = self.trained_state(small_split, small_sched, epochs=1)

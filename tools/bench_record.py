@@ -70,11 +70,17 @@ def _load(results_dir, pairs):
 
 
 def _seeds(text):
-    """'401-410' or '5,7,9' (or a mix) -> [401, ..., 410]."""
+    """'401-410' or '5,7,9' (or a mix) -> [401, ..., 410]. The record's
+    quartiles need at least two seeds, and a repeated seed would run twice
+    but be recorded once."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError("need at least two seeds, got %r" % text)
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError("a seed is repeated in %r" % text)
     return seeds
 
 
