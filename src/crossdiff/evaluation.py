@@ -6,10 +6,11 @@ compared, and the 1-based rank of the true item (pessimistic under ties)
 feeds hit rate, NDCG, and reciprocal-rank metrics per domain. Robustness,
 step-count sweeps, and the ablation grid reuse the same pipeline.
 
-On a machine with two usable CPUs, `evaluate` forks one worker per call,
-which ranks the second half of every batch while the caller ranks the first.
-A user's bits do not depend on who shares the batch, so every report is the
-one a single process gives.
+On a machine with two usable CPUs, `evaluate` forks one child per call.
+Both processes build every batch; the caller ranks the first half of each
+and the child the second, neither waiting for the other, and the child sends
+all its ranks back in one message. A user's bits do not depend on who shares
+the batch, so every report is the one a single process gives.
 """
 
 from __future__ import annotations
@@ -166,73 +167,49 @@ def _rows(batch, rows: slice):
                    valid=batch.valid[rows])
 
 
-def _rank_worker(conn, callers_end, rank) -> None:
-    """The forked worker: rank each (lo, hi, batch) it receives until end-of-file,
-    and send back the ranks or the exception they raised."""
-    callers_end.close()   # inherited through fork; left open, the caller's close sends no EOF
-    while True:
+@contextlib.contextmanager
+def _forked(fn):
+    """Fork one child that runs fn() while the block runs, and yield take(),
+    which returns fn()'s result or raises the exception fn() raised.
+
+    A child that exits without sending is a RuntimeError naming its exit
+    code. If the block raises, the child is killed, not waited for; either
+    way it is joined before the block is left. It is forked, not spawned,
+    because fn needs the caller's memory and a spawned child would spend
+    longer starting than an evaluation pass takes. `evaluate`'s fn runs
+    forward numpy code only, never the worker thread that training's
+    forward, backward and Adam share.
+    """
+    fork = multiprocessing.get_context("fork")
+    ours, theirs = fork.Pipe(duplex=False)
+
+    def child():
         try:
-            job = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (rank(*job), None)
+            reply = (fn(), None)
         except Exception as exc:   # the caller raises it
             reply = (None, exc)
-        try:
-            conn.send(reply)
-        except ConnectionError:   # the caller's own half raised, and it stopped listening
-            return
+        theirs.send(reply)
 
-
-def _worker_died(proc) -> RuntimeError:
-    proc.join()
-    return RuntimeError("the evaluation worker exited with code %s" % proc.exitcode)
-
-
-@contextlib.contextmanager
-def _on_two_cores(rank, largest_batch: int):
-    """Yield rank(lo, hi, batch), or a function giving the same ranks that hands
-    the second half of each batch to one worker forked for the block.
-
-    The worker runs when `_second_core` allows it (two CPUs, one BLAS thread),
-    `fork` exists, the caller is not a daemonic process (which may start none)
-    and a batch can hold two users. It is forked, not spawned, because it
-    needs the caller's model and users and a spawned one would spend longer
-    starting than a pass takes; it runs only forward numpy code and its pipe,
-    never the worker thread that training's forward, backward and Adam share.
-    It is joined whether the block returns or raises.
-    """
-    if (largest_batch < 2 or not _second_core()
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        yield rank
-        return
-    fork = multiprocessing.get_context("fork")
-    ours, theirs = fork.Pipe()
-    proc = fork.Process(target=_rank_worker, args=(theirs, ours, rank), daemon=True)
+    proc = fork.Process(target=child, daemon=True)
     proc.start()
     theirs.close()
 
-    def rank_batch(lo, hi, batch):
-        h = (hi - lo) // 2
-        if h == 0:
-            return rank(lo, hi, batch)
+    def take():
         try:
-            ours.send((lo + h, hi, _rows(batch, slice(h, None))))
-        except ConnectionError:
-            raise _worker_died(proc) from None
-        mine = rank(lo, lo + h, _rows(batch, slice(0, h)))
-        try:
-            worker_ranks, exc = ours.recv()
+            result, exc = ours.recv()
         except EOFError:
-            raise _worker_died(proc) from None
+            proc.join()
+            raise RuntimeError("the evaluation worker exited with code %s"
+                               % proc.exitcode) from None
         if exc is not None:
             raise exc
-        return mine + worker_ranks
+        return result
 
     try:
-        yield rank_batch
+        yield take
+    except BaseException:
+        proc.kill()
+        raise
     finally:
         ours.close()
         proc.join()
@@ -285,14 +262,34 @@ def evaluate(part, params: ParameterSet, model_cfg: ModelConfig,
             out.append(rank_of_positive(logits[cand]))
         return out
 
-    ranks = {d: [] for d in DOMAINS}
-    with _on_two_cores(rank, min(batch_size, len(part))) as rank_batch:
+    def walk(rows):
+        """The ranks of the rows rows(n), a slice, of each batch of n users,
+        one list per batch. Every batch is built whole, whichever rows are
+        ranked: perfbench counts the users of each batch the caller builds."""
+        out = []
         for lo in range(0, len(part), batch_size):
             chunk = part[lo:lo + batch_size]
             batch = pad_batch(make_eval_batch([s for s, _ in chunk], vocab_x, vocab_y),
                               model_cfg.max_seq_len, vocab_x.pad_index)
-            for (_, (_, td)), r in zip(chunk, rank_batch(lo, lo + len(chunk), batch)):
-                ranks[td].append(r)
+            r = rows(len(chunk))
+            out.append(rank(lo + r.start, lo + r.stop, _rows(batch, r))
+                       if r.start < r.stop else [])
+        return out
+
+    # the child ranks the second half of every batch when `_second_core` allows
+    # it (two CPUs, one BLAS thread), `fork` exists, a batch can hold two users
+    # and the caller is not a daemonic process (which may start no children)
+    if (min(batch_size, len(part)) >= 2 and _second_core()
+            and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon):
+        with _forked(lambda: walk(lambda n: slice(n // 2, n))) as take:
+            firsts = walk(lambda n: slice(0, n // 2))
+            batches = [a + b for a, b in zip(firsts, take())]
+    else:
+        batches = walk(lambda n: slice(0, n))
+    ranks = {d: [] for d in DOMAINS}
+    for (_, (_, td)), r in zip(part, (r for rs in batches for r in rs)):
+        ranks[td].append(r)
     per_domain = {d: compute_metrics(rs) for d, rs in ranks.items() if rs}
     n_users = sum(mv.n_users for mv in per_domain.values())
     fingerprint = {"seed": seed, "n_steps": steps, "n_negatives": n_negatives,

@@ -60,12 +60,12 @@ class ModelConfig:
     vocab_y_size: int = 0
 
     def validate(self) -> None:
+        for name in ("n_heads", "enc_layers", "dec_layers", "max_seq_len", "T"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1" % name)
         if self.d < 1 or self.d % self.n_heads != 0:
             raise ValueError("d=%d must be a positive multiple of n_heads=%d"
                              % (self.d, self.n_heads))
-        for name in ("enc_layers", "dec_layers", "max_seq_len", "T"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1" % name)
         if self.vocab_x_size <= N_RESERVED or self.vocab_y_size <= N_RESERVED:
             raise ValueError("vocab sizes must exceed the %d reserved rows" % N_RESERVED)
 

@@ -387,6 +387,9 @@ def fit(state: TrainState, split: DatasetSplit, *, out_dir: str | None = None,
         raise ValueError("training split yields no prefix examples")
     check_vocab_sizes(cfg, split.vocab_x, split.vocab_y)
     check_seq_lens(cfg, examples)
+    for name, every in (("eval_every", eval_every), ("checkpoint_every", checkpoint_every)):
+        if every < 0:
+            raise ValueError("%s must be >= 0 (0 turns it off), got %d" % (name, every))
     if eval_negatives is not None:
         evaluation.check_negatives(eval_negatives)
     validate = eval_every > 0 and bool(split.validation)

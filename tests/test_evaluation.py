@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -584,7 +585,7 @@ def forks(monkeypatch):
 
 
 class TestTwoCores:
-    """evaluate ranks the second half of each batch in a forked worker when the
+    """evaluate ranks the second half of each batch in a forked child when the
     process may use two CPUs; every report equals the one-CPU report."""
 
     @staticmethod
@@ -649,11 +650,31 @@ class TestTwoCores:
             executor.shutdown()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("slow", ["child", "caller"])
+    @pytest.mark.parametrize("batch_size", [3, 64])
+    def test_halves_out_of_step_equal_one_cpu(self, eval_setup, monkeypatch, forks,
+                                              batch_size, slow):
+        # each process walks every batch on its own; one half may lag the other
+        _with_cpus(monkeypatch, 1)
+        one = self._evaluate(eval_setup, batch_size=batch_size)
+        caller, real = os.getpid(), evaluation.sample_batch
+
+        def sample(*args):
+            if (os.getpid() == caller) == (slow == "caller"):
+                time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "sample_batch", sample)
+        _with_cpus(monkeypatch, 2)
+        assert self._evaluate(eval_setup, batch_size=batch_size) == one
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
     @staticmethod
-    def _poison(eval_setup, monkeypatch, victim: int) -> None:
-        """Make the last denoised vector of test user number victim non-finite."""
+    def _poison(eval_setup, monkeypatch, *victims: int) -> None:
+        """Make the last denoised vectors of the test users numbered victims non-finite."""
         split, sched = eval_setup[0], eval_setup[3]
-        bad_user = split.test[victim][0].user_index
+        bad_users = [split.test[v][0].user_index for v in victims]
         last = strided_steps(sched.T, sched.T)[-1]
         users = []
         real_sample, real_denoise = evaluation.sample_batch, evaluation.denoise
@@ -665,13 +686,13 @@ class TestTwoCores:
         def denoise(*args):
             out = real_denoise(*args)
             if args[3][0] == last:
-                out.data[np.asarray(users) == bad_user] = np.nan
+                out.data[np.isin(users, bad_users)] = np.nan
             return out
 
         monkeypatch.setattr(evaluation, "sample_batch", sample)
         monkeypatch.setattr(evaluation, "denoise", denoise)
 
-    # batch_size 4: the second batch is rows 4-7, the caller ranks 4-5 and the worker 6-7
+    # batch_size 4: the second batch is rows 4-7, the caller ranks 4-5 and the child 6-7
     @pytest.mark.parametrize("victim", [4, 7])
     def test_non_finite_sample_raises_in_caller(self, eval_setup, monkeypatch, forks,
                                                 victim):
@@ -681,6 +702,35 @@ class TestTwoCores:
             with pytest.raises(ValueError) as err:
                 self._evaluate(eval_setup, batch_size=4)
             assert str(err.value) == "non-finite sample at the end of the reverse chain"
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_faults_in_both_halves_raise_the_callers(self, eval_setup, monkeypatch, forks):
+        self._poison(eval_setup, monkeypatch, 4, 7)
+        _with_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError) as err:
+            self._evaluate(eval_setup, batch_size=4)
+        assert str(err.value) == "non-finite sample at the end of the reverse chain"
+        # raised by this process's own sampler, not re-raised from the child's message
+        assert err.traceback[-1].name == "sample_batch"
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_caller_fault_kills_the_child(self, eval_setup, monkeypatch, forks):
+        self._poison(eval_setup, monkeypatch, 4)
+        caller, poisoned = os.getpid(), evaluation.sample_batch
+
+        def sample(*args):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return poisoned(*args)
+
+        monkeypatch.setattr(evaluation, "sample_batch", sample)
+        _with_cpus(monkeypatch, 2)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="non-finite sample"):
+            self._evaluate(eval_setup, batch_size=4)
+        assert time.perf_counter() - t0 < 30   # not waiting out the child's sleep
         assert len(forks) == 1
         assert multiprocessing.active_children() == []
 
@@ -721,9 +771,12 @@ class TestTwoCores:
     def test_worker_killed_between_batches_is_an_error(self, eval_setup, monkeypatch):
         import signal
 
-        real, calls = evaluation.make_eval_batch, []
+        caller, real, calls = os.getpid(), evaluation.make_eval_batch, []
 
         def build(*args):
+            if os.getpid() != caller:   # the child builds its own batches; hold it
+                time.sleep(60)          # so that it cannot send before it is killed
+                return real(*args)
             calls.append(1)
             if len(calls) == 2:
                 (worker,) = multiprocessing.active_children()

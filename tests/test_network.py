@@ -76,6 +76,9 @@ class TestConfig:
     def test_layer_counts(self):
         with pytest.raises(ValueError, match="enc_layers"):
             tiny_cfg(enc_layers=0).validate()
+        for n_heads in (0, -2):
+            with pytest.raises(ValueError, match="n_heads must be >= 1"):
+                tiny_cfg(n_heads=n_heads).validate()
         with pytest.raises(ValueError, match="T"):
             tiny_cfg(T=0).validate()
 

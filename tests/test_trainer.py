@@ -930,6 +930,18 @@ class TestTrainingLoop:
         assert calls == []
         assert state.global_step == 0
 
+    @pytest.mark.parametrize("key", ["eval_every", "checkpoint_every"])
+    def test_negative_period_rejected_before_any_step(self, small_split, small_sched,
+                                                      monkeypatch, tmp_path, key):
+        state = init_state(tiny_model_cfg(small_split),
+                           TrainConfig(batch_size=4, epochs=1, seed=3), small_sched, "full")
+        calls = spy_calls(monkeypatch, "train_step")
+        with pytest.raises(ValueError, match=r"%s must be >= 0 \(0 turns it off\), got -3"
+                           % key):
+            fit(state, small_split, out_dir=str(tmp_path), **{key: -3})
+        assert calls == []
+        assert state.global_step == 0
+
     def test_bench_step_memory(self):
         """A benchmark-shaped step (B=128, prefix 12, d=32) peaks under 60 MB:
         interior gradients are dropped once handed over and a bias adds into

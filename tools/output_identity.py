@@ -19,7 +19,7 @@ one SHA-256 for each of four sections:
   `evaluate` computes, so a change that moves training bits can show that
   its forward path is unchanged. The section's process pins itself to one
   CPU for these calls, because with two `evaluate` ranks half of each batch
-  in a forked worker whose arrays no hook here sees. It then makes the same
+  in a forked child whose arrays no hook here sees. It then makes the same
   calls on all the CPUs it was given and fails unless every report equals
   the one-CPU report (on a one-CPU machine that comparison is trivial).
 - wide: `fit` for one warm-up and two main epochs (grad clip 1.0) on a
@@ -196,7 +196,8 @@ def eval_section() -> str:
         h.update(json.dumps(rep.fingerprint, sort_keys=True).encode())
 
     # On one CPU `evaluate` ranks every user in this process, where the hooks
-    # see every array; on more it hands half of each batch to a worker.
+    # see every array; on more a forked child ranks the second half of each
+    # batch with copies of the hooks whose digests stay in the child.
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     unhooked = evaluation.guidance_forward, evaluation.sample_batch
